@@ -16,8 +16,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Protocol
@@ -280,8 +284,9 @@ class HttpChatClient:
     """Chat-completions client over HTTP POST.
 
     The API key is read from the environment variable named in the config,
-    never passed on the command line. Transient failures retry with
-    exponential backoff before raising TransportError.
+    never passed on the command line. Transport errors, 429 and 5xx retry
+    with exponential backoff before raising TransportError; any other 4xx
+    or a malformed body raises it after one attempt.
     """
 
     def __init__(
@@ -324,17 +329,26 @@ class HttpChatClient:
                 resp = self.session.post(
                     self.endpoint, json=payload, headers=headers, timeout=self.timeout_s
                 )
-                resp.raise_for_status()
+            except OSError as exc:  # requests' connection errors and timeouts included
+                last_error = exc
+                continue
+            status = resp.status_code
+            if status == 429 or status >= 500:
+                last_error = TransportError(f"HTTP {status}")
+                continue
+            if status >= 400:
+                raise TransportError(f"request rejected with HTTP {status}; not retried")
+            try:
                 data = resp.json()
                 text = data["choices"][0]["message"]["content"] or ""
-                usage = data.get("usage") or {}
-                return ClientResponse(
-                    text=text,
-                    tokens_in=int(usage.get("prompt_tokens", estimate_tokens(prompt.body))),
-                    tokens_out=int(usage.get("completion_tokens", estimate_tokens(text))),
-                )
-            except Exception as exc:  # noqa: BLE001 - every failure is retried
-                last_error = exc
+            except (ValueError, LookupError, TypeError) as exc:
+                raise TransportError(f"malformed response body: {exc!r}") from exc
+            usage = data.get("usage") or {}
+            return ClientResponse(
+                text=text,
+                tokens_in=int(usage.get("prompt_tokens", estimate_tokens(prompt.body))),
+                tokens_out=int(usage.get("completion_tokens", estimate_tokens(text))),
+            )
         raise TransportError(
             f"request failed after {self.retries + 1} attempts: {last_error}"
         ) from last_error
@@ -424,18 +438,36 @@ class ResponseCache:
         self.path = Path(path) if path is not None else None
         self._records: dict[str, dict] = {}
         self._lock = threading.Lock()
+        # Byte offset of a torn final line (a crash mid-append), cut off
+        # before the next append; None when the file ends cleanly.
+        self.torn_tail_at: int | None = None
         if self.path is not None and self.path.exists():
             self._load()
 
     def _load(self) -> None:
+        """Index the file's records. A malformed *final* line is skipped and
+        reported; a malformed line before it raises JSONDecodeError."""
+        torn: json.JSONDecodeError | None = None
         with open(self.path, encoding="utf-8") as fh:
             for line in fh:
                 line = line.strip()
                 if not line:
                     continue
-                record = json.loads(line)
+                if torn is not None:
+                    raise torn
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    torn = exc
+                    continue
                 if "hash" in record:
                     self._records[record["hash"]] = record
+        if torn is not None:
+            self.torn_tail_at = self.path.read_bytes().rstrip().rfind(b"\n") + 1
+            print(
+                f"warning: {self.path}: skipped a torn final record at byte {self.torn_tail_at}",
+                file=sys.stderr,
+            )
 
     def __len__(self) -> int:
         return len(self._records)
@@ -448,6 +480,9 @@ class ResponseCache:
         with self._lock:
             self._records[record["hash"]] = record
             if self.path is not None:
+                if self.torn_tail_at is not None:
+                    os.truncate(self.path, self.torn_tail_at)
+                    self.torn_tail_at = None
                 with open(self.path, "a", encoding="utf-8") as fh:
                     fh.write(json.dumps(record) + "\n")
 
@@ -570,27 +605,27 @@ def annotate_graph(
     ]
     limiter = RateLimiter(requests_per_second, burst=max_inflight)
     results: dict[tuple[int, int], WorkerAnnotation] = {}
+    # Ties with identical member sets share a prompt hash. Each distinct hash
+    # is dispatched once, in first-occurrence order; later occurrences replay
+    # its record as cache hits, so concurrent runs neither pay for a prompt
+    # twice nor differ from the serial path.
+    first: dict[str, PromptSpec] = {}
+    for spec in prompts:
+        first.setdefault(spec.prompt_hash, spec)
 
-    if max_inflight <= 1:
+    def work(spec: PromptSpec) -> WorkerAnnotation:
+        return annotate(spec, client, cache, budget, model, limiter)
+
+    with ThreadPoolExecutor(max_workers=max_inflight) if max_inflight > 1 else nullcontext() as pool:
+        fresh = (pool.map if pool is not None else map)(work, first.values())
         for i, spec in enumerate(prompts):
-            results[(spec.center, spec.config_k)] = annotate(
-                spec, client, cache, budget, model, limiter
-            )
+            if first[spec.prompt_hash] is spec:
+                ann = next(fresh)
+            else:
+                ann = _annotation_from_record(spec, cache.get(spec.prompt_hash), from_cache=True)
+            results[(spec.center, spec.config_k)] = ann
             if progress is not None:
                 progress(i + 1, len(prompts))
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        def work(spec: PromptSpec) -> tuple[tuple[int, int], WorkerAnnotation]:
-            return (spec.center, spec.config_k), annotate(
-                spec, client, cache, budget, model, limiter
-            )
-
-        with ThreadPoolExecutor(max_workers=max_inflight) as pool:
-            for i, (key, ann) in enumerate(pool.map(work, prompts)):
-                results[key] = ann
-                if progress is not None:
-                    progress(i + 1, len(prompts))
 
     return {
         v: [results[(v, k)] for k in range(NUM_TIE_CONFIGS)] for v in nodes

@@ -1,4 +1,4 @@
-"""Parsers for citation-network files and graph (de)serialization.
+"""Parsers for citation-network files and the npz graph artifact.
 
 File formats (public Cora/Citeseer conventions):
 
@@ -10,13 +10,16 @@ File formats (public Cora/Citeseer conventions):
 * texts file (optional): ``key<TAB>utf8 text`` per line.
 * embeddings file (optional): ``key<TAB>v1,v2,...,vd`` per line.
 
-The assembled graph serializes to a single versioned JSON document with
-sorted keys, so fixtures are human-inspectable and round-trip bit-exactly.
+The assembled graph is stored as one uncompressed ``.npz`` archive: the
+feature matrix and the edge list as binary arrays, plus a small versioned JSON
+``meta`` member with keys, texts, labels and class names. Features round-trip
+bit-exactly and every stage loads the artifact without re-parsing text.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -24,7 +27,7 @@ import numpy as np
 
 from .graph import DirectedTAG, build_graph
 
-GRAPH_SCHEMA_VERSION = 1
+GRAPH_SCHEMA_VERSION = 2
 
 CITING_TO_CITED = "citing_to_cited"
 CITED_TO_CITING = "cited_to_citing"
@@ -224,47 +227,44 @@ def load_embeddings(path: str | Path, graph: DirectedTAG) -> np.ndarray:
     return np.stack([vectors[k] for k in graph.original_keys])
 
 
-def graph_to_json(graph: DirectedTAG) -> dict:
-    return {
-        "schema_version": GRAPH_SCHEMA_VERSION,
-        "class_names": graph.class_names,
-        "nodes": [
-            {
-                "key": graph.original_keys[i],
-                "text": graph.texts[i],
-                "label": graph.labels[i],
-                "features": graph.features[i].tolist(),
-            }
-            for i in range(graph.num_nodes)
-        ],
-        "edges": sorted(graph.edges()),
-    }
-
-
-def graph_from_json(doc: dict) -> DirectedTAG:
-    version = doc.get("schema_version")
-    if version != GRAPH_SCHEMA_VERSION:
-        raise ValueError(f"unsupported graph schema version {version!r}")
-    nodes = doc["nodes"]
-    features = np.array([n["features"] for n in nodes], dtype=np.float64)
-    if features.ndim == 1:  # zero-width feature rows
-        features = features.reshape(len(nodes), 0)
-    return build_graph(
-        keys=[n["key"] for n in nodes],
-        edges=[tuple(e) for e in doc["edges"]],
-        texts=[n["text"] for n in nodes],
-        features=features,
-        labels=[n["label"] for n in nodes],
-        class_names=list(doc["class_names"]),
-    )
-
-
-def save_graph(graph: DirectedTAG, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(graph_to_json(graph), fh, sort_keys=True, indent=1)
-        fh.write("\n")
+def save_graph(graph: DirectedTAG, path: str | Path, config_hash: str | None = None) -> None:
+    """Write the uncompressed ``.npz`` graph artifact: ``features`` (float64,
+    n x d), ``edges`` (int64, m x 2, sorted) and ``meta`` (UTF-8 JSON of the
+    schema version, class names, keys, texts, labels and config hash). It goes
+    to a temp file beside ``path`` and is moved into place with ``os.replace``.
+    """
+    path = Path(path)
+    meta = {"schema_version": GRAPH_SCHEMA_VERSION, "class_names": graph.class_names,
+            "keys": graph.original_keys, "texts": graph.texts, "labels": graph.labels,
+            "config_hash": config_hash}
+    blob = np.frombuffer(json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8)
+    edges = np.array(sorted(graph.edges()), dtype=np.int64).reshape(-1, 2)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(fh, features=np.asarray(graph.features, dtype=np.float64), edges=edges, meta=blob)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_graph(path: str | Path) -> DirectedTAG:
-    with open(path, encoding="utf-8") as fh:
-        return graph_from_json(json.load(fh))
+    """Read a :func:`save_graph` artifact; pickled members are refused. Raises
+    ValueError on a wrong schema version, mismatched row counts or an edge id
+    outside ``0..n-1``."""
+    with np.load(path, allow_pickle=False) as npz:
+        features, edges = npz["features"], npz["edges"]
+        meta = json.loads(npz["meta"].tobytes().decode("utf-8"))
+    if meta.get("schema_version") != GRAPH_SCHEMA_VERSION:
+        raise ValueError(f"unsupported graph schema version {meta.get('schema_version')!r}")
+    keys, texts, labels = meta["keys"], meta["texts"], meta["labels"]
+    n = len(keys)
+    if features.dtype != np.float64 or features.ndim != 2 or not (
+        features.shape[0] == len(texts) == len(labels) == n
+    ):
+        raise ValueError(f"{path}: features {features.shape}, texts and labels do not fit {n} keys")
+    if edges.dtype != np.int64 or edges.ndim != 2 or edges.shape[1] != 2:
+        raise ValueError(f"{path}: edges must be int64 of shape (m, 2), got {edges.dtype}{edges.shape}")
+    if edges.size and (edges.min() < 0 or edges.max() >= n):
+        raise ValueError(f"{path}: edge node id outside 0..{n - 1}")
+    return build_graph(keys, edges.tolist(), texts, features, labels, meta["class_names"])

@@ -6,7 +6,7 @@ Stages after ``annotate`` never perform network I/O: aggregation replays the
 response cache and fails hard on a miss instead of re-querying.
 
 All artifacts carry a schema version and the hash of the producing config
-(JSON fields, or a leading ``#`` comment line for CSV).
+(JSON fields, the graph's npz ``meta`` member, or a leading ``#`` line for CSV).
 """
 
 from __future__ import annotations
@@ -210,7 +210,7 @@ class StagePaths:
 
     @property
     def graph(self) -> Path:
-        return self.out_dir / "graph.json"
+        return self.out_dir / "graph.npz"
 
     @property
     def cache(self) -> Path:
@@ -359,9 +359,7 @@ def stage_ingest(cfg: PipelineConfig, paths: StagePaths) -> bool:
         graph.features = dataio.load_embeddings(cfg.dataset.embeddings, graph)
     if not counters.reconciles():
         raise RuntimeError(f"edge counters do not reconcile: {counters}")
-    doc = dataio.graph_to_json(graph)
-    doc["config_hash"] = cfg_hash
-    paths.graph.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
+    dataio.save_graph(graph, paths.graph, cfg_hash)
     _write_manifest(paths, "ingest", cfg_hash, inputs, [paths.graph])
     return True
 

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import threading
+import time
 from collections import Counter
 
 import numpy as np
@@ -310,6 +312,36 @@ def test_cache_file_format_and_header(tmp_path, chain_graph):
     assert record["hash"] == spec.prompt_hash
 
 
+def test_cache_skips_and_reports_torn_final_line(tmp_path, chain_graph, capsys):
+    path = tmp_path / "cache.jsonl"
+    ResponseCache.write_header(path, "h")
+    spec = make_prompt(chain_graph)
+    budget = BudgetState(limit_usd=1.0)
+    annotate(spec, StubClient(fixture_response(("Theory", 90))), ResponseCache(path), budget)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write('{"hash": "b", "raw_')  # crash mid-append
+
+    cache = ResponseCache(path)
+    assert len(cache) == 1 and cache.get(spec.prompt_hash) is not None
+    assert "torn final record" in capsys.readouterr().err
+
+    # the next append replaces the torn tail, leaving a clean file
+    other = make_prompt(chain_graph, k=0)
+    annotate(other, StubClient(fixture_response(("Theory", 80))), cache, budget)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert [json.loads(l).get("hash") for l in lines] == [None, spec.prompt_hash, other.prompt_hash]
+    assert len(ResponseCache(path)) == 2
+    assert capsys.readouterr().err == ""
+
+
+def test_cache_malformed_line_before_last_raises(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    good = json.dumps({"hash": "a", "raw_response": "[]"})
+    path.write_text(good + "\n" + '{"hash": "b", "raw_' + "\n" + good + "\n", encoding="utf-8")
+    with pytest.raises(json.JSONDecodeError):
+        ResponseCache(path)
+
+
 # --- http client ----------------------------------------------------------------------
 
 class FakeHttpSession:
@@ -326,13 +358,9 @@ class FakeHttpSession:
             raise item
 
         class Resp:
-            def __init__(self, status, body):
-                self.status = status
+            def __init__(self, status_code, body):
+                self.status_code = status_code
                 self.body = body
-
-            def raise_for_status(self):
-                if self.status >= 400:
-                    raise OSError(f"http {self.status}")
 
             def json(self):
                 return self.body
@@ -367,12 +395,12 @@ def test_http_client_success_and_wire_format(chain_graph):
 
 def test_http_client_retries_then_succeeds(chain_graph):
     session = FakeHttpSession(
-        [OSError("boom"), (500, {}), (200, chat_body("ok"))]
+        [OSError("boom"), (500, {}), (429, {}), (200, chat_body("ok"))]
     )
     client = HttpChatClient("http://api", "m", retries=3, backoff_s=0.0, session=session)
     resp = client.complete(make_prompt(chain_graph))
     assert resp.text == "ok"
-    assert len(session.requests) == 3
+    assert len(session.requests) == 4
 
 
 def test_http_client_token_estimate_fallback(chain_graph):
@@ -389,6 +417,26 @@ def test_http_client_gives_up_after_retries(chain_graph):
     client = HttpChatClient("http://api", "m", retries=1, backoff_s=0.0, session=session)
     with pytest.raises(TransportError):
         client.complete(make_prompt(chain_graph))
+
+
+@pytest.mark.parametrize("status", [400, 401, 403, 404])
+def test_http_client_does_not_retry_client_errors(chain_graph, status, monkeypatch):
+    sleeps = []
+    monkeypatch.setattr("crowdtag.annotate.time.sleep", sleeps.append)
+    session = FakeHttpSession([(status, {"error": "no"})] * 4)
+    client = HttpChatClient("http://api", "m", retries=3, backoff_s=1.0, session=session)
+    with pytest.raises(TransportError, match=str(status)):
+        client.complete(make_prompt(chain_graph))
+    assert len(session.requests) == 1
+    assert sleeps == []
+
+
+def test_http_client_malformed_body_not_retried(chain_graph):
+    session = FakeHttpSession([(200, {"choices": []}), (200, chat_body("ok"))])
+    client = HttpChatClient("http://api", "m", retries=1, backoff_s=0.0, session=session)
+    with pytest.raises(TransportError, match="malformed"):
+        client.complete(make_prompt(chain_graph))
+    assert len(session.requests) == 1
 
 
 # --- synthetic oracle --------------------------------------------------------------
@@ -472,6 +520,42 @@ def test_annotate_graph_concurrent_matches_serial(tmp_path):
     )
     for v in range(10):
         assert [a.guesses for a in serial[v]] == [a.guesses for a in parallel[v]]
+
+
+class SleepingOracle:
+    """Oracle client that sleeps per request and records what it was sent."""
+
+    def __init__(self, graph, delay_s=0.01):
+        self.oracle = SyntheticOracleClient(graph, noise=0.4, seed=9)
+        self.delay_s = delay_s
+        self.sent = []
+        self.lock = threading.Lock()
+
+    def complete(self, prompt):
+        time.sleep(self.delay_s)
+        with self.lock:
+            self.sent.append(prompt.prompt_hash)
+        return self.oracle.complete(prompt)
+
+
+def test_annotate_graph_concurrent_dispatches_each_prompt_once():
+    g = labeled_graph(n=10)
+    runs = {}
+    for inflight in (1, 4):
+        client = SleepingOracle(g)
+        results = annotate_graph(
+            g, list(range(10)), client, ResponseCache(), BudgetState(limit_usd=1.0),
+            model="o", max_inflight=inflight,
+        )
+        runs[inflight] = (client.sent, results)
+    serial_sent, serial = runs[1]
+    parallel_sent, parallel = runs[4]
+    # some ties share a member set, hence a prompt
+    assert len(set(serial_sent)) == len(serial_sent) < 10 * NUM_TIE_CONFIGS
+    assert sorted(parallel_sent) == sorted(serial_sent)
+    for v in range(10):
+        assert [a.guesses for a in parallel[v]] == [a.guesses for a in serial[v]]
+        assert [a.from_cache for a in parallel[v]] == [a.from_cache for a in serial[v]]
 
 
 def test_annotate_graph_respects_rate_limit_quickly():

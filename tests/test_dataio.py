@@ -12,8 +12,6 @@ from crowdtag.dataio import (
     CiteRecord,
     ParseError,
     assemble,
-    graph_from_json,
-    graph_to_json,
     load_embeddings,
     load_graph,
     parse_cites,
@@ -22,6 +20,8 @@ from crowdtag.dataio import (
     save_graph,
 )
 from crowdtag.synthetic import synthetic_citation_graph, write_dataset_files
+
+from conftest import tiny_graph
 
 
 def write(tmp_path: Path, name: str, text: str) -> Path:
@@ -189,30 +189,77 @@ def test_load_embeddings_dim_mismatch(tmp_path):
 
 # --- serialization ---------------------------------------------------------------
 
-def test_graph_json_roundtrip(tmp_path):
+def test_graph_npz_roundtrip(tmp_path):
     graph = synthetic_citation_graph(n=40, num_classes=3, seed=4)
-    path = tmp_path / "graph.json"
-    save_graph(graph, path)
+    path = tmp_path / "graph.npz"
+    save_graph(graph, path, config_hash="abc")
     loaded = load_graph(path)
     assert loaded.original_keys == graph.original_keys
     assert loaded.texts == graph.texts
     assert loaded.labels == graph.labels
     assert loaded.class_names == graph.class_names
-    assert set(loaded.edges()) == set(graph.edges())
-    np.testing.assert_array_equal(loaded.features, graph.features)
+    assert loaded.edges() == graph.edges()
+    assert loaded.features.dtype == np.float64
+    assert loaded.features.tobytes() == graph.features.tobytes()
+    with np.load(path, allow_pickle=False) as npz:
+        assert sorted(npz.files) == ["edges", "features", "meta"]
+        assert npz["edges"].dtype == np.int64
+        assert npz["edges"].tolist() == sorted(map(list, graph.edges()))
+        meta = json.loads(npz["meta"].tobytes().decode("utf-8"))
+    assert meta["schema_version"] == 2 and meta["config_hash"] == "abc"
+    assert list(tmp_path.iterdir()) == [path]
 
 
-def test_graph_json_rejects_wrong_version():
-    doc = {"schema_version": 999, "nodes": [], "edges": [], "class_names": []}
+def test_graph_npz_roundtrip_zero_width_features_and_unknown_labels(tmp_path):
+    graph = tiny_graph([(0, 1), (2, 1)], n=3)
+    graph.features = np.zeros((3, 0))
+    graph.labels = [0, None, None]
+    save_graph(graph, tmp_path / "g.npz")
+    loaded = load_graph(tmp_path / "g.npz")
+    assert loaded.features.shape == (3, 0)
+    assert loaded.labels == [0, None, None]
+    assert loaded.edges() == [(0, 1), (2, 1)]
+
+
+def write_npz(path: Path, graph, **override) -> Path:
+    """A graph artifact with some members replaced."""
+    save_graph(graph, path)
+    with np.load(path, allow_pickle=False) as npz:
+        members = {name: npz[name] for name in npz.files}
+    meta = json.loads(members["meta"].tobytes())
+    meta.update(override.pop("meta", {}))
+    members["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+    members.update(override)
+    with open(path, "wb") as fh:
+        np.savez(fh, **members)
+    return path
+
+
+def test_graph_npz_rejects_wrong_version(tmp_path, fixture30):
+    path = write_npz(tmp_path / "g.npz", fixture30, meta={"schema_version": 999})
     with pytest.raises(ValueError, match="schema"):
-        graph_from_json(doc)
+        load_graph(path)
 
 
-def test_graph_json_document_shape(fixture30):
-    doc = graph_to_json(fixture30)
-    assert doc["schema_version"] == 1
-    assert len(doc["nodes"]) == 30
-    assert all(set(n) == {"key", "text", "label", "features"} for n in doc["nodes"])
+@pytest.mark.parametrize("bad_id", [30, -1])
+def test_graph_npz_rejects_edge_id_out_of_range(tmp_path, fixture30, bad_id):
+    edges = np.array(sorted(fixture30.edges()) + [(0, bad_id)], dtype=np.int64)
+    path = write_npz(tmp_path / "g.npz", fixture30, edges=edges)
+    with pytest.raises(ValueError, match="edge node id"):
+        load_graph(path)
+
+
+def test_graph_npz_rejects_feature_key_count_mismatch(tmp_path, fixture30):
+    path = write_npz(tmp_path / "g.npz", fixture30, features=fixture30.features[:-1])
+    with pytest.raises(ValueError, match="30 keys"):
+        load_graph(path)
+
+
+def test_graph_npz_refuses_pickled_member(tmp_path, fixture30):
+    texts = np.array(fixture30.texts, dtype=object)
+    path = write_npz(tmp_path / "g.npz", fixture30, features=texts)
+    with pytest.raises(ValueError, match="allow_pickle"):
+        load_graph(path)
 
 
 # --- dataset-file round trip ------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 
 from crowdtag import cli, pipeline
 from crowdtag.annotate import ResponseCache, TruncationPolicy
+from crowdtag.dataio import load_graph
 from crowdtag.fixtures import fixture_paths, load_fixture_graph, replay_cache_path
 from crowdtag.pipeline import (
     ConfigError,
@@ -103,6 +104,19 @@ def test_pipeline_fixture_end_to_end(tmp_path):
     header, rows = read_csv_rows(paths.history)
     assert header == ["epoch", "train_acc", "test_acc", "loss"]
     assert len(rows) == 60
+
+
+def test_ingest_writes_npz_graph_and_no_temp_file(tmp_path):
+    cfg_path, out_dir = fixture_config(tmp_path)
+    cfg = load_config(cfg_path)
+    paths = StagePaths(out_dir)
+    assert pipeline.stage_ingest(cfg, paths)
+    assert paths.graph.name == "graph.npz"
+    assert list(out_dir.glob("*.tmp")) == []
+    graph = load_graph(paths.graph)
+    fixture = load_fixture_graph()
+    assert graph.original_keys == fixture.original_keys
+    assert graph.features.tobytes() == fixture.features.tobytes()
 
 
 def test_pipeline_rerun_skips_all_stages(tmp_path):
