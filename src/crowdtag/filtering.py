@@ -97,6 +97,17 @@ def pagerank(
     )
 
 
+def _sq_dists(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """(n, k) squared euclidean distances from every point to every center.
+
+    One center at a time, so the scratch is (n, d) rather than (n, k, d).
+    """
+    out = np.empty((x.shape[0], centers.shape[0]))
+    for j, c in enumerate(centers):
+        out[:, j] = ((x - c) ** 2).sum(axis=1)
+    return out
+
+
 def kmeans(
     features: np.ndarray,
     k: int,
@@ -131,7 +142,7 @@ def kmeans(
     history: list[float] = []
     assignment = np.zeros(n, dtype=np.intp)
     for _ in range(max_iter):
-        dists = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        dists = _sq_dists(x, centers)
         assignment = dists.argmin(axis=1)
         for j in range(k):
             mask = assignment == j
@@ -154,7 +165,7 @@ def kmeans(
             break
     # final pass so the returned assignment is exactly nearest-center
     # (reseeding can leave a moved point on an equidistant duplicate center)
-    dists = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    dists = _sq_dists(x, centers)
     assignment = dists.argmin(axis=1)
     return ClusterModel(
         centers=centers,
@@ -167,7 +178,7 @@ def kmeans(
 def c_density(features: np.ndarray, model: ClusterModel) -> np.ndarray:
     """1 / (1 + euclidean distance to the nearest cluster center), per node."""
     x = np.asarray(features, dtype=np.float64)
-    dists = np.sqrt(((x[:, None, :] - model.centers[None, :, :]) ** 2).sum(axis=2))
+    dists = np.sqrt(_sq_dists(x, model.centers))
     return 1.0 / (1.0 + dists.min(axis=1))
 
 

@@ -1,10 +1,11 @@
 """Two-layer graph convolutional network on numpy.
 
 logits = A_hat @ relu(A_hat @ X @ W1) @ W2, where A_hat is the symmetrically
-normalized adjacency with self-loops. Training minimizes mean cross-entropy
-over the training nodes plus L2 weight decay, using adaptive-moment gradient
-descent with bias correction. Everything is seeded and single-threaded at the
-Python level, so fixed seeds give bit-identical histories.
+normalized adjacency with self-loops, held as a sparse CSR matrix. Training
+minimizes mean cross-entropy over the training nodes plus L2 weight decay,
+using adaptive-moment gradient descent with bias correction. Everything is
+seeded and single-threaded at the Python level, so fixed seeds give
+bit-identical histories.
 
 The backward pass is derived by hand and validated against central finite
 differences (``gradient_check``).
@@ -18,8 +19,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .graph import DirectedTAG
-
-DENSE_NODE_LIMIT = 5000
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -54,16 +53,13 @@ class EpochRecord:
 class GCNModel:
     w1: np.ndarray
     w2: np.ndarray
-    a_hat: np.ndarray | sp.csr_matrix
+    a_hat: sp.csr_matrix
     config: GCNConfig
     _adam_state: dict = field(default_factory=dict, repr=False)
 
 
-def normalize_adjacency(graph: DirectedTAG) -> np.ndarray | sp.csr_matrix:
-    """Symmetrize, add self-loops, apply symmetric degree normalization.
-
-    Dense below DENSE_NODE_LIMIT nodes, CSR above.
-    """
+def normalize_adjacency(graph: DirectedTAG) -> sp.csr_matrix:
+    """Symmetrize, add self-loops, apply symmetric degree normalization."""
     n = graph.num_nodes
     rows, cols = [], []
     seen: set[tuple[int, int]] = set()
@@ -80,10 +76,7 @@ def normalize_adjacency(graph: DirectedTAG) -> np.ndarray | sp.csr_matrix:
     adj = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
     deg = np.asarray(adj.sum(axis=1)).ravel()
     inv_sqrt = 1.0 / np.sqrt(deg)
-    a_hat = sp.diags(inv_sqrt) @ adj @ sp.diags(inv_sqrt)
-    if n < DENSE_NODE_LIMIT:
-        return a_hat.toarray()
-    return sp.csr_matrix(a_hat)
+    return sp.csr_matrix(sp.diags(inv_sqrt) @ adj @ sp.diags(inv_sqrt))
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -92,7 +85,7 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
 
 
 def init_model(
-    graph_or_ahat: DirectedTAG | np.ndarray | sp.csr_matrix,
+    graph_or_ahat: DirectedTAG | sp.csr_matrix,
     feature_dim: int,
     num_classes: int,
     config: GCNConfig | None = None,
@@ -220,9 +213,11 @@ def evaluate(
     """Argmax-logit accuracy; argmax ties resolve to the lowest class index."""
     if len(nodes) == 0:
         raise ValueError("evaluation node set is empty")
-    logits = forward(model, x, training=False)
-    pred = logits[nodes].argmax(axis=1)
-    return float((pred == labels).mean())
+    return _accuracy(forward(model, x), nodes, labels)
+
+
+def _accuracy(logits: np.ndarray, nodes: np.ndarray, labels: np.ndarray) -> float:
+    return float((logits[nodes].argmax(axis=1) == labels).mean())
 
 
 def train(
@@ -236,7 +231,8 @@ def train(
     """Full training loop; one history row per epoch.
 
     Train accuracy is measured against the (pseudo-)labels being fit; test
-    accuracy against the supplied ground truth, when given.
+    accuracy against the supplied ground truth, when given. Both come from
+    one eval-mode forward after each weight update.
     """
     if len(train_nodes) == 0:
         raise ValueError("training node set is empty")
@@ -255,9 +251,10 @@ def train(
         if not (np.isfinite(model.w1).all() and np.isfinite(model.w2).all()):
             raise TrainingDivergedError(epoch)
 
-        train_acc = evaluate(model, x, train_nodes, train_labels)
+        logits = forward(model, x)
+        train_acc = _accuracy(logits, train_nodes, train_labels)
         if test_nodes is not None and len(test_nodes) > 0:
-            test_acc = evaluate(model, x, np.asarray(test_nodes), np.asarray(test_labels))
+            test_acc = _accuracy(logits, np.asarray(test_nodes), np.asarray(test_labels))
         else:
             test_acc = float("nan")
         history.append(EpochRecord(epoch=epoch, loss=loss, train_acc=train_acc, test_acc=test_acc))

@@ -12,6 +12,7 @@ All artifacts carry a schema version and the hash of the producing config
 from __future__ import annotations
 
 import csv
+import fcntl
 import hashlib
 import json
 import math
@@ -254,19 +255,26 @@ class StagePaths:
 
 @contextmanager
 def pipeline_lock(out_dir: Path):
-    """One pipeline instance per output directory."""
+    """One pipeline instance per output directory.
+
+    An exclusive ``flock`` on ``out_dir/.lock``, which records the holder's
+    PID. The kernel drops the lock when the holder exits, even on SIGKILL, so
+    a leftover file never blocks a later run. The file is never unlinked:
+    that would let two runs lock two different inodes under the same name.
+    """
     out_dir.mkdir(parents=True, exist_ok=True)
     lock = out_dir / ".lock"
+    fd = os.open(lock, os.O_CREAT | os.O_RDWR)
     try:
-        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        raise RuntimeError(f"output directory is locked by another run: {lock}") from None
-    try:
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise RuntimeError(f"output directory is locked by another run: {lock}") from None
+        os.ftruncate(fd, 0)
         os.write(fd, str(os.getpid()).encode())
-        os.close(fd)
         yield
     finally:
-        lock.unlink(missing_ok=True)
+        os.close(fd)
 
 
 def _manifest_current(

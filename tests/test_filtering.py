@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from crowdtag.filtering import (
     ConvergenceError,
+    _sq_dists,
     c_density,
     coe,
     kmeans,
@@ -166,6 +168,28 @@ def test_kmeans_assignment_is_nearest_center():
     model = kmeans(x, k=4, seed=0)
     dists = ((x[:, None, :] - model.centers[None, :, :]) ** 2).sum(axis=2)
     np.testing.assert_array_equal(model.assignment, dists.argmin(axis=1))
+
+
+def test_sq_dists_bit_identical_to_broadcast():
+    rng = np.random.default_rng(21)
+    for _ in range(20):
+        n, k, d = (int(v) for v in rng.integers(1, 40, size=3))
+        x = rng.normal(size=(n, d)) * rng.uniform(0.1, 100.0)
+        centers = rng.normal(size=(k, d))
+        reference = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        np.testing.assert_array_equal(_sq_dists(x, centers), reference)
+
+
+def test_kmeans_scratch_below_n_k_d_tensor():
+    n, k, d = 2000, 8, 64
+    x = np.random.default_rng(22).normal(size=(n, d))
+    tracemalloc.start()
+    try:
+        kmeans(x, k=k, seed=0, max_iter=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * k * d * 8
 
 
 # --- c_density -------------------------------------------------------------------

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from crowdtag.gcn import (
     GCNConfig,
@@ -40,25 +41,29 @@ def small_model(n=6, d=4, h=5, c=3, seed=0, dropout=0.0, **kw):
 def test_normalize_single_node():
     g = tiny_graph([], n=1)
     a = normalize_adjacency(g)
-    np.testing.assert_allclose(a, [[1.0]])
+    assert isinstance(a, sp.csr_matrix)
+    np.testing.assert_allclose(a.toarray(), [[1.0]])
 
 
 def test_normalize_two_nodes_one_edge():
     g = tiny_graph([(0, 1)], n=2)
     a = normalize_adjacency(g)
-    np.testing.assert_allclose(a, np.full((2, 2), 0.5))
+    assert isinstance(a, sp.csr_matrix)
+    np.testing.assert_allclose(a.toarray(), np.full((2, 2), 0.5))
 
 
 def test_normalize_isolated_node_row():
     g = tiny_graph([(0, 1)], n=3)
     a = normalize_adjacency(g)
-    np.testing.assert_allclose(a[2], [0.0, 0.0, 1.0])
+    assert isinstance(a, sp.csr_matrix)
+    np.testing.assert_allclose(a.toarray()[2], [0.0, 0.0, 1.0])
 
 
 def test_normalize_symmetric():
     g = synthetic_citation_graph(n=50, num_classes=3, seed=2)
     a = normalize_adjacency(g)
-    np.testing.assert_allclose(a, a.T, atol=1e-15)
+    assert isinstance(a, sp.csr_matrix)
+    np.testing.assert_allclose(a.toarray(), a.T.toarray(), atol=1e-15)
 
 
 # --- forward ---------------------------------------------------------------------
@@ -97,13 +102,13 @@ def test_forward_dimension_mismatch():
 
 
 def test_sparse_adjacency_path_matches_dense():
-    import scipy.sparse as sp
-
+    # the model propagates over CSR; a dense copy of A_hat is the reference
     g = synthetic_citation_graph(n=40, num_classes=3, seed=19)
-    dense = normalize_adjacency(g)
     cfg = GCNConfig(hidden=6, dropout=0.0, seed=2, epochs=15)
-    model_dense = init_model(dense, g.feature_dim, 3, cfg)
-    model_sparse = init_model(sp.csr_matrix(dense), g.feature_dim, 3, cfg)
+    model_sparse = init_model(g, g.feature_dim, 3, cfg)
+    assert isinstance(model_sparse.a_hat, sp.csr_matrix)
+    model_dense = init_model(normalize_adjacency(g).toarray(), g.feature_dim, 3, cfg)
+    assert isinstance(model_dense.a_hat, np.ndarray)
     np.testing.assert_allclose(
         forward(model_dense, g.features), forward(model_sparse, g.features), atol=1e-12
     )
@@ -114,6 +119,7 @@ def test_sparse_adjacency_path_matches_dense():
     np.testing.assert_allclose(
         [r.loss for r in hist_d], [r.loss for r in hist_s], rtol=1e-10
     )
+    assert [r.train_acc for r in hist_d] == [r.train_acc for r in hist_s]
 
 
 def test_softmax_rows_sum_to_one():
@@ -204,6 +210,17 @@ def test_training_bit_reproducible():
     (h1, w1a), (h2, w1b) = run(), run()
     assert h1 == h2
     np.testing.assert_array_equal(w1a, w1b)
+
+
+def test_last_history_row_matches_evaluate_on_final_weights():
+    g, model = small_model(n=30, seed=7, dropout=0.5, epochs=12)
+    train_ids = np.arange(10)
+    test_ids = np.arange(10, 30)
+    y_train = np.array([g.labels[v] for v in train_ids])
+    y_test = np.array([g.labels[v] for v in test_ids])
+    last = train(model, g.features, train_ids, y_train, test_ids, y_test)[-1]
+    assert last.train_acc == evaluate(model, g.features, train_ids, y_train)
+    assert last.test_acc == evaluate(model, g.features, test_ids, y_test)
 
 
 def test_zero_learning_rate_freezes_weights():

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -212,6 +215,35 @@ def test_lock_prevents_concurrent_runs(tmp_path):
     # released afterwards
     with pipeline.pipeline_lock(out):
         pass
+
+
+def test_lock_left_by_killed_run_does_not_block(tmp_path):
+    out = tmp_path / "out"
+    holder = subprocess.Popen(
+        [
+            sys.executable,
+            "-c",
+            "import sys, time; from pathlib import Path; from crowdtag import pipeline\n"
+            "with pipeline.pipeline_lock(Path(sys.argv[1])):\n"
+            "    print('locked', flush=True); time.sleep(60)",
+            str(out),
+        ],
+        stdout=subprocess.PIPE,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(pipeline.__file__).parents[1])},
+    )
+    try:
+        assert holder.stdout.readline().strip() == "locked"
+        with pytest.raises(RuntimeError, match="locked"):
+            with pipeline.pipeline_lock(out):
+                pass
+    finally:
+        holder.kill()  # SIGKILL: no cleanup runs in the holder
+        holder.wait()
+        holder.stdout.close()
+    assert (out / ".lock").read_text() == str(holder.pid)
+    with pipeline.pipeline_lock(out):
+        assert (out / ".lock").read_text() == str(os.getpid())
 
 
 # --- replay fixture -------------------------------------------------------------------
