@@ -94,6 +94,7 @@ class WorkerAnnotation:
     tokens_out: int = 0
     from_cache: bool = False
     parse_failed: bool = False
+    prompt_hash: str = ""
 
 
 @dataclass
@@ -538,7 +539,9 @@ def annotate(
     """
     cached = cache.get(prompt.prompt_hash)
     if cached is not None:
-        return _annotation_from_record(prompt, cached, from_cache=True)
+        return _annotation_from_record(
+            prompt.center, prompt.config_k, prompt.category_list, cached, from_cache=True
+        )
 
     budget.check()
     if limiter is not None:
@@ -555,29 +558,54 @@ def annotate(
         "timestamp": time.time(),
     }
     cache.put(record)
-    return _annotation_from_record(prompt, record, from_cache=False)
+    return _annotation_from_record(
+        prompt.center, prompt.config_k, prompt.category_list, record, from_cache=False
+    )
 
 
 def _annotation_from_record(
-    prompt: PromptSpec, record: dict, from_cache: bool
+    center: int, config_k: int, class_names: tuple[str, ...] | list[str], record: dict,
+    from_cache: bool,
 ) -> WorkerAnnotation:
     raw = record["raw_response"]
     try:
-        guesses = parse_response(raw, list(prompt.category_list))
+        guesses = parse_response(raw, list(class_names))
         failed = False
     except ResponseParseError:
         guesses = [(UNPARSEABLE, 0)]
         failed = True
     return WorkerAnnotation(
-        center=prompt.center,
-        config_k=prompt.config_k,
+        center=center,
+        config_k=config_k,
         guesses=guesses,
         raw_response=raw,
         tokens_in=int(record.get("tokens_in", 0)),
         tokens_out=int(record.get("tokens_out", 0)),
         from_cache=from_cache,
         parse_failed=failed,
+        prompt_hash=record["hash"],
     )
+
+
+def recorded_annotations(
+    nodes: list[int], prompt_hashes: list[list[str]], cache: ResponseCache, class_names: list[str]
+) -> dict[int, list[WorkerAnnotation]]:
+    """Worker annotations from the cache records that answered them.
+
+    ``prompt_hashes[i][k]`` is the hash of node ``nodes[i]``'s configuration
+    ``k``, as :func:`annotate_graph` recorded it. No prompt is rebuilt and no
+    client is called; a hash absent from the cache raises LookupError.
+    """
+    results: dict[int, list[WorkerAnnotation]] = {}
+    for v, hashes in zip(nodes, prompt_hashes, strict=True):
+        workers = []
+        for k, h in enumerate(hashes):
+            record = cache.get(h)
+            if record is None:
+                raise LookupError(f"node {v} config {k}: prompt {h[:12]} is not in the cache")
+            workers.append(_annotation_from_record(v, k, class_names, record, from_cache=True))
+        results[v] = workers
+    return results
 
 
 def annotate_graph(
@@ -622,7 +650,10 @@ def annotate_graph(
             if first[spec.prompt_hash] is spec:
                 ann = next(fresh)
             else:
-                ann = _annotation_from_record(spec, cache.get(spec.prompt_hash), from_cache=True)
+                ann = _annotation_from_record(
+                    spec.center, spec.config_k, spec.category_list,
+                    cache.get(spec.prompt_hash), from_cache=True,
+                )
             results[(spec.center, spec.config_k)] = ann
             if progress is not None:
                 progress(i + 1, len(prompts))

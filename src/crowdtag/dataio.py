@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -227,25 +228,35 @@ def load_embeddings(path: str | Path, graph: DirectedTAG) -> np.ndarray:
     return np.stack([vectors[k] for k in graph.original_keys])
 
 
-def save_graph(graph: DirectedTAG, path: str | Path, config_hash: str | None = None) -> None:
-    """Write the uncompressed ``.npz`` graph artifact: ``features`` (float64,
-    n x d), ``edges`` (int64, m x 2, sorted) and ``meta`` (UTF-8 JSON of the
-    schema version, class names, keys, texts, labels and config hash). It goes
-    to a temp file beside ``path`` and is moved into place with ``os.replace``.
+@contextmanager
+def atomic_write(path: str | Path, mode: str = "w", **open_kwargs):
+    """Open a temp file beside ``path``; on a clean exit it is moved into
+    place with ``os.replace``, so a reader sees the old file or the whole new
+    one. On an exception the temp file is unlinked and ``path`` is untouched.
     """
     path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, mode, **open_kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def save_graph(graph: DirectedTAG, path: str | Path, config_hash: str | None = None) -> None:
+    """Write the uncompressed ``.npz`` graph artifact, atomically: ``features``
+    (float64, n x d), ``edges`` (int64, m x 2, sorted) and ``meta`` (UTF-8
+    JSON of the schema version, class names, keys, texts, labels and config
+    hash).
+    """
     meta = {"schema_version": GRAPH_SCHEMA_VERSION, "class_names": graph.class_names,
             "keys": graph.original_keys, "texts": graph.texts, "labels": graph.labels,
             "config_hash": config_hash}
     blob = np.frombuffer(json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8)
     edges = np.array(sorted(graph.edges()), dtype=np.int64).reshape(-1, 2)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            np.savez(fh, features=np.asarray(graph.features, dtype=np.float64), edges=edges, meta=blob)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    with atomic_write(path, "wb") as fh:
+        np.savez(fh, features=np.asarray(graph.features, dtype=np.float64), edges=edges, meta=blob)
 
 
 def load_graph(path: str | Path) -> DirectedTAG:

@@ -2,8 +2,10 @@
 
 Each stage reads its predecessor's on-disk artifact, writes its own alongside
 a manifest of input hashes, and is skipped on re-run when nothing changed.
-Stages after ``annotate`` never perform network I/O: aggregation replays the
-response cache and fails hard on a miss instead of re-querying.
+Stages after ``annotate`` never perform network I/O: aggregation looks up the
+prompt hashes that ``annotate`` recorded in the response cache and fails hard
+on a miss instead of re-querying. Text artifacts and manifests are written
+atomically (temp file + ``os.replace``).
 
 All artifacts carry a schema version and the hash of the producing config
 (JSON fields, the graph's npz ``meta`` member, or a leading ``#`` line for CSV).
@@ -28,7 +30,7 @@ from . import annotate as ann
 from . import dataio, filtering, gcn, homophily
 from .graph import NUM_TIE_CONFIGS, DirectedTAG
 
-ARTIFACT_SCHEMA_VERSION = 1
+ARTIFACT_SCHEMA_VERSION = 2
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -45,10 +47,6 @@ class ConfigError(ValueError):
 
 class MissingArtifactError(RuntimeError):
     """A required prior-stage artifact is absent; maps to exit code 2."""
-
-
-class CacheMissError(RuntimeError):
-    """Replay hit an uncached prompt after the annotate stage."""
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +285,7 @@ def _manifest_current(
         doc = json.loads(mpath.read_text())
     except json.JSONDecodeError:
         return False
-    if doc.get("config_hash") != cfg_hash:
+    if doc.get("schema_version") != ARTIFACT_SCHEMA_VERSION or doc.get("config_hash") != cfg_hash:
         return False
     for p, h in doc.get("inputs", {}).items():
         if not Path(p).exists() or _file_hash(Path(p)) != h:
@@ -307,16 +305,17 @@ def _write_manifest(
         "inputs": {str(p): _file_hash(p) for p in inputs},
         "outputs": [str(p) for p in outputs],
     }
-    paths.manifest(stage).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    _write_json(paths.manifest(stage), doc, indent=1, sort_keys=True)
 
 
-def _csv_header_line(cfg_hash: str) -> str:
-    return f"# schema_version={ARTIFACT_SCHEMA_VERSION} config_hash={cfg_hash}\n"
+def _write_json(path: Path, doc: dict, **dumps_kwargs) -> None:
+    with dataio.atomic_write(path, encoding="utf-8") as fh:
+        fh.write(json.dumps(doc, **dumps_kwargs) + "\n")
 
 
 def _write_csv(path: Path, cfg_hash: str, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(_csv_header_line(cfg_hash))
+    with dataio.atomic_write(path, encoding="utf-8", newline="") as fh:
+        fh.write(f"# schema_version={ARTIFACT_SCHEMA_VERSION} config_hash={cfg_hash}\n")
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -449,45 +448,20 @@ def stage_annotate(cfg: PipelineConfig, paths: StagePaths, client: ann.Client | 
         "schema_version": ARTIFACT_SCHEMA_VERSION,
         "config_hash": cfg_hash,
         "nodes": nodes,
+        "prompt_hashes": [[a.prompt_hash for a in results[v]] for v in nodes],
         "spent_usd": budget.spent_usd,
         "workers_per_node": NUM_TIE_CONFIGS,
         "unparseable": sum(
             1 for anns in results.values() for a in anns if a.parse_failed
         ),
     }
-    paths.annotated_nodes.write_text(json.dumps(doc, indent=1) + "\n")
+    _write_json(paths.annotated_nodes, doc, indent=1)
     _write_manifest(paths, "annotate", cfg_hash, [graph_path], outputs)
     return True
 
 
-class _ReplayClient:
-    """Client that must never be reached: post-annotate stages are offline."""
-
-    def complete(self, prompt: ann.PromptSpec) -> ann.ClientResponse:
-        raise CacheMissError(
-            f"prompt for node {prompt.center} config {prompt.config_k} is not cached"
-        )
-
-
-def replay_annotations(
-    graph: DirectedTAG,
-    nodes: list[int],
-    cache: ann.ResponseCache,
-    model: str,
-    policy: ann.TruncationPolicy,
-) -> dict[int, list[ann.WorkerAnnotation]]:
-    """Rebuild every worker annotation from the response cache alone.
-
-    A miss raises CacheMissError from the refusing client; nothing is spent.
-    """
-    budget = ann.BudgetState(limit_usd=float("inf"))
-    return ann.annotate_graph(
-        graph, nodes, _ReplayClient(), cache, budget, model=model, policy=policy
-    )
-
-
 def stage_aggregate(cfg: PipelineConfig, paths: StagePaths) -> bool:
-    """Fuse cached worker responses into the pseudo-label table."""
+    """Fuse the cached worker responses that annotate recorded into pseudo-labels."""
     graph_path = _require(paths.graph, "ingest")
     cache_path = _cache_path(cfg, paths)
     _require(cache_path, "annotate")
@@ -499,12 +473,13 @@ def stage_aggregate(cfg: PipelineConfig, paths: StagePaths) -> bool:
         return False
 
     graph = dataio.load_graph(graph_path)
-    nodes = json.loads(nodes_path.read_text())["nodes"]
-    cache = ann.ResponseCache(cache_path)
-    policy = ann.TruncationPolicy(**cfg.annotator.truncation)
+    doc = json.loads(nodes_path.read_text())
+    nodes = doc["nodes"]
     try:
-        annotations = replay_annotations(graph, nodes, cache, cfg.annotator.model, policy)
-    except (CacheMissError, ann.BudgetExhaustedError) as exc:
+        annotations = ann.recorded_annotations(
+            nodes, doc["prompt_hashes"], ann.ResponseCache(cache_path), graph.class_names
+        )
+    except LookupError as exc:
         raise MissingArtifactError(
             f"annotation cache incomplete ({exc}); re-run the 'annotate' stage"
         ) from exc
@@ -615,7 +590,7 @@ def stage_filter(cfg: PipelineConfig, paths: StagePaths) -> bool:
         "stage1_nodes": stage1,
         "final_nodes": final,
     }
-    paths.selected.write_text(json.dumps(doc, indent=1) + "\n")
+    _write_json(paths.selected, doc, indent=1)
     _write_manifest(paths, "filter", cfg_hash, inputs, outputs)
     return True
 
@@ -687,7 +662,7 @@ def stage_train(cfg: PipelineConfig, paths: StagePaths) -> bool:
     )
     model_doc = gcn.model_to_json(model)
     model_doc["config_hash"] = cfg_hash
-    paths.model.write_text(json.dumps(model_doc) + "\n")
+    _write_json(paths.model, model_doc)
 
     truth_on_train = [
         (labels[v], graph.labels[v]) for v in selected if graph.labels[v] is not None
@@ -707,7 +682,7 @@ def stage_train(cfg: PipelineConfig, paths: StagePaths) -> bool:
         "epochs": len(history),
         "pseudo_label_accuracy_on_train": pseudo_acc,
     }
-    paths.report.write_text(json.dumps(report, indent=1) + "\n")
+    _write_json(paths.report, report, indent=1)
     _write_manifest(paths, "train", cfg_hash, inputs, outputs)
     return True
 

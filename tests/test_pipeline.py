@@ -8,17 +8,18 @@ from pathlib import Path
 
 import pytest
 
-from crowdtag import cli, pipeline
-from crowdtag.annotate import ResponseCache, TruncationPolicy
+from crowdtag import annotate, cli, pipeline
+from crowdtag.annotate import BudgetState, ResponseCache, TruncationPolicy, annotate_graph
 from crowdtag.dataio import load_graph
 from crowdtag.fixtures import fixture_paths, load_fixture_graph, replay_cache_path
+from crowdtag.graph import NUM_TIE_CONFIGS
 from crowdtag.pipeline import (
+    ARTIFACT_SCHEMA_VERSION,
     ConfigError,
     MissingArtifactError,
     StagePaths,
     load_config,
     read_csv_rows,
-    replay_annotations,
     run_pipeline,
     verify_theorem,
 )
@@ -88,7 +89,7 @@ def test_pipeline_fixture_end_to_end(tmp_path):
 
     # artifacts carry schema headers
     first = paths.pseudo_labels.read_text().splitlines()[0]
-    assert first.startswith("# schema_version=1 config_hash=")
+    assert first.startswith(f"# schema_version={ARTIFACT_SCHEMA_VERSION} config_hash=")
 
     header, rows = read_csv_rows(paths.pseudo_labels)
     assert header == ["node_key", "label", "confidence", "unparseable_count"]
@@ -129,6 +130,35 @@ def test_pipeline_rerun_skips_all_stages(tmp_path):
     assert all(run_pipeline(cfg, paths).values())
     second = run_pipeline(cfg, paths)
     assert not any(second.values())
+
+
+def test_manifest_from_another_schema_version_reruns_its_stage(tmp_path):
+    cfg_path, out_dir = fixture_config(tmp_path)
+    cfg = load_config(cfg_path)
+    paths = StagePaths(out_dir)
+    run_pipeline(cfg, paths)
+    manifest = json.loads(paths.manifest("filter").read_text())
+    manifest["schema_version"] = ARTIFACT_SCHEMA_VERSION - 1
+    paths.manifest("filter").write_text(json.dumps(manifest))
+    ran = run_pipeline(cfg, paths)
+    assert ran == {"ingest": False, "annotate": False, "aggregate": False,
+                   "filter": True, "train": False}
+    manifest = json.loads(paths.manifest("filter").read_text())
+    assert manifest["schema_version"] == ARTIFACT_SCHEMA_VERSION
+
+
+def test_write_csv_failure_keeps_previous_file(tmp_path):
+    class Unprintable:
+        def __str__(self):
+            raise RuntimeError("row failed part-way")
+
+    path = tmp_path / "table.csv"
+    pipeline._write_csv(path, "h1", ["a", "b"], [[1, 2]])
+    before = path.read_bytes()
+    with pytest.raises(RuntimeError, match="part-way"):
+        pipeline._write_csv(path, "h2", ["a", "b"], [[3, 4], [5, Unprintable()]])
+    assert path.read_bytes() == before
+    assert list(tmp_path.glob("*.tmp")) == []
 
 
 def test_pipeline_config_change_invalidates_downstream(tmp_path):
@@ -249,19 +279,36 @@ def test_lock_left_by_killed_run_does_not_block(tmp_path):
 # --- replay fixture -------------------------------------------------------------------
 
 def test_replay_from_bundled_cache_without_network():
+    class RefusingClient:
+        def complete(self, prompt):
+            raise AssertionError(f"node {prompt.center} config {prompt.config_k} reached the client")
+
     g = load_fixture_graph()
     cache = ResponseCache(replay_cache_path())
-    annotations = replay_annotations(g, [0, 1, 2, 3, 4], cache, "oracle", TruncationPolicy())
+    annotations = annotate_graph(
+        g, [0, 1, 2, 3, 4], RefusingClient(), cache, BudgetState(limit_usd=0.0),
+        model="oracle", policy=TruncationPolicy(),
+    )
     assert set(annotations) == {0, 1, 2, 3, 4}
     for anns in annotations.values():
         assert all(a.from_cache for a in anns)
+        assert all(cache.get(a.prompt_hash) is not None for a in anns)
 
 
-def test_replay_cache_miss_is_hard_error(tmp_path):
-    g = load_fixture_graph()
-    cache = ResponseCache(replay_cache_path())
-    with pytest.raises(pipeline.CacheMissError):
-        replay_annotations(g, [10], cache, "oracle", TruncationPolicy())
+def test_aggregate_builds_no_prompts(tmp_path, monkeypatch):
+    cfg_path, out_dir = fixture_config(tmp_path)
+    cfg = load_config(cfg_path)
+    paths = StagePaths(out_dir)
+    pipeline.stage_ingest(cfg, paths)
+    pipeline.stage_annotate(cfg, paths)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("aggregate rebuilt a prompt")
+
+    monkeypatch.setattr(annotate, "build_prompt", refuse)
+    assert pipeline.stage_aggregate(cfg, paths)
+    _, rows = read_csv_rows(paths.pseudo_labels)
+    assert len(rows) == 30
 
 
 def test_aggregate_with_corrupted_cache_raises_missing_artifact(tmp_path):
@@ -286,8 +333,14 @@ def test_annotate_node_cap_limits_pool(tmp_path):
     paths = StagePaths(out_dir)
     pipeline.stage_ingest(cfg, paths)
     pipeline.stage_annotate(cfg, paths)
-    nodes = json.loads(paths.annotated_nodes.read_text())["nodes"]
-    assert len(nodes) == 12
+    doc = json.loads(paths.annotated_nodes.read_text())
+    assert len(doc["nodes"]) == 12
+    # one hash per worker, in config order, each naming a cache record
+    cache = ResponseCache(paths.cache)
+    assert len(doc["prompt_hashes"]) == len(doc["nodes"])
+    for hashes in doc["prompt_hashes"]:
+        assert len(hashes) == NUM_TIE_CONFIGS
+        assert all(cache.get(h) is not None for h in hashes)
     pipeline.stage_aggregate(cfg, paths)
     _, rows = read_csv_rows(paths.pseudo_labels)
     assert len(rows) == 12
