@@ -22,7 +22,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Protocol
 
@@ -433,17 +433,29 @@ class ResponseCache:
     timestamp}. The file doubles as the replay fixture format for tests.
     Records lacking a ``hash`` key (e.g. the metadata header) are ignored on
     load.
+
+    The first ``put`` opens the file for appending and keeps that one handle;
+    every ``put`` flushes its line before returning, so a record is on disk
+    for a fresh reader (or another process) as soon as ``put`` returns.
+    ``close`` (or leaving a ``with`` block) releases the handle.
     """
 
     def __init__(self, path: str | Path | None = None) -> None:
         self.path = Path(path) if path is not None else None
         self._records: dict[str, dict] = {}
         self._lock = threading.Lock()
+        self._fh = None
         # Byte offset of a torn final line (a crash mid-append), cut off
         # before the next append; None when the file ends cleanly.
         self.torn_tail_at: int | None = None
         if self.path is not None and self.path.exists():
             self._load()
+
+    def __enter__(self) -> ResponseCache:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     def _load(self) -> None:
         """Index the file's records. A malformed *final* line is skipped and
@@ -478,14 +490,25 @@ class ResponseCache:
             return self._records.get(key)
 
     def put(self, record: dict) -> None:
+        line = json.dumps(record) + "\n"
         with self._lock:
             self._records[record["hash"]] = record
-            if self.path is not None:
+            if self.path is None:
+                return
+            if self._fh is None:
                 if self.torn_tail_at is not None:
                     os.truncate(self.path, self.torn_tail_at)
                     self.torn_tail_at = None
-                with open(self.path, "a", encoding="utf-8") as fh:
-                    fh.write(json.dumps(record) + "\n")
+                self._fh = open(self.path, "a", encoding="utf-8")
+            self._fh.write(line)
+            self._fh.flush()
+
+    def close(self) -> None:
+        """Close the append handle; a later ``put`` reopens it."""
+        with self._lock:
+            if self._fh is not None:
+                self._fh.close()
+                self._fh = None
 
     @staticmethod
     def write_header(path: str | Path, config_hash: str) -> None:
@@ -587,24 +610,58 @@ def _annotation_from_record(
     )
 
 
-def recorded_annotations(
-    nodes: list[int], prompt_hashes: list[list[str]], cache: ResponseCache, class_names: list[str]
-) -> dict[int, list[WorkerAnnotation]]:
-    """Worker annotations from the cache records that answered them.
+def flat_guesses(
+    annotations: dict[int, list[WorkerAnnotation]], nodes: list[int], class_names: list[str]
+) -> list[list[list[int]]]:
+    """Parsed guesses in the compact form the annotate stage records.
 
-    ``prompt_hashes[i][k]`` is the hash of node ``nodes[i]``'s configuration
-    ``k``, as :func:`annotate_graph` recorded it. No prompt is rebuilt and no
-    client is called; a hash absent from the cache raises LookupError.
+    One list per node of ``nodes``, holding its workers in configuration
+    order; each worker is a flat ``[class_index, confidence, ...]`` list in
+    ranked order, and ``[]`` marks an unparseable response (a parsed one is
+    never empty). :func:`annotations_from_guesses` reverses it.
     """
+    class_index = {c: i for i, c in enumerate(class_names)}
+    return [
+        [
+            [] if a.parse_failed
+            else [x for label, conf in a.guesses for x in (class_index[label], conf)]
+            for a in annotations[v]
+        ]
+        for v in nodes
+    ]
+
+
+def annotations_from_guesses(
+    nodes: list[int], guesses: list[list[list[int]]], class_names: list[str]
+) -> dict[int, list[WorkerAnnotation]]:
+    """Worker annotations rebuilt from :func:`flat_guesses` output.
+
+    Nothing is parsed, no cache is read and no client is called. Raises
+    ValueError unless there is one entry per node, each holding one worker
+    per configuration, and every worker is an even-length list of integers
+    whose class indices are in range.
+    """
+    if len(guesses) != len(nodes):
+        raise ValueError(f"{len(guesses)} guess lists for {len(nodes)} nodes")
     results: dict[int, list[WorkerAnnotation]] = {}
-    for v, hashes in zip(nodes, prompt_hashes, strict=True):
-        workers = []
-        for k, h in enumerate(hashes):
-            record = cache.get(h)
-            if record is None:
-                raise LookupError(f"node {v} config {k}: prompt {h[:12]} is not in the cache")
-            workers.append(_annotation_from_record(v, k, class_names, record, from_cache=True))
-        results[v] = workers
+    for v, workers in zip(nodes, guesses):
+        if len(workers) != NUM_TIE_CONFIGS:
+            raise ValueError(f"node {v}: {len(workers)} workers, expected {NUM_TIE_CONFIGS}")
+        anns = []
+        for k, flat in enumerate(workers):
+            labels = flat[0::2]
+            if (
+                len(flat) % 2
+                or not all(type(x) is int for x in flat)
+                or not all(0 <= c < len(class_names) for c in labels)
+            ):
+                raise ValueError(f"node {v} config {k}: malformed guess list {flat!r}")
+            pairs = [(class_names[c], conf) for c, conf in zip(labels, flat[1::2])]
+            anns.append(WorkerAnnotation(
+                center=v, config_k=k, guesses=pairs or [(UNPARSEABLE, 0)], raw_response="",
+                from_cache=True, parse_failed=not pairs,
+            ))
+        results[v] = anns
     return results
 
 
@@ -634,12 +691,14 @@ def annotate_graph(
     limiter = RateLimiter(requests_per_second, burst=max_inflight)
     results: dict[tuple[int, int], WorkerAnnotation] = {}
     # Ties with identical member sets share a prompt hash. Each distinct hash
-    # is dispatched once, in first-occurrence order; later occurrences replay
-    # its record as cache hits, so concurrent runs neither pay for a prompt
-    # twice nor differ from the serial path.
+    # is dispatched once, in first-occurrence order; later occurrences reuse
+    # its parsed annotation as cache hits, so concurrent runs neither pay for
+    # a prompt twice nor differ from the serial path, and no response is
+    # parsed twice.
     first: dict[str, PromptSpec] = {}
     for spec in prompts:
         first.setdefault(spec.prompt_hash, spec)
+    answered: dict[str, WorkerAnnotation] = {}
 
     def work(spec: PromptSpec) -> WorkerAnnotation:
         return annotate(spec, client, cache, budget, model, limiter)
@@ -648,11 +707,11 @@ def annotate_graph(
         fresh = (pool.map if pool is not None else map)(work, first.values())
         for i, spec in enumerate(prompts):
             if first[spec.prompt_hash] is spec:
-                ann = next(fresh)
+                ann = answered[spec.prompt_hash] = next(fresh)
             else:
-                ann = _annotation_from_record(
-                    spec.center, spec.config_k, spec.category_list,
-                    cache.get(spec.prompt_hash), from_cache=True,
+                ann = replace(
+                    answered[spec.prompt_hash],
+                    center=spec.center, config_k=spec.config_k, from_cache=True,
                 )
             results[(spec.center, spec.config_k)] = ann
             if progress is not None:

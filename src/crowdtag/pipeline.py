@@ -2,10 +2,11 @@
 
 Each stage reads its predecessor's on-disk artifact, writes its own alongside
 a manifest of input hashes, and is skipped on re-run when nothing changed.
-Stages after ``annotate`` never perform network I/O: aggregation looks up the
-prompt hashes that ``annotate`` recorded in the response cache and fails hard
-on a miss instead of re-querying. Text artifacts and manifests are written
-atomically (temp file + ``os.replace``).
+Stages after ``annotate`` never perform network I/O and never open the
+response cache: ``annotate`` parses each worker response once and records the
+parsed guesses in ``annotated_nodes.json``, and aggregation fuses those,
+failing hard when they are missing or malformed instead of re-querying. Text
+artifacts and manifests are written atomically (temp file + ``os.replace``).
 
 All artifacts carry a schema version and the hash of the producing config
 (JSON fields, the graph's npz ``meta`` member, or a leading ``#`` line for CSV).
@@ -30,7 +31,7 @@ from . import annotate as ann
 from . import dataio, filtering, gcn, homophily
 from .graph import NUM_TIE_CONFIGS, DirectedTAG
 
-ARTIFACT_SCHEMA_VERSION = 2
+ARTIFACT_SCHEMA_VERSION = 3
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -404,10 +405,6 @@ def _make_client(cfg: PipelineConfig, graph: DirectedTAG) -> ann.Client:
     )
 
 
-def _cache_path(cfg: PipelineConfig, paths: StagePaths) -> Path:
-    return Path(cfg.annotator.cache) if cfg.annotator.cache else paths.cache
-
-
 def stage_annotate(cfg: PipelineConfig, paths: StagePaths, client: ann.Client | None = None) -> bool:
     """Run the eight workers per node against the cache-backed client."""
     graph_path = _require(paths.graph, "ingest")
@@ -415,7 +412,7 @@ def stage_annotate(cfg: PipelineConfig, paths: StagePaths, client: ann.Client | 
     if cfg.annotator.node_cap is not None:
         sections = ("dataset", "annotator", "filter")
     cfg_hash = config_hash(cfg, sections)
-    cache_path = _cache_path(cfg, paths)
+    cache_path = Path(cfg.annotator.cache) if cfg.annotator.cache else paths.cache
     outputs = [cache_path, paths.annotated_nodes]
     if _manifest_current(paths, "annotate", cfg_hash, [graph_path], outputs):
         return False
@@ -426,48 +423,48 @@ def stage_annotate(cfg: PipelineConfig, paths: StagePaths, client: ann.Client | 
         client = _make_client(cfg, graph)
     if not cache_path.exists():
         ann.ResponseCache.write_header(cache_path, cfg_hash)
-    cache = ann.ResponseCache(cache_path)
     budget = ann.BudgetState(
         limit_usd=cfg.annotator.budget_usd,
         price_per_1k_in=cfg.annotator.price_per_1k_in,
         price_per_1k_out=cfg.annotator.price_per_1k_out,
     )
     policy = ann.TruncationPolicy(**cfg.annotator.truncation)
-    results = ann.annotate_graph(
-        graph,
-        nodes,
-        client,
-        cache,
-        budget,
-        model=cfg.annotator.model,
-        policy=policy,
-        max_inflight=cfg.annotator.max_inflight,
-        requests_per_second=cfg.annotator.requests_per_second,
-    )
+    with ann.ResponseCache(cache_path) as cache:
+        results = ann.annotate_graph(
+            graph,
+            nodes,
+            client,
+            cache,
+            budget,
+            model=cfg.annotator.model,
+            policy=policy,
+            max_inflight=cfg.annotator.max_inflight,
+            requests_per_second=cfg.annotator.requests_per_second,
+        )
+    del cache  # free the cached records before the document is built
     doc = {
         "schema_version": ARTIFACT_SCHEMA_VERSION,
         "config_hash": cfg_hash,
         "nodes": nodes,
         "prompt_hashes": [[a.prompt_hash for a in results[v]] for v in nodes],
+        "guesses": ann.flat_guesses(results, nodes, graph.class_names),
         "spent_usd": budget.spent_usd,
         "workers_per_node": NUM_TIE_CONFIGS,
         "unparseable": sum(
             1 for anns in results.values() for a in anns if a.parse_failed
         ),
     }
-    _write_json(paths.annotated_nodes, doc, indent=1)
+    _write_json(paths.annotated_nodes, doc)
     _write_manifest(paths, "annotate", cfg_hash, [graph_path], outputs)
     return True
 
 
 def stage_aggregate(cfg: PipelineConfig, paths: StagePaths) -> bool:
-    """Fuse the cached worker responses that annotate recorded into pseudo-labels."""
+    """Fuse the worker guesses that annotate recorded into pseudo-labels."""
     graph_path = _require(paths.graph, "ingest")
-    cache_path = _cache_path(cfg, paths)
-    _require(cache_path, "annotate")
     nodes_path = _require(paths.annotated_nodes, "annotate")
     cfg_hash = config_hash(cfg, ("dataset", "annotator"))
-    inputs = [graph_path, cache_path, nodes_path]
+    inputs = [graph_path, nodes_path]
     outputs = [paths.pseudo_labels, paths.worker_acc]
     if _manifest_current(paths, "aggregate", cfg_hash, inputs, outputs):
         return False
@@ -476,12 +473,11 @@ def stage_aggregate(cfg: PipelineConfig, paths: StagePaths) -> bool:
     doc = json.loads(nodes_path.read_text())
     nodes = doc["nodes"]
     try:
-        annotations = ann.recorded_annotations(
-            nodes, doc["prompt_hashes"], ann.ResponseCache(cache_path), graph.class_names
-        )
-    except LookupError as exc:
+        annotations = ann.annotations_from_guesses(nodes, doc["guesses"], graph.class_names)
+    except (KeyError, TypeError, ValueError) as exc:
         raise MissingArtifactError(
-            f"annotation cache incomplete ({exc}); re-run the 'annotate' stage"
+            f"{nodes_path}: recorded guesses missing or malformed ({exc!r}); "
+            "re-run the 'annotate' stage"
         ) from exc
 
     pseudo, dropped = agg.aggregate_all(annotations, graph.class_names)

@@ -341,10 +341,10 @@ def test_criterion_9_annotator_robustness(tmp_path):
 
             return ClientResponse('[{"answer": "Robotics", "confidence": 90}]', 10, 5)
 
-    cache = ResponseCache(tmp_path / "cache.jsonl")
     budget = BudgetState(limit_usd=1.0)
-    annotate(spec, CountingClient(), cache, budget, model="m")
-    annotate(spec, CountingClient(), cache, budget, model="m")
+    with ResponseCache(tmp_path / "cache.jsonl") as cache:
+        annotate(spec, CountingClient(), cache, budget, model="m")
+        annotate(spec, CountingClient(), cache, budget, model="m")
     assert CountingClient.calls == 1
 
     from crowdtag import cli, pipeline

@@ -1,13 +1,19 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import threading
 import time
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import crowdtag.annotate as annotate_module
+from crowdtag.aggregate import aggregate_all
 from crowdtag.annotate import (
     UNPARSEABLE,
     BudgetExhaustedError,
@@ -19,10 +25,13 @@ from crowdtag.annotate import (
     SyntheticOracleClient,
     TransportError,
     TruncationPolicy,
+    WorkerAnnotation,
     annotate,
     annotate_graph,
+    annotations_from_guesses,
     build_prompt,
     estimate_tokens,
+    flat_guesses,
     parse_response,
     prompt_hash,
     synthetic_oracle,
@@ -258,12 +267,12 @@ def test_annotate_parses_and_accounts_tokens(chain_graph):
 def test_annotate_cache_idempotent(tmp_path, chain_graph):
     spec = make_prompt(chain_graph)
     client = StubClient(fixture_response(("Theory", 100)))
-    cache = ResponseCache(tmp_path / "cache.jsonl")
     budget = BudgetState(limit_usd=1.0)
 
-    first = annotate(spec, client, cache, budget, model="m")
-    spent = budget.spent_usd
-    second = annotate(spec, client, cache, budget, model="m")
+    with ResponseCache(tmp_path / "cache.jsonl") as cache:
+        first = annotate(spec, client, cache, budget, model="m")
+        spent = budget.spent_usd
+        second = annotate(spec, client, cache, budget, model="m")
     assert client.calls == 1
     assert not first.from_cache and second.from_cache
     assert budget.spent_usd == spent
@@ -299,9 +308,9 @@ def test_annotate_unparseable_fallback_flagged(chain_graph):
 def test_cache_file_format_and_header(tmp_path, chain_graph):
     path = tmp_path / "cache.jsonl"
     ResponseCache.write_header(path, "abc123")
-    cache = ResponseCache(path)
     spec = make_prompt(chain_graph)
-    annotate(spec, StubClient(fixture_response(("Theory", 90))), cache, BudgetState(limit_usd=1.0), model="m")
+    with ResponseCache(path) as cache:
+        annotate(spec, StubClient(fixture_response(("Theory", 90))), cache, BudgetState(limit_usd=1.0), model="m")
 
     lines = [json.loads(l) for l in path.read_text().splitlines()]
     assert lines[0]["meta"]["schema_version"] == 1
@@ -317,17 +326,18 @@ def test_cache_skips_and_reports_torn_final_line(tmp_path, chain_graph, capsys):
     ResponseCache.write_header(path, "h")
     spec = make_prompt(chain_graph)
     budget = BudgetState(limit_usd=1.0)
-    annotate(spec, StubClient(fixture_response(("Theory", 90))), ResponseCache(path), budget)
+    with ResponseCache(path) as cache:
+        annotate(spec, StubClient(fixture_response(("Theory", 90))), cache, budget)
     with open(path, "a", encoding="utf-8") as fh:
         fh.write('{"hash": "b", "raw_')  # crash mid-append
 
-    cache = ResponseCache(path)
-    assert len(cache) == 1 and cache.get(spec.prompt_hash) is not None
-    assert "torn final record" in capsys.readouterr().err
+    with ResponseCache(path) as cache:
+        assert len(cache) == 1 and cache.get(spec.prompt_hash) is not None
+        assert "torn final record" in capsys.readouterr().err
 
-    # the next append replaces the torn tail, leaving a clean file
-    other = make_prompt(chain_graph, k=0)
-    annotate(other, StubClient(fixture_response(("Theory", 80))), cache, budget)
+        # the next append replaces the torn tail, leaving a clean file
+        other = make_prompt(chain_graph, k=0)
+        annotate(other, StubClient(fixture_response(("Theory", 80))), cache, budget)
     lines = path.read_text(encoding="utf-8").splitlines()
     assert [json.loads(l).get("hash") for l in lines] == [None, spec.prompt_hash, other.prompt_hash]
     assert len(ResponseCache(path)) == 2
@@ -340,6 +350,61 @@ def test_cache_malformed_line_before_last_raises(tmp_path):
     path.write_text(good + "\n" + '{"hash": "b", "raw_' + "\n" + good + "\n", encoding="utf-8")
     with pytest.raises(json.JSONDecodeError):
         ResponseCache(path)
+
+
+def test_cache_records_survive_sigkill_with_handle_open(tmp_path, capsys):
+    path = tmp_path / "cache.jsonl"
+    n = 200
+    writer = subprocess.Popen(
+        [
+            sys.executable,
+            "-c",
+            "import sys, time\nfrom crowdtag.annotate import ResponseCache\n"
+            "cache = ResponseCache(sys.argv[1])\n"
+            "for i in range(int(sys.argv[2])):\n"
+            "    cache.put({'hash': f'h{i}', 'raw_response': '[]', 'tokens_in': i})\n"
+            "print('written', flush=True); time.sleep(60)",
+            str(path),
+            str(n),
+        ],
+        stdout=subprocess.PIPE,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(annotate_module.__file__).parents[1])},
+    )
+    try:
+        assert writer.stdout.readline().strip() == "written"
+    finally:
+        writer.kill()  # SIGKILL with the append handle still open
+        writer.wait()
+        writer.stdout.close()
+    cache = ResponseCache(path)
+    assert len(cache) == n and cache.torn_tail_at is None
+    assert cache.get(f"h{n - 1}")["tokens_in"] == n - 1
+    assert "torn" not in capsys.readouterr().err
+
+
+def test_cache_concurrent_puts_through_one_handle(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    threads_n, per_thread = 8, 50
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ResponseCache(path) as cache:
+            def writer(t):
+                for i in range(per_thread):
+                    cache.put({"hash": f"{t}-{i}", "raw_response": "x" * (i % 7)})
+
+            threads = [threading.Thread(target=writer, args=(t,)) for t in range(threads_n)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=30)
+            assert not any(th.is_alive() for th in threads)
+    finally:
+        sys.setswitchinterval(switch)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == threads_n * per_thread
+    assert len(ResponseCache(path)) == threads_n * per_thread
 
 
 # --- http client ----------------------------------------------------------------------
@@ -556,6 +621,74 @@ def test_annotate_graph_concurrent_dispatches_each_prompt_once():
     for v in range(10):
         assert [a.guesses for a in parallel[v]] == [a.guesses for a in serial[v]]
         assert [a.from_cache for a in parallel[v]] == [a.from_cache for a in serial[v]]
+
+
+def test_annotate_graph_parses_each_distinct_prompt_once(monkeypatch):
+    g = labeled_graph(n=10)
+    calls = []
+
+    def counting_parse(raw, class_names):
+        calls.append(raw)
+        return parse_response(raw, class_names)
+
+    monkeypatch.setattr(annotate_module, "parse_response", counting_parse)
+    for inflight in (1, 4):
+        calls.clear()
+        client = SyntheticOracleClient(g, noise=0.4, seed=9)
+        results = annotate_graph(
+            g, list(range(10)), client, ResponseCache(), BudgetState(limit_usd=1.0),
+            model="o", max_inflight=inflight,
+        )
+        first: dict[str, WorkerAnnotation] = {}
+        for v in range(10):
+            for k, a in enumerate(results[v]):
+                assert (a.center, a.config_k) == (v, k)
+                if a.prompt_hash in first:
+                    assert a.from_cache
+                    assert a.guesses == first[a.prompt_hash].guesses
+                else:
+                    first[a.prompt_hash] = a
+        assert len(first) < 10 * NUM_TIE_CONFIGS
+        assert len(calls) == len(first)
+
+
+def test_flat_guesses_round_trip_through_aggregation():
+    classes = CLASSES
+    parsed = [("Neural Networks", 70), ("Theory", 20), ("Rule Learning", 10)]
+    annotations = {
+        v: [
+            WorkerAnnotation(v, k, [(UNPARSEABLE, 0)], "junk", parse_failed=True)
+            if (v + k) % 3 == 0
+            else WorkerAnnotation(v, k, parsed[k % 3:] + parsed[: k % 3], "raw")
+            for k in range(NUM_TIE_CONFIGS)
+        ]
+        for v in (4, 1, 7)
+    }
+    nodes = [4, 1, 7]
+    flat = flat_guesses(annotations, nodes, classes)
+    assert flat[0][:3] == [[2, 70, 0, 20, 1, 10], [0, 20, 1, 10, 2, 70], []]  # node 4
+    assert json.loads(json.dumps(flat)) == flat
+    rebuilt = annotations_from_guesses(nodes, flat, classes)
+    assert list(rebuilt) == nodes
+    for v in nodes:
+        assert [a.guesses for a in rebuilt[v]] == [a.guesses for a in annotations[v]]
+        assert [a.parse_failed for a in rebuilt[v]] == [a.parse_failed for a in annotations[v]]
+        assert [(a.center, a.config_k) for a in rebuilt[v]] == [(v, k) for k in range(NUM_TIE_CONFIGS)]
+    assert aggregate_all(rebuilt, classes) == aggregate_all(annotations, classes)
+
+
+@pytest.mark.parametrize(
+    "bad_worker, workers",
+    [([0, 50, 1], 8), ([3, 50], 8), ([-1, 50], 8), ([1.0, 50], 8), ([0, "50"], 8), ([0, 50], 7)],
+    ids=["odd_length", "index_too_large", "negative_index", "float_index", "text_confidence",
+         "seven_workers"],
+)
+def test_annotations_from_guesses_rejects_malformed(bad_worker, workers):
+    guesses = [[[0, 100]] * NUM_TIE_CONFIGS, [bad_worker] + [[1, 100]] * (workers - 1)]
+    with pytest.raises(ValueError, match="node 2"):
+        annotations_from_guesses([1, 2], guesses, CLASSES)
+    with pytest.raises(ValueError):
+        annotations_from_guesses([1, 2, 3], guesses, CLASSES)
 
 
 def test_annotate_graph_respects_rate_limit_quickly():

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import gc
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -311,17 +313,98 @@ def test_aggregate_builds_no_prompts(tmp_path, monkeypatch):
     assert len(rows) == 30
 
 
-def test_aggregate_with_corrupted_cache_raises_missing_artifact(tmp_path):
+def test_aggregate_reads_no_cache(tmp_path):
+    cfg_path, out_dir = fixture_config(tmp_path)
+    cfg = load_config(cfg_path)
+    paths = StagePaths(out_dir)
+    run_pipeline(cfg, paths)
+    expected = paths.pseudo_labels.read_text()
+    manifest = json.loads(paths.manifest("aggregate").read_text())
+    assert set(manifest["inputs"]) == {str(paths.graph), str(paths.annotated_nodes)}
+
+    paths.cache.unlink()
+    paths.pseudo_labels.unlink()
+    assert pipeline.stage_aggregate(cfg, paths)
+    assert paths.pseudo_labels.read_text() == expected
+    assert not paths.cache.exists()
+
+
+@pytest.mark.parametrize("corrupt", ["truncated", "missing", "narrow_node"])
+def test_aggregate_with_bad_recorded_guesses_raises_missing_artifact(tmp_path, corrupt):
     cfg_path, out_dir = fixture_config(tmp_path)
     cfg = load_config(cfg_path)
     paths = StagePaths(out_dir)
     pipeline.stage_ingest(cfg, paths)
     pipeline.stage_annotate(cfg, paths)
-    # drop the last cached record: replay must fail loudly, not re-query
-    lines = paths.cache.read_text().splitlines()
-    paths.cache.write_text("\n".join(lines[:-1]) + "\n")
+    doc = json.loads(paths.annotated_nodes.read_text())
+    if corrupt == "truncated":
+        doc["guesses"] = doc["guesses"][:-1]
+    elif corrupt == "missing":
+        del doc["guesses"]
+    else:
+        doc["guesses"][0] = doc["guesses"][0][:-1]
+    paths.annotated_nodes.write_text(json.dumps(doc))
     with pytest.raises(MissingArtifactError, match="annotate"):
         pipeline.stage_aggregate(cfg, paths)
+
+
+def test_each_response_parsed_once_and_never_in_aggregate(tmp_path, monkeypatch):
+    cfg_path, out_dir = fixture_config(tmp_path)
+    cfg = load_config(cfg_path)
+    paths = StagePaths(out_dir)
+    calls: list[str] = []
+    stage = ["other"]
+    parse, aggregate_stage = annotate.parse_response, pipeline.stage_aggregate
+
+    def counting_parse(*args, **kwargs):
+        calls.append(stage[0])
+        return parse(*args, **kwargs)
+
+    def marked_aggregate(*args, **kwargs):
+        stage[0] = "aggregate"
+        try:
+            return aggregate_stage(*args, **kwargs)
+        finally:
+            stage[0] = "other"
+
+    monkeypatch.setattr(annotate, "parse_response", counting_parse)
+    monkeypatch.setattr(pipeline, "stage_aggregate", marked_aggregate)
+    assert all(run_pipeline(cfg, paths).values())
+    doc = json.loads(paths.annotated_nodes.read_text())
+    distinct = {h for hashes in doc["prompt_hashes"] for h in hashes}
+    assert len(distinct) < NUM_TIE_CONFIGS * len(doc["nodes"])  # the fixture repeats prompts
+    assert len(calls) == len(distinct)
+    assert "aggregate" not in calls
+
+
+def test_annotate_stage_closes_the_cache(tmp_path):
+    cfg_path, out_dir = fixture_config(tmp_path)
+    cfg = load_config(cfg_path)
+    paths = StagePaths(out_dir)
+    pipeline.stage_ingest(cfg, paths)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        assert pipeline.stage_annotate(cfg, paths)
+        gc.collect()
+    assert [str(w.message) for w in caught if str(paths.cache) in str(w.message)] == []
+
+
+def test_out_dir_from_previous_schema_reruns_every_stage_once(tmp_path):
+    cfg_path, out_dir = fixture_config(tmp_path)
+    cfg = load_config(cfg_path)
+    paths = StagePaths(out_dir)
+    run_pipeline(cfg, paths)
+    # what the previous schema left: no recorded guesses, older manifests
+    doc = json.loads(paths.annotated_nodes.read_text())
+    del doc["guesses"]
+    paths.annotated_nodes.write_text(json.dumps(doc))
+    for stage in pipeline.STAGES:
+        manifest = json.loads(paths.manifest(stage).read_text())
+        manifest["schema_version"] = ARTIFACT_SCHEMA_VERSION - 1
+        paths.manifest(stage).write_text(json.dumps(manifest))
+    assert all(run_pipeline(cfg, paths).values())
+    assert "guesses" in json.loads(paths.annotated_nodes.read_text())
+    assert not any(run_pipeline(cfg, paths).values())
 
 
 # --- node cap ---------------------------------------------------------------------------
@@ -341,6 +424,11 @@ def test_annotate_node_cap_limits_pool(tmp_path):
     for hashes in doc["prompt_hashes"]:
         assert len(hashes) == NUM_TIE_CONFIGS
         assert all(cache.get(h) is not None for h in hashes)
+    # one flat [class_index, confidence, ...] list per worker, in config order
+    assert len(doc["guesses"]) == len(doc["nodes"])
+    for workers in doc["guesses"]:
+        assert len(workers) == NUM_TIE_CONFIGS
+        assert all(len(flat) % 2 == 0 for flat in workers)
     pipeline.stage_aggregate(cfg, paths)
     _, rows = read_csv_rows(paths.pseudo_labels)
     assert len(rows) == 12
