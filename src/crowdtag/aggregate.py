@@ -1,15 +1,16 @@
 """Fusion of the eight workers' guesses into one pseudo-label per node.
 
-Confidence-weighted soft voting: each worker's guess list is renormalized to
-unit mass (uniform when all confidences are zero), the per-class masses are
-summed across workers, and the heaviest class wins with confidence equal to
-its share of the total mass. Ties break toward the lower class index, so the
-result is independent of worker order.
+Confidence-weighted soft voting: each parsed worker's confidence mass is
+renormalized to unit sum (uniform when all its confidences are zero), the
+per-class masses are summed across workers, and the heaviest class wins with
+confidence equal to its share of the total mass. Ties break toward the lower
+class index, and sums are taken in sorted order, so the result is independent
+of worker order. :func:`fuse` does this for all nodes at once on the guess
+arrays annotate records; the other entry points adapt WorkerAnnotation lists.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,6 @@ class PseudoLabel:
     node: int
     label: int
     confidence: float
-    per_worker_top1: list[tuple[int, float] | None]
     unparseable_count: int
 
 
@@ -31,21 +31,93 @@ class NoUsableWorkersError(ValueError):
     """Every worker for the node was unparseable."""
 
 
-def _normalized_mass(
-    annotation: WorkerAnnotation, class_index: dict[str, int], num_classes: int
-) -> np.ndarray | None:
-    """Per-class confidence mass of one worker, summing to 1; None if unusable."""
-    if annotation.parse_failed or not annotation.guesses:
-        return None
-    mass = np.zeros(num_classes)
-    for label, conf in annotation.guesses:
-        idx = class_index.get(label)
-        if idx is not None:
-            mass[idx] += max(0.0, float(conf))
-    total = mass.sum()
-    if total > 0:
-        return mass / total
-    return np.full(num_classes, 1.0 / num_classes)
+@dataclass
+class Fusion:
+    """What :func:`fuse` computes for n nodes."""
+
+    label: np.ndarray  # (n,) fused class; -1 where no worker parsed
+    confidence: np.ndarray  # (n,) the label's share of the mass; 0 where dropped
+    usable: np.ndarray  # (n,) workers that parsed
+    # per worker column k: (k, top-1 accuracy, nodes evaluated); [] without truth
+    accuracy: list[tuple[int, float, int]]
+
+
+def guess_arrays(
+    annotations: dict[int, list[WorkerAnnotation]], class_names: list[str]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(nodes, top1, mass)`` of ``annotations``, in its key order.
+
+    Column k holds the worker of configuration k; a configuration with no
+    worker, or whose response did not parse, has top1 -1 and zero mass.
+    Raises ValueError when a node lists a configuration outside 0..7 or twice.
+    """
+    index = {c: i for i, c in enumerate(class_names)}
+    n, width, num_classes = len(annotations), NUM_TIE_CONFIGS, len(class_names)
+    top1 = np.full((n, width), -1, dtype=np.int16)
+    cells: list[int] = []
+    confs: list[int] = []
+    for i, (v, workers) in enumerate(annotations.items()):
+        seen: set[int] = set()
+        for a in workers:
+            k = a.config_k
+            if not 0 <= k < width or k in seen:
+                raise ValueError(f"node {v}: configuration {k} out of range or repeated")
+            seen.add(k)
+            if a.parse_failed or not a.guesses:
+                continue
+            top1[i, k] = index[a.guesses[0][0]]  # guesses are ranked best-first
+            base = (i * width + k) * num_classes
+            for label, conf in a.guesses:
+                cells.append(base + index[label])
+                confs.append(max(0, conf))
+    mass = np.bincount(
+        np.asarray(cells, dtype=np.intp), weights=confs, minlength=n * width * num_classes
+    )
+    nodes = np.fromiter(annotations, dtype=np.int64, count=n)
+    return nodes, top1, mass.astype(np.int32).reshape(n, width, num_classes)
+
+
+def _fsum(x: np.ndarray, axis: int) -> np.ndarray:
+    """Sum along ``axis`` in sorted order, carrying each addition's rounding
+    error (TwoSum) and adding it back once. The result does not depend on the
+    order of the terms and, for the few terms fused here, equals the correctly
+    rounded sum ``math.fsum`` gives."""
+    terms = np.sort(np.moveaxis(x, axis, 0), axis=0)
+    total = np.zeros(terms.shape[1:])
+    error = np.zeros_like(total)
+    for term in terms:
+        s = total + term
+        back = s - total
+        error += (total - (s - back)) + (term - back)
+        total = s
+    return total + error
+
+
+def fuse(top1: np.ndarray, mass: np.ndarray, truth: np.ndarray | None = None) -> Fusion:
+    """Fuse ``top1`` (n, W), each worker's best class or -1 where its response
+    did not parse, and ``mass`` (n, W, C), its confidences summed per class.
+    ``truth`` (n,), -1 where unknown, adds each column's top-1 accuracy over
+    the nodes with a truth whose worker parsed (0 over 0 when there are none).
+    """
+    num_classes = mass.shape[2]
+    usable = top1 >= 0
+    total = mass.sum(axis=2, keepdims=True)
+    share = np.where(total > 0, mass / np.maximum(total, 1), 1.0 / num_classes)
+    share[~usable] = 0.0
+    scores = _fsum(share, axis=1)
+    label = scores.argmax(axis=1)  # the first maximum: ties go to the lower index
+    n_usable = usable.sum(axis=1)
+    kept = n_usable > 0
+    best = np.take_along_axis(scores, label[:, None], axis=1)[:, 0]
+    confidence = np.divide(best, _fsum(scores, axis=1), out=np.zeros(len(best)), where=kept)
+
+    accuracy: list[tuple[int, float, int]] = []
+    if truth is not None:
+        evaluated = usable & (truth >= 0)[:, None]
+        hits = (evaluated & (top1 == truth[:, None])).sum(axis=0).tolist()
+        counts = evaluated.sum(axis=0).tolist()
+        accuracy = [(k, h / e if e else 0.0, e) for k, (h, e) in enumerate(zip(hits, counts))]
+    return Fusion(np.where(kept, label, -1), confidence, n_usable, accuracy)
 
 
 def aggregate(
@@ -53,38 +125,13 @@ def aggregate(
     workers: list[WorkerAnnotation],
     class_names: list[str],
 ) -> PseudoLabel:
-    """Fuse 1..8 worker annotations into a single pseudo-label."""
+    """Fuse 1..8 worker annotations, one per configuration, into a pseudo-label."""
     if not workers:
         raise ValueError(f"node {node}: no worker annotations")
-    num_classes = len(class_names)
-    class_index = {c: i for i, c in enumerate(class_names)}
-
-    masses: list[np.ndarray] = []
-    per_worker: list[tuple[int, float] | None] = []
-    for ann in workers:
-        mass = _normalized_mass(ann, class_index, num_classes)
-        if mass is None:
-            per_worker.append(None)
-            continue
-        masses.append(mass)
-        top = class_index[ann.guesses[0][0]]  # guesses are ranked best-first
-        per_worker.append((top, float(mass[top])))
-
-    if not masses:
+    pseudo, dropped = aggregate_all({node: workers}, class_names)
+    if dropped:
         raise NoUsableWorkersError(f"node {node}: all {len(workers)} workers unparseable")
-
-    # exactly-rounded sums keep the result independent of worker order
-    scores = np.array(
-        [math.fsum(m[c] for m in masses) for c in range(num_classes)]
-    )
-    label = int(scores.argmax())
-    return PseudoLabel(
-        node=node,
-        label=label,
-        confidence=float(scores[label] / math.fsum(scores)),
-        per_worker_top1=per_worker,
-        unparseable_count=len(workers) - len(masses),
-    )
+    return pseudo[node]
 
 
 def aggregate_all(
@@ -93,13 +140,17 @@ def aggregate_all(
 ) -> tuple[dict[int, PseudoLabel], list[int]]:
     """Aggregate every annotated node; returns pseudo-labels plus the node ids
     that were dropped because no worker parsed."""
+    _, top1, mass = guess_arrays(annotations, class_names)
+    fused = fuse(top1, mass)
     pseudo: dict[int, PseudoLabel] = {}
     dropped: list[int] = []
-    for node, workers in annotations.items():
-        try:
-            pseudo[node] = aggregate(node, workers, class_names)
-        except NoUsableWorkersError:
+    for (node, workers), label, confidence, usable in zip(
+        annotations.items(), fused.label.tolist(), fused.confidence.tolist(), fused.usable.tolist()
+    ):
+        if label < 0:
             dropped.append(node)
+        else:
+            pseudo[node] = PseudoLabel(node, label, confidence, len(workers) - usable)
     return pseudo, dropped
 
 
@@ -116,21 +167,9 @@ def worker_accuracy(
     nodes = [v for v in annotations if v in ground_truth]
     if not nodes:
         raise ValueError("no nodes with ground truth to evaluate")
-    class_index = {c: i for i, c in enumerate(class_names)}
-
-    rows: list[tuple[int, float, int]] = []
-    for k in range(NUM_TIE_CONFIGS):
-        hits = 0
-        evaluated = 0
-        for v in nodes:
-            workers = [a for a in annotations[v] if a.config_k == k]
-            if not workers or workers[0].parse_failed or not workers[0].guesses:
-                continue
-            evaluated += 1
-            if class_index[workers[0].guesses[0][0]] == ground_truth[v]:
-                hits += 1
-        rows.append((k, hits / evaluated if evaluated else 0.0, evaluated))
-    return rows
+    _, top1, mass = guess_arrays({v: annotations[v] for v in nodes}, class_names)
+    truth = np.array([ground_truth[v] for v in nodes], dtype=np.int64)
+    return fuse(top1, mass, truth).accuracy
 
 
 def aggregation_accuracy(

@@ -46,6 +46,9 @@ CACHE_SCHEMA_VERSION = 1
 # Sentinel guess recorded when a response cannot be parsed after retries.
 UNPARSEABLE = "UNPARSEABLE"
 
+# Longest wait, in seconds, that a 429 response's Retry-After can impose.
+RETRY_AFTER_CAP_S = 120.0
+
 
 class BudgetExhaustedError(RuntimeError):
     """Projected spend exceeds the configured dollar limit."""
@@ -180,9 +183,12 @@ def build_prompt(
         raise ValueError("class_names must not be empty")
     center_text = _clip(texts[tie.center], policy.center_text_chars)
 
+    groups: dict[str, list[int]] = {}
+    for member, role in zip(tie.members, tie.roles):
+        groups.setdefault(role, []).append(member)
     parts = [f"The content of the paper is {center_text}"]
     for role in _ROLE_ORDER:
-        members = tie.members_with_role(role)
+        members = groups.get(role)
         if not members:
             continue
         members = members[: policy.max_neighbors_per_role]
@@ -286,8 +292,10 @@ class HttpChatClient:
 
     The API key is read from the environment variable named in the config,
     never passed on the command line. Transport errors, 429 and 5xx retry
-    with exponential backoff before raising TransportError; any other 4xx
-    or a malformed body raises it after one attempt.
+    with exponential backoff before raising TransportError; a 429 whose
+    Retry-After gives delta-seconds waits that long instead, up to
+    ``RETRY_AFTER_CAP_S``. Any other 4xx or a malformed body raises it after
+    one attempt.
     """
 
     def __init__(
@@ -323,9 +331,11 @@ class HttpChatClient:
             headers["Authorization"] = f"Bearer {self.api_key}"
 
         last_error: Exception | None = None
+        retry_after: float | None = None
         for attempt in range(self.retries + 1):
             if attempt:
-                time.sleep(self.backoff_s * 2 ** (attempt - 1))
+                time.sleep(self.backoff_s * 2 ** (attempt - 1) if retry_after is None else retry_after)
+                retry_after = None
             try:
                 resp = self.session.post(
                     self.endpoint, json=payload, headers=headers, timeout=self.timeout_s
@@ -336,6 +346,9 @@ class HttpChatClient:
             status = resp.status_code
             if status == 429 or status >= 500:
                 last_error = TransportError(f"HTTP {status}")
+                wait = resp.headers.get("Retry-After", "").strip()
+                if status == 429 and wait.isdecimal():  # delta-seconds; a date is not honoured
+                    retry_after = min(float(wait), RETRY_AFTER_CAP_S)
                 continue
             if status >= 400:
                 raise TransportError(f"request rejected with HTTP {status}; not retried")
@@ -610,61 +623,6 @@ def _annotation_from_record(
     )
 
 
-def flat_guesses(
-    annotations: dict[int, list[WorkerAnnotation]], nodes: list[int], class_names: list[str]
-) -> list[list[list[int]]]:
-    """Parsed guesses in the compact form the annotate stage records.
-
-    One list per node of ``nodes``, holding its workers in configuration
-    order; each worker is a flat ``[class_index, confidence, ...]`` list in
-    ranked order, and ``[]`` marks an unparseable response (a parsed one is
-    never empty). :func:`annotations_from_guesses` reverses it.
-    """
-    class_index = {c: i for i, c in enumerate(class_names)}
-    return [
-        [
-            [] if a.parse_failed
-            else [x for label, conf in a.guesses for x in (class_index[label], conf)]
-            for a in annotations[v]
-        ]
-        for v in nodes
-    ]
-
-
-def annotations_from_guesses(
-    nodes: list[int], guesses: list[list[list[int]]], class_names: list[str]
-) -> dict[int, list[WorkerAnnotation]]:
-    """Worker annotations rebuilt from :func:`flat_guesses` output.
-
-    Nothing is parsed, no cache is read and no client is called. Raises
-    ValueError unless there is one entry per node, each holding one worker
-    per configuration, and every worker is an even-length list of integers
-    whose class indices are in range.
-    """
-    if len(guesses) != len(nodes):
-        raise ValueError(f"{len(guesses)} guess lists for {len(nodes)} nodes")
-    results: dict[int, list[WorkerAnnotation]] = {}
-    for v, workers in zip(nodes, guesses):
-        if len(workers) != NUM_TIE_CONFIGS:
-            raise ValueError(f"node {v}: {len(workers)} workers, expected {NUM_TIE_CONFIGS}")
-        anns = []
-        for k, flat in enumerate(workers):
-            labels = flat[0::2]
-            if (
-                len(flat) % 2
-                or not all(type(x) is int for x in flat)
-                or not all(0 <= c < len(class_names) for c in labels)
-            ):
-                raise ValueError(f"node {v} config {k}: malformed guess list {flat!r}")
-            pairs = [(class_names[c], conf) for c, conf in zip(labels, flat[1::2])]
-            anns.append(WorkerAnnotation(
-                center=v, config_k=k, guesses=pairs or [(UNPARSEABLE, 0)], raw_response="",
-                from_cache=True, parse_failed=not pairs,
-            ))
-        results[v] = anns
-    return results
-
-
 def annotate_graph(
     graph: DirectedTAG,
     nodes: list[int],
@@ -684,9 +642,9 @@ def annotate_graph(
     ordered by configuration index.
     """
     prompts = [
-        build_prompt(graph.homophily_tie(v, k), graph.texts, graph.class_names, policy, model)
+        build_prompt(tie, graph.texts, graph.class_names, policy, model)
         for v in nodes
-        for k in range(NUM_TIE_CONFIGS)
+        for tie in graph.all_ties(v)
     ]
     limiter = RateLimiter(requests_per_second, burst=max_inflight)
     results: dict[tuple[int, int], WorkerAnnotation] = {}

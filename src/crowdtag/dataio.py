@@ -1,4 +1,4 @@
-"""Parsers for citation-network files and the npz graph artifact.
+"""Parsers for citation-network files; the npz graph and guess artifacts.
 
 File formats (public Cora/Citeseer conventions):
 
@@ -14,6 +14,9 @@ The assembled graph is stored as one uncompressed ``.npz`` archive: the
 feature matrix and the edge list as binary arrays, plus a small versioned JSON
 ``meta`` member with keys, texts, labels and class names. Features round-trip
 bit-exactly and every stage loads the artifact without re-parsing text.
+
+The workers' parsed guesses are a second uncompressed ``.npz``: integer
+``nodes``, ``top1`` and ``mass`` arrays, the form ``aggregate.fuse`` takes.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import DirectedTAG, build_graph
+from .graph import NUM_TIE_CONFIGS, DirectedTAG, build_graph
 
 GRAPH_SCHEMA_VERSION = 2
 
@@ -279,3 +282,39 @@ def load_graph(path: str | Path) -> DirectedTAG:
     if edges.size and (edges.min() < 0 or edges.max() >= n):
         raise ValueError(f"{path}: edge node id outside 0..{n - 1}")
     return build_graph(keys, edges.tolist(), texts, features, labels, meta["class_names"])
+
+
+def save_guesses(path: str | Path, nodes: np.ndarray, top1: np.ndarray, mass: np.ndarray) -> None:
+    """Write the parsed guesses of ``aggregate.guess_arrays`` as an
+    uncompressed ``.npz``, atomically."""
+    with atomic_write(path, "wb") as fh:
+        np.savez(fh, nodes=nodes, top1=top1, mass=mass)
+
+
+def load_guesses(
+    path: str | Path, num_nodes: int, num_classes: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read a :func:`save_guesses` artifact as ``(nodes, top1, mass)``;
+    pickled members are refused. Raises ValueError unless it holds exactly
+    integer ``nodes`` (n,), distinct and in ``0..num_nodes-1``, ``top1``
+    (n, 8) in ``-1..num_classes-1`` and ``mass`` (n, 8, num_classes) >= 0."""
+    # np.load leaks the handle it opens when the zip is torn, so pass it one
+    with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
+        if sorted(npz.files) != ["mass", "nodes", "top1"]:
+            raise ValueError(f"{path}: members {sorted(npz.files)}, expected mass, nodes and top1")
+        nodes, top1, mass = npz["nodes"], npz["top1"], npz["mass"]
+    n = len(nodes) if nodes.ndim == 1 else -1
+    if any(a.dtype.kind not in "iu" for a in (nodes, top1, mass)) or (
+        top1.shape != (n, NUM_TIE_CONFIGS) or mass.shape != (n, NUM_TIE_CONFIGS, num_classes)
+    ):
+        raise ValueError(
+            f"{path}: nodes {nodes.dtype}{nodes.shape}, top1 {top1.dtype}{top1.shape} and "
+            f"mass {mass.dtype}{mass.shape} do not fit {NUM_TIE_CONFIGS} workers x {num_classes} classes"
+        )
+    if n and (nodes.min() < 0 or nodes.max() >= num_nodes or len(np.unique(nodes)) != n):
+        raise ValueError(f"{path}: node ids repeated or outside 0..{num_nodes - 1}")
+    if top1.size and (top1.min() < -1 or top1.max() >= num_classes):
+        raise ValueError(f"{path}: top-1 class outside -1..{num_classes - 1}")
+    if mass.size and mass.min() < 0:
+        raise ValueError(f"{path}: negative confidence mass")
+    return nodes, top1, mass

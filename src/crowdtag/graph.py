@@ -12,6 +12,7 @@ concurrently.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +36,19 @@ COMPOSITE_ROLES = (
 )
 
 
+# (one-hop roles, two-hop role) of each configuration; see homophily_tie.
+_TIE_ROLES: tuple[tuple[tuple[str, ...], str | None], ...] = (
+    ((), None),
+    ((ROLE_PRED,), None),
+    ((ROLE_SUCC,), None),
+    ((ROLE_PRED, ROLE_SUCC), None),
+    ((ROLE_PRED,), ROLE_PRED_OF_PRED),
+    ((ROLE_SUCC,), ROLE_PRED_OF_SUCC),
+    ((ROLE_PRED,), ROLE_SUCC_OF_PRED),
+    ((ROLE_SUCC,), ROLE_SUCC_OF_SUCC),
+)
+
+
 class UnknownNodeError(KeyError):
     """Raised when a node id is not part of the graph."""
 
@@ -54,8 +68,25 @@ class HomophilyTie:
     members: tuple[int, ...]
     roles: tuple[str, ...]
 
-    def members_with_role(self, role: str) -> list[int]:
-        return [m for m, r in zip(self.members, self.roles) if r == role]
+
+def _assemble_tie(v: int, k: int, groups: dict[str, Iterable[int]]) -> HomophilyTie:
+    """Tie ``k`` at ``v`` from the neighbors of ``v`` by role; ``groups`` holds
+    at least the roles configuration ``k`` uses. One-hop roles win on overlap
+    because the prompt templates phrase one-hop relations."""
+    one_hop, two_hop = _TIE_ROLES[k]
+    role_of: dict[int, str] = {}
+    if two_hop is not None:
+        role_of = dict.fromkeys(groups[two_hop], two_hop)
+    for role in one_hop:
+        role_of.update(dict.fromkeys(groups[role], role))
+    role_of.pop(v, None)
+    others = sorted(role_of)
+    return HomophilyTie(
+        center=v,
+        config_k=k,
+        members=(v, *others),
+        roles=(ROLE_SELF, *(role_of[u] for u in others)),
+    )
 
 
 @dataclass
@@ -177,39 +208,20 @@ class DirectedTAG:
         self._check_node(v)
         if not 0 <= k < NUM_TIE_CONFIGS:
             raise ValueError(f"tie configuration must be 0..7, got {k}")
-
-        # (one-hop sets, two-hop role) per configuration; one-hop roles win
-        # on overlap because the prompt templates phrase one-hop relations.
-        one_hop: dict[str, set[int]] = {}
-        two_hop: dict[str, set[int]] = {}
-        if k in (1, 3, 4, 6):
-            one_hop[ROLE_PRED] = self.pred(v)
-        if k in (2, 3, 5, 7):
-            one_hop[ROLE_SUCC] = self.succ(v)
-        if k == 4:
-            two_hop[ROLE_PRED_OF_PRED] = self.composite_neighbors(v, ROLE_PRED_OF_PRED)
-        elif k == 5:
-            two_hop[ROLE_PRED_OF_SUCC] = self.composite_neighbors(v, ROLE_PRED_OF_SUCC)
-        elif k == 6:
-            two_hop[ROLE_SUCC_OF_PRED] = self.composite_neighbors(v, ROLE_SUCC_OF_PRED)
-        elif k == 7:
-            two_hop[ROLE_SUCC_OF_SUCC] = self.composite_neighbors(v, ROLE_SUCC_OF_SUCC)
-
-        role_of: dict[int, str] = {}
-        for role, nodes in two_hop.items():
-            for u in nodes:
-                role_of[u] = role
-        for role, nodes in one_hop.items():
-            for u in nodes:
-                role_of[u] = role
-        role_of[v] = ROLE_SELF
-
-        members = [v] + sorted(u for u in role_of if u != v)
-        roles = [role_of[u] for u in members]
-        return HomophilyTie(center=v, config_k=k, members=tuple(members), roles=tuple(roles))
+        two_hop = _TIE_ROLES[k][1]
+        groups = {ROLE_PRED: self.predecessors[v], ROLE_SUCC: self.successors[v]}
+        if two_hop is not None:
+            groups[two_hop] = self.composite_neighbors(v, two_hop)
+        return _assemble_tie(v, k, groups)
 
     def all_ties(self, v: int) -> list[HomophilyTie]:
-        return [self.homophily_tie(v, k) for k in range(NUM_TIE_CONFIGS)]
+        """All eight configurations of the tie centered at ``v``; each
+        neighbor set is looked up once and shared by the ties that use it."""
+        self._check_node(v)
+        groups = {ROLE_PRED: self.predecessors[v], ROLE_SUCC: self.successors[v]}
+        for role in COMPOSITE_ROLES:
+            groups[role] = self.composite_neighbors(v, role)
+        return [_assemble_tie(v, k, groups) for k in range(NUM_TIE_CONFIGS)]
 
     def adjacency_matrix(self) -> np.ndarray:
         """Dense boolean adjacency; A[u, v] iff edge u -> v. For small graphs."""

@@ -2,14 +2,19 @@
 
 Each stage reads its predecessor's on-disk artifact, writes its own alongside
 a manifest of input hashes, and is skipped on re-run when nothing changed.
+Within one :func:`run_pipeline` call each input file is hashed once.
 Stages after ``annotate`` never perform network I/O and never open the
 response cache: ``annotate`` parses each worker response once and records the
-parsed guesses in ``annotated_nodes.json``, and aggregation fuses those,
-failing hard when they are missing or malformed instead of re-querying. Text
-artifacts and manifests are written atomically (temp file + ``os.replace``).
+parsed guesses as arrays in ``guesses.npz``, and aggregation fuses those in one
+array computation, failing hard when they are missing or malformed instead of
+re-querying. ``annotated_nodes.json`` is a summary (nodes, spend, prompt
+hashes) that no stage reads. Every artifact but the append-only cache, and
+every manifest, is written atomically (temp file + ``os.replace``).
 
-All artifacts carry a schema version and the hash of the producing config
-(JSON fields, the graph's npz ``meta`` member, or a leading ``#`` line for CSV).
+Artifacts carry a schema version and the hash of the producing config (JSON
+fields, the graph's npz ``meta`` member, or a leading ``#`` line for CSV),
+except ``guesses.npz``, which holds only its three arrays; the annotate
+manifest records both for it.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ import hashlib
 import json
 import math
 import os
+import zipfile
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -31,7 +37,7 @@ from . import annotate as ann
 from . import dataio, filtering, gcn, homophily
 from .graph import NUM_TIE_CONFIGS, DirectedTAG
 
-ARTIFACT_SCHEMA_VERSION = 3
+ARTIFACT_SCHEMA_VERSION = 4
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -203,6 +209,8 @@ def _file_hash(path: Path) -> str:
 @dataclass
 class StagePaths:
     out_dir: Path
+    # input hashes by (path, inode, size, mtime_ns), kept while run_pipeline runs
+    file_hashes: dict | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.out_dir = Path(self.out_dir)
@@ -219,6 +227,10 @@ class StagePaths:
     @property
     def annotated_nodes(self) -> Path:
         return self.out_dir / "annotated_nodes.json"
+
+    @property
+    def guesses(self) -> Path:
+        return self.out_dir / "guesses.npz"
 
     @property
     def pseudo_labels(self) -> Path:
@@ -276,6 +288,20 @@ def pipeline_lock(out_dir: Path):
         os.close(fd)
 
 
+def _input_hash(paths: StagePaths, path: Path) -> str:
+    """``_file_hash(path)``, memoised in ``paths.file_hashes`` when that is set.
+    The key holds the inode, size and mtime, so a file replaced since it was
+    hashed is hashed again."""
+    memo = paths.file_hashes
+    if memo is None:
+        return _file_hash(path)
+    st = path.stat()
+    key = (str(path), st.st_ino, st.st_size, st.st_mtime_ns)
+    if key not in memo:
+        memo[key] = _file_hash(path)
+    return memo[key]
+
+
 def _manifest_current(
     paths: StagePaths, stage: str, cfg_hash: str, inputs: list[Path], outputs: list[Path]
 ) -> bool:
@@ -289,7 +315,7 @@ def _manifest_current(
     if doc.get("schema_version") != ARTIFACT_SCHEMA_VERSION or doc.get("config_hash") != cfg_hash:
         return False
     for p, h in doc.get("inputs", {}).items():
-        if not Path(p).exists() or _file_hash(Path(p)) != h:
+        if not Path(p).exists() or _input_hash(paths, Path(p)) != h:
             return False
     if set(doc.get("inputs", {})) != {str(p) for p in inputs}:
         return False
@@ -303,7 +329,7 @@ def _write_manifest(
         "stage": stage,
         "schema_version": ARTIFACT_SCHEMA_VERSION,
         "config_hash": cfg_hash,
-        "inputs": {str(p): _file_hash(p) for p in inputs},
+        "inputs": {str(p): _input_hash(paths, p) for p in inputs},
         "outputs": [str(p) for p in outputs],
     }
     _write_json(paths.manifest(stage), doc, indent=1, sort_keys=True)
@@ -413,7 +439,7 @@ def stage_annotate(cfg: PipelineConfig, paths: StagePaths, client: ann.Client | 
         sections = ("dataset", "annotator", "filter")
     cfg_hash = config_hash(cfg, sections)
     cache_path = Path(cfg.annotator.cache) if cfg.annotator.cache else paths.cache
-    outputs = [cache_path, paths.annotated_nodes]
+    outputs = [cache_path, paths.guesses, paths.annotated_nodes]
     if _manifest_current(paths, "annotate", cfg_hash, [graph_path], outputs):
         return False
 
@@ -441,18 +467,17 @@ def stage_annotate(cfg: PipelineConfig, paths: StagePaths, client: ann.Client | 
             max_inflight=cfg.annotator.max_inflight,
             requests_per_second=cfg.annotator.requests_per_second,
         )
-    del cache  # free the cached records before the document is built
+    del cache  # free the cached records before the artifacts are built
+    node_ids, top1, mass = agg.guess_arrays(results, graph.class_names)
+    dataio.save_guesses(paths.guesses, node_ids, top1, mass)
     doc = {
         "schema_version": ARTIFACT_SCHEMA_VERSION,
         "config_hash": cfg_hash,
         "nodes": nodes,
         "prompt_hashes": [[a.prompt_hash for a in results[v]] for v in nodes],
-        "guesses": ann.flat_guesses(results, nodes, graph.class_names),
         "spent_usd": budget.spent_usd,
         "workers_per_node": NUM_TIE_CONFIGS,
-        "unparseable": sum(
-            1 for anns in results.values() for a in anns if a.parse_failed
-        ),
+        "unparseable": int((top1 < 0).sum()),
     }
     _write_json(paths.annotated_nodes, doc)
     _write_manifest(paths, "annotate", cfg_hash, [graph_path], outputs)
@@ -462,49 +487,42 @@ def stage_annotate(cfg: PipelineConfig, paths: StagePaths, client: ann.Client | 
 def stage_aggregate(cfg: PipelineConfig, paths: StagePaths) -> bool:
     """Fuse the worker guesses that annotate recorded into pseudo-labels."""
     graph_path = _require(paths.graph, "ingest")
-    nodes_path = _require(paths.annotated_nodes, "annotate")
+    guesses_path = _require(paths.guesses, "annotate")
     cfg_hash = config_hash(cfg, ("dataset", "annotator"))
-    inputs = [graph_path, nodes_path]
+    inputs = [graph_path, guesses_path]
     outputs = [paths.pseudo_labels, paths.worker_acc]
     if _manifest_current(paths, "aggregate", cfg_hash, inputs, outputs):
         return False
 
     graph = dataio.load_graph(graph_path)
-    doc = json.loads(nodes_path.read_text())
-    nodes = doc["nodes"]
     try:
-        annotations = ann.annotations_from_guesses(nodes, doc["guesses"], graph.class_names)
-    except (KeyError, TypeError, ValueError) as exc:
+        nodes, top1, mass = dataio.load_guesses(guesses_path, graph.num_nodes, graph.num_classes)
+    except (OSError, ValueError, zipfile.BadZipFile) as exc:
         raise MissingArtifactError(
-            f"{nodes_path}: recorded guesses missing or malformed ({exc!r}); "
+            f"{guesses_path}: recorded guesses unreadable or malformed ({exc}); "
             "re-run the 'annotate' stage"
         ) from exc
+    node_list = nodes.tolist()
+    truth = np.array([-1 if graph.labels[v] is None else graph.labels[v] for v in node_list])
+    fused = agg.fuse(top1, mass, truth)
 
-    pseudo, dropped = agg.aggregate_all(annotations, graph.class_names)
     rows = [
-        [
-            graph.original_keys[v],
-            graph.class_names[p.label],
-            f"{p.confidence:.6f}",
-            p.unparseable_count,
-        ]
-        for v, p in sorted(pseudo.items())
+        [graph.original_keys[v], graph.class_names[label], f"{conf:.6f}", top1.shape[1] - usable]
+        for v, label, conf, usable in sorted(
+            zip(node_list, fused.label.tolist(), fused.confidence.tolist(), fused.usable.tolist())
+        )
+        if label >= 0
     ]
     _write_csv(
         paths.pseudo_labels, cfg_hash, ["node_key", "label", "confidence", "unparseable_count"], rows
     )
-
-    truth = {v: graph.labels[v] for v in nodes if graph.labels[v] is not None}
-    if truth:
-        acc_rows = [
-            [k, f"{accuracy:.6f}", n]
-            for k, accuracy, n in agg.worker_accuracy(annotations, truth, graph.class_names)
-        ]
-    else:
-        acc_rows = []
+    acc_rows = []
+    if (truth >= 0).any():
+        acc_rows = [[k, f"{accuracy:.6f}", n] for k, accuracy, n in fused.accuracy]
     _write_csv(paths.worker_acc, cfg_hash, ["config_k", "accuracy", "n"], acc_rows)
+    dropped = len(node_list) - len(rows)
     if dropped:
-        print(f"aggregate: dropped {len(dropped)} node(s) with no parseable worker")
+        print(f"aggregate: dropped {dropped} node(s) with no parseable worker")
     _write_manifest(paths, "aggregate", cfg_hash, inputs, outputs)
     return True
 
@@ -621,11 +639,14 @@ def train_once(
     y_train = np.array([pseudo_labels[v] for v in train_ids], dtype=np.intp)
     y_test = np.array([graph.labels[v] for v in test_ids], dtype=np.intp)
     history = gcn.train(model, graph.features, train_ids, y_train, test_ids, y_test)
-    test_acc = gcn.evaluate(model, graph.features, test_ids, y_test)
+    if len(test_ids) == 0:
+        raise ValueError("evaluation node set is empty")
+    logits = gcn.forward(model, graph.features)  # one eval-mode forward for both accuracies
+    test_acc = gcn._accuracy(logits, test_ids, y_test)
     val_acc = None
     if len(val_ids):
         y_val = np.array([graph.labels[v] for v in val_ids], dtype=np.intp)
-        val_acc = gcn.evaluate(model, graph.features, val_ids, y_val)
+        val_acc = gcn._accuracy(logits, val_ids, y_val)
     return history, test_acc, model, val_acc
 
 
@@ -684,14 +705,19 @@ def stage_train(cfg: PipelineConfig, paths: StagePaths) -> bool:
 
 
 def run_pipeline(cfg: PipelineConfig, paths: StagePaths, client: ann.Client | None = None) -> dict[str, bool]:
-    """All stages in order; returns which stages actually ran."""
-    ran = {}
-    ran["ingest"] = stage_ingest(cfg, paths)
-    ran["annotate"] = stage_annotate(cfg, paths, client=client)
-    ran["aggregate"] = stage_aggregate(cfg, paths)
-    ran["filter"] = stage_filter(cfg, paths)
-    ran["train"] = stage_train(cfg, paths)
-    return ran
+    """All stages in order; returns which stages actually ran. Each input file
+    is hashed once per call, however many manifests list it."""
+    paths.file_hashes = {}
+    try:
+        ran = {}
+        ran["ingest"] = stage_ingest(cfg, paths)
+        ran["annotate"] = stage_annotate(cfg, paths, client=client)
+        ran["aggregate"] = stage_aggregate(cfg, paths)
+        ran["filter"] = stage_filter(cfg, paths)
+        ran["train"] = stage_train(cfg, paths)
+        return ran
+    finally:
+        paths.file_hashes = None
 
 
 # ---------------------------------------------------------------------------

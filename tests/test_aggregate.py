@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from crowdtag.aggregate import (
     aggregate,
     aggregate_all,
     aggregation_accuracy,
+    fuse,
+    guess_arrays,
     worker_accuracy,
 )
 from crowdtag.annotate import (
@@ -20,6 +23,7 @@ from crowdtag.annotate import (
     WorkerAnnotation,
     annotate_graph,
 )
+from crowdtag.graph import NUM_TIE_CONFIGS
 from crowdtag.synthetic import synthetic_citation_graph
 
 CLASSES = ["A", "B", "C"]
@@ -193,3 +197,90 @@ def test_aggregation_accuracy_beats_single_worker():
     agg_acc = aggregation_accuracy(pseudo, truth)
     rows = dict((k, acc) for k, acc, _ in worker_accuracy(annotations, truth, g.class_names))
     assert agg_acc >= rows[0]
+
+
+# --- the array computation against the per-node loop ---------------------------------
+
+def loop_aggregate(workers, class_names):
+    """Per-node reference for ``fuse``: each usable worker's mass renormalized
+    (uniform when all its confidences are zero) and summed with math.fsum.
+    Returns (label, confidence, unparseable_count, tied), or None when no
+    worker parsed."""
+    index = {c: i for i, c in enumerate(class_names)}
+    num_classes = len(class_names)
+    masses = []
+    for a in workers:
+        if a.parse_failed or not a.guesses:
+            continue
+        mass = np.zeros(num_classes)
+        for label, conf in a.guesses:
+            mass[index[label]] += max(0.0, float(conf))
+        total = mass.sum()
+        masses.append(mass / total if total > 0 else np.full(num_classes, 1.0 / num_classes))
+    if not masses:
+        return None
+    scores = np.array([math.fsum(m[c] for m in masses) for c in range(num_classes)])
+    label = int(scores.argmax())
+    tied = int((scores == scores[label]).sum()) > 1
+    return label, float(scores[label] / math.fsum(scores)), len(workers) - len(masses), tied
+
+
+def random_workers(rng, classes):
+    """1..8 workers on distinct configurations: some unparseable, some with
+    all-zero confidences, the rest with repeated labels and coarse
+    confidences, so that exact ties between classes are common."""
+    workers = []
+    for k in rng.choice(NUM_TIE_CONFIGS, size=int(rng.integers(1, 9)), replace=False):
+        kind = rng.random()
+        if kind < 0.15:
+            workers.append(worker(int(k), [], failed=True))
+            continue
+        labels = rng.integers(len(classes), size=int(rng.integers(1, 2 * len(classes))))
+        confs = [0] * len(labels) if kind < 0.25 else rng.choice([0, 10, 20, 25, 30, 50, 100], len(labels))
+        workers.append(worker(int(k), [(classes[c], int(x)) for c, x in zip(labels, confs)]))
+    return workers
+
+
+def test_fuse_and_adapters_match_the_loop_on_random_annotations():
+    rng = np.random.default_rng(7)
+    classes = ["A", "B", "C", "D"]
+    annotations = {v: random_workers(rng, classes) for v in range(1500)}
+    truth = {v: int(rng.integers(len(classes))) for v in range(0, 1500, 2)}
+
+    nodes, top1, mass = guess_arrays(annotations, classes)
+    assert nodes.tolist() == list(annotations)
+    fused = fuse(top1, mass, np.array([truth.get(v, -1) for v in annotations]))
+    pseudo, dropped = aggregate_all(annotations, classes)
+    ties = 0
+    for i, (v, workers) in enumerate(annotations.items()):
+        want = loop_aggregate(workers, classes)
+        if want is None:
+            assert fused.label[i] == -1 and v in dropped
+            with pytest.raises(NoUsableWorkersError):
+                aggregate(v, workers, classes)
+            continue
+        label, confidence, unparseable, tied = want
+        ties += tied
+        assert (fused.label[i], fused.confidence[i]) == (label, confidence)
+        assert len(workers) - fused.usable[i] == unparseable
+        assert (pseudo[v].label, pseudo[v].confidence, pseudo[v].unparseable_count) == want[:3]
+        assert aggregate(v, workers, classes) == pseudo[v]
+    assert ties > 0 and dropped  # the tie rule and the drop path were exercised
+
+    expected = []
+    for k in range(NUM_TIE_CONFIGS):
+        top = [
+            (a.guesses[0][0] == classes[truth[v]])
+            for v in truth for a in annotations[v]
+            if a.config_k == k and not a.parse_failed
+        ]
+        expected.append((k, sum(top) / len(top) if top else 0.0, len(top)))
+    assert worker_accuracy(annotations, truth, classes) == expected
+    assert fused.accuracy == expected
+
+
+def test_guess_arrays_rejects_a_configuration_given_twice_or_out_of_range():
+    with pytest.raises(ValueError, match="node 3"):
+        guess_arrays({3: [worker(1, [("A", 100)]), worker(1, [("B", 100)])]}, CLASSES)
+    with pytest.raises(ValueError, match="node 3"):
+        guess_arrays({3: [worker(NUM_TIE_CONFIGS, [("A", 100)])]}, CLASSES)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -13,7 +14,6 @@ import numpy as np
 import pytest
 
 import crowdtag.annotate as annotate_module
-from crowdtag.aggregate import aggregate_all
 from crowdtag.annotate import (
     UNPARSEABLE,
     BudgetExhaustedError,
@@ -28,14 +28,13 @@ from crowdtag.annotate import (
     WorkerAnnotation,
     annotate,
     annotate_graph,
-    annotations_from_guesses,
     build_prompt,
     estimate_tokens,
-    flat_guesses,
     parse_response,
     prompt_hash,
     synthetic_oracle,
 )
+from crowdtag.fixtures import load_fixture_graph
 from crowdtag.graph import NUM_TIE_CONFIGS
 from crowdtag.synthetic import synthetic_citation_graph
 
@@ -135,6 +134,26 @@ def test_prompt_center_truncation():
 def test_prompt_empty_class_names_rejected(chain_graph):
     with pytest.raises(ValueError):
         build_prompt(chain_graph.homophily_tie(0, 0), chain_graph.texts, [])
+
+
+@pytest.mark.parametrize("which, digest", [
+    ("fixture", "018d4ed7461f14a2edfc70af4c688bae8387159f54ceecab8f76eeb23ffefb27"),
+    ("synthetic", "0c6be6748dec35397a414f1138f0300e55601333aff886e957aff71dbde8c9ef"),
+])
+def test_all_ties_match_homophily_tie_and_prompt_bytes_are_pinned(which, digest):
+    # Response caches are keyed by the prompt bytes, so any change to them
+    # re-queries (and re-pays for) every cached prompt.
+    if which == "fixture":
+        g = load_fixture_graph()
+    else:
+        g = synthetic_citation_graph(n=60, num_classes=3, alpha=0.9, avg_out_degree=3.0, seed=2)
+    bodies = hashlib.sha256()
+    for v in range(g.num_nodes):
+        ties = g.all_ties(v)
+        assert ties == [g.homophily_tie(v, k) for k in range(NUM_TIE_CONFIGS)]
+        for tie in ties:
+            bodies.update(build_prompt(tie, g.texts, g.class_names, model="m").body.encode())
+    assert bodies.hexdigest() == digest
 
 
 # --- response parsing -----------------------------------------------------------
@@ -410,7 +429,8 @@ def test_cache_concurrent_puts_through_one_handle(tmp_path):
 # --- http client ----------------------------------------------------------------------
 
 class FakeHttpSession:
-    """Scripted responses: each item is an exception or (status, body) pair."""
+    """Scripted responses: each item is an exception, a (status, body) pair or
+    a (status, body, headers) triple."""
 
     def __init__(self, script):
         self.script = list(script)
@@ -423,9 +443,10 @@ class FakeHttpSession:
             raise item
 
         class Resp:
-            def __init__(self, status_code, body):
+            def __init__(self, status_code, body, headers=None):
                 self.status_code = status_code
                 self.body = body
+                self.headers = headers or {}
 
             def json(self):
                 return self.body
@@ -494,6 +515,34 @@ def test_http_client_does_not_retry_client_errors(chain_graph, status, monkeypat
         client.complete(make_prompt(chain_graph))
     assert len(session.requests) == 1
     assert sleeps == []
+
+
+@pytest.mark.parametrize("header, slept", [
+    ("7", 7.0),
+    ("86400", annotate_module.RETRY_AFTER_CAP_S),
+    (None, 2.0),
+    ("Wed, 21 Oct 2026 07:28:00 GMT", 2.0),
+    ("-3", 2.0),
+])
+def test_http_client_honours_retry_after_on_429(chain_graph, monkeypatch, header, slept):
+    sleeps = []
+    monkeypatch.setattr("crowdtag.annotate.time.sleep", sleeps.append)
+    headers = {} if header is None else {"Retry-After": header}
+    session = FakeHttpSession([(429, {}, headers), (200, chat_body("ok"))])
+    client = HttpChatClient("http://api", "m", retries=3, backoff_s=2.0, session=session)
+    assert client.complete(make_prompt(chain_graph)).text == "ok"
+    assert sleeps == [slept]
+
+
+def test_http_client_retry_after_applies_to_the_next_attempt_only(chain_graph, monkeypatch):
+    sleeps = []
+    monkeypatch.setattr("crowdtag.annotate.time.sleep", sleeps.append)
+    session = FakeHttpSession(
+        [(429, {}, {"Retry-After": "5"}), (503, {}, {"Retry-After": "9"}), (200, chat_body("ok"))]
+    )
+    client = HttpChatClient("http://api", "m", retries=3, backoff_s=1.0, session=session)
+    assert client.complete(make_prompt(chain_graph)).text == "ok"
+    assert sleeps == [5.0, 2.0]  # a 5xx keeps the exponential backoff
 
 
 def test_http_client_malformed_body_not_retried(chain_graph):
@@ -650,45 +699,6 @@ def test_annotate_graph_parses_each_distinct_prompt_once(monkeypatch):
                     first[a.prompt_hash] = a
         assert len(first) < 10 * NUM_TIE_CONFIGS
         assert len(calls) == len(first)
-
-
-def test_flat_guesses_round_trip_through_aggregation():
-    classes = CLASSES
-    parsed = [("Neural Networks", 70), ("Theory", 20), ("Rule Learning", 10)]
-    annotations = {
-        v: [
-            WorkerAnnotation(v, k, [(UNPARSEABLE, 0)], "junk", parse_failed=True)
-            if (v + k) % 3 == 0
-            else WorkerAnnotation(v, k, parsed[k % 3:] + parsed[: k % 3], "raw")
-            for k in range(NUM_TIE_CONFIGS)
-        ]
-        for v in (4, 1, 7)
-    }
-    nodes = [4, 1, 7]
-    flat = flat_guesses(annotations, nodes, classes)
-    assert flat[0][:3] == [[2, 70, 0, 20, 1, 10], [0, 20, 1, 10, 2, 70], []]  # node 4
-    assert json.loads(json.dumps(flat)) == flat
-    rebuilt = annotations_from_guesses(nodes, flat, classes)
-    assert list(rebuilt) == nodes
-    for v in nodes:
-        assert [a.guesses for a in rebuilt[v]] == [a.guesses for a in annotations[v]]
-        assert [a.parse_failed for a in rebuilt[v]] == [a.parse_failed for a in annotations[v]]
-        assert [(a.center, a.config_k) for a in rebuilt[v]] == [(v, k) for k in range(NUM_TIE_CONFIGS)]
-    assert aggregate_all(rebuilt, classes) == aggregate_all(annotations, classes)
-
-
-@pytest.mark.parametrize(
-    "bad_worker, workers",
-    [([0, 50, 1], 8), ([3, 50], 8), ([-1, 50], 8), ([1.0, 50], 8), ([0, "50"], 8), ([0, 50], 7)],
-    ids=["odd_length", "index_too_large", "negative_index", "float_index", "text_confidence",
-         "seven_workers"],
-)
-def test_annotations_from_guesses_rejects_malformed(bad_worker, workers):
-    guesses = [[[0, 100]] * NUM_TIE_CONFIGS, [bad_worker] + [[1, 100]] * (workers - 1)]
-    with pytest.raises(ValueError, match="node 2"):
-        annotations_from_guesses([1, 2], guesses, CLASSES)
-    with pytest.raises(ValueError):
-        annotations_from_guesses([1, 2, 3], guesses, CLASSES)
 
 
 def test_annotate_graph_respects_rate_limit_quickly():

@@ -237,7 +237,7 @@ def test_divergence_detected():
     model.w1[:] = np.inf
     nodes = np.arange(2)
     labels = np.zeros(2, dtype=int)
-    with pytest.raises(TrainingDivergedError):
+    with pytest.raises(TrainingDivergedError), np.errstate(invalid="ignore", over="ignore"):
         train(model, g.features, nodes, labels)
 
 

@@ -8,9 +8,10 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from crowdtag import annotate, cli, pipeline
+from crowdtag import aggregate, annotate, cli, dataio, pipeline
 from crowdtag.annotate import BudgetState, ResponseCache, TruncationPolicy, annotate_graph
 from crowdtag.dataio import load_graph
 from crowdtag.fixtures import fixture_paths, load_fixture_graph, replay_cache_path
@@ -320,32 +321,112 @@ def test_aggregate_reads_no_cache(tmp_path):
     run_pipeline(cfg, paths)
     expected = paths.pseudo_labels.read_text()
     manifest = json.loads(paths.manifest("aggregate").read_text())
-    assert set(manifest["inputs"]) == {str(paths.graph), str(paths.annotated_nodes)}
+    assert set(manifest["inputs"]) == {str(paths.graph), str(paths.guesses)}
 
     paths.cache.unlink()
+    paths.annotated_nodes.unlink()  # a summary no stage reads
     paths.pseudo_labels.unlink()
     assert pipeline.stage_aggregate(cfg, paths)
     assert paths.pseudo_labels.read_text() == expected
     assert not paths.cache.exists()
 
 
-@pytest.mark.parametrize("corrupt", ["truncated", "missing", "narrow_node"])
+@pytest.mark.parametrize("corrupt", [
+    "truncated", "missing", "narrow_node", "rows_mismatch", "class_count", "top1_too_large",
+    "top1_below_minus_one", "float_top1", "text_mass", "negative_mass", "node_out_of_range",
+    "repeated_node", "pickled",
+])
 def test_aggregate_with_bad_recorded_guesses_raises_missing_artifact(tmp_path, corrupt):
     cfg_path, out_dir = fixture_config(tmp_path)
     cfg = load_config(cfg_path)
     paths = StagePaths(out_dir)
     pipeline.stage_ingest(cfg, paths)
     pipeline.stage_annotate(cfg, paths)
-    doc = json.loads(paths.annotated_nodes.read_text())
     if corrupt == "truncated":
-        doc["guesses"] = doc["guesses"][:-1]
-    elif corrupt == "missing":
-        del doc["guesses"]
+        data = paths.guesses.read_bytes()
+        paths.guesses.write_bytes(data[: len(data) // 2])
     else:
-        doc["guesses"][0] = doc["guesses"][0][:-1]
-    paths.annotated_nodes.write_text(json.dumps(doc))
+        with np.load(paths.guesses) as npz:
+            arrays = dict(npz)
+        num_nodes, num_classes = 30, arrays["mass"].shape[2]
+        if corrupt == "missing":
+            del arrays["mass"]
+        elif corrupt == "narrow_node":
+            arrays["top1"], arrays["mass"] = arrays["top1"][:, :-1], arrays["mass"][:, :-1]
+        elif corrupt == "rows_mismatch":
+            arrays["top1"] = arrays["top1"][:-1]
+        elif corrupt == "class_count":
+            arrays["mass"] = arrays["mass"][:, :, :-1]
+        elif corrupt == "top1_too_large":
+            arrays["top1"][3, 2] = num_classes
+        elif corrupt == "top1_below_minus_one":
+            arrays["top1"][3, 2] = -2
+        elif corrupt == "float_top1":
+            arrays["top1"] = arrays["top1"].astype(np.float64)
+        elif corrupt == "text_mass":
+            arrays["mass"] = arrays["mass"].astype(str)
+        elif corrupt == "negative_mass":
+            arrays["mass"][5, 1, 0] = -1
+        elif corrupt == "node_out_of_range":
+            arrays["nodes"][-1] = num_nodes
+        elif corrupt == "repeated_node":
+            arrays["nodes"][1] = arrays["nodes"][0]
+        else:
+            arrays["nodes"] = arrays["nodes"].astype(object)  # np.savez pickles it
+        np.savez(paths.guesses, **arrays)
     with pytest.raises(MissingArtifactError, match="annotate"):
         pipeline.stage_aggregate(cfg, paths)
+
+
+def test_guesses_round_trip_through_the_npz_artifact(tmp_path):
+    cfg_path, out_dir = fixture_config(tmp_path)
+    cfg = load_config(cfg_path)
+    paths = StagePaths(out_dir)
+    pipeline.stage_ingest(cfg, paths)
+    graph = load_graph(paths.graph)
+    results = annotate_graph(
+        graph, list(range(graph.num_nodes)),
+        annotate.SyntheticOracleClient(graph, noise=0.3, seed=5), ResponseCache(),
+        BudgetState(limit_usd=1.0), model="oracle",
+    )
+    arrays = aggregate.guess_arrays(results, graph.class_names)
+    dataio.save_guesses(paths.guesses, *arrays)
+    loaded = dataio.load_guesses(paths.guesses, graph.num_nodes, graph.num_classes)
+    for want, got in zip(arrays, loaded):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+    assert list(out_dir.glob("*.tmp")) == []
+
+    # the stage writes the same arrays from the same annotations
+    assert pipeline.stage_annotate(cfg, paths)
+    staged = dataio.load_guesses(paths.guesses, graph.num_nodes, graph.num_classes)
+    for want, got in zip(arrays, staged):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_rerun_hashes_each_input_file_once(tmp_path, monkeypatch):
+    cfg_path, out_dir = fixture_config(tmp_path)
+    cfg = load_config(cfg_path)
+    paths = StagePaths(out_dir)
+    assert all(run_pipeline(cfg, paths).values())
+    hashed: list[str] = []
+    file_hash = pipeline._file_hash
+
+    def counting_hash(path):
+        hashed.append(Path(path).name)
+        return file_hash(path)
+
+    monkeypatch.setattr(pipeline, "_file_hash", counting_hash)
+    assert not any(run_pipeline(cfg, paths).values())
+    assert hashed.count("graph.npz") == 1
+    assert len(hashed) == len(set(hashed))
+    assert paths.file_hashes is None  # the memo does not outlive the call
+
+    # a stage called on its own hashes its inputs on every call
+    hashed.clear()
+    assert not pipeline.stage_filter(cfg, paths)
+    assert not pipeline.stage_filter(cfg, paths)
+    assert hashed.count("graph.npz") == 2
 
 
 def test_each_response_parsed_once_and_never_in_aggregate(tmp_path, monkeypatch):
@@ -394,16 +475,24 @@ def test_out_dir_from_previous_schema_reruns_every_stage_once(tmp_path):
     cfg = load_config(cfg_path)
     paths = StagePaths(out_dir)
     run_pipeline(cfg, paths)
-    # what the previous schema left: no recorded guesses, older manifests
+    # what the previous schema left: guesses recorded as JSON lists in
+    # annotated_nodes.json, no guesses.npz, and an aggregate manifest that
+    # lists annotated_nodes.json as its input
+    paths.guesses.unlink()
     doc = json.loads(paths.annotated_nodes.read_text())
-    del doc["guesses"]
+    doc["guesses"] = [[[0, 100]] * NUM_TIE_CONFIGS for _ in doc["nodes"]]
     paths.annotated_nodes.write_text(json.dumps(doc))
     for stage in pipeline.STAGES:
         manifest = json.loads(paths.manifest(stage).read_text())
         manifest["schema_version"] = ARTIFACT_SCHEMA_VERSION - 1
+        if stage == "aggregate":
+            manifest["inputs"] = {str(paths.graph): manifest["inputs"][str(paths.graph)],
+                                  str(paths.annotated_nodes): "0" * 16}
+        manifest["outputs"] = [p for p in manifest["outputs"] if p != str(paths.guesses)]
         paths.manifest(stage).write_text(json.dumps(manifest))
     assert all(run_pipeline(cfg, paths).values())
-    assert "guesses" in json.loads(paths.annotated_nodes.read_text())
+    assert paths.guesses.exists()
+    assert "guesses" not in json.loads(paths.annotated_nodes.read_text())
     assert not any(run_pipeline(cfg, paths).values())
 
 
@@ -424,11 +513,12 @@ def test_annotate_node_cap_limits_pool(tmp_path):
     for hashes in doc["prompt_hashes"]:
         assert len(hashes) == NUM_TIE_CONFIGS
         assert all(cache.get(h) is not None for h in hashes)
-    # one flat [class_index, confidence, ...] list per worker, in config order
-    assert len(doc["guesses"]) == len(doc["nodes"])
-    for workers in doc["guesses"]:
-        assert len(workers) == NUM_TIE_CONFIGS
-        assert all(len(flat) % 2 == 0 for flat in workers)
+    # one guess row per annotated node, one column per configuration
+    num_classes = load_graph(paths.graph).num_classes
+    with np.load(paths.guesses) as npz:
+        assert npz["nodes"].tolist() == doc["nodes"]
+        assert npz["top1"].shape == (12, NUM_TIE_CONFIGS)
+        assert npz["mass"].shape == (12, NUM_TIE_CONFIGS, num_classes)
     pipeline.stage_aggregate(cfg, paths)
     _, rows = read_csv_rows(paths.pseudo_labels)
     assert len(rows) == 12
