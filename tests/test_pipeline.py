@@ -334,7 +334,7 @@ def test_aggregate_reads_no_cache(tmp_path):
 @pytest.mark.parametrize("corrupt", [
     "truncated", "missing", "narrow_node", "rows_mismatch", "class_count", "top1_too_large",
     "top1_below_minus_one", "float_top1", "text_mass", "negative_mass", "node_out_of_range",
-    "repeated_node", "pickled",
+    "repeated_node", "seven_workers", "pickled",
 ])
 def test_aggregate_with_bad_recorded_guesses_raises_missing_artifact(tmp_path, corrupt):
     cfg_path, out_dir = fixture_config(tmp_path)
@@ -371,6 +371,8 @@ def test_aggregate_with_bad_recorded_guesses_raises_missing_artifact(tmp_path, c
             arrays["nodes"][-1] = num_nodes
         elif corrupt == "repeated_node":
             arrays["nodes"][1] = arrays["nodes"][0]
+        elif corrupt == "seven_workers":
+            arrays["mass"] = arrays["mass"][:, :-1]  # top1 keeps all eight workers
         else:
             arrays["nodes"] = arrays["nodes"].astype(object)  # np.savez pickles it
         np.savez(paths.guesses, **arrays)
