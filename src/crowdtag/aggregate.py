@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .annotate import WorkerAnnotation
+from .annotate import WorkerAnnotation, guess_rows
 from .graph import NUM_TIE_CONFIGS
 
 
@@ -51,11 +51,8 @@ def guess_arrays(
     worker, or whose response did not parse, has top1 -1 and zero mass.
     Raises ValueError when a node lists a configuration outside 0..7 or twice.
     """
-    index = {c: i for i, c in enumerate(class_names)}
-    n, width, num_classes = len(annotations), NUM_TIE_CONFIGS, len(class_names)
-    top1 = np.full((n, width), -1, dtype=np.int16)
-    cells: list[int] = []
-    confs: list[int] = []
+    n, width = len(annotations), NUM_TIE_CONFIGS
+    grid: list[list[tuple[str, int]] | None] = [None] * (n * width)
     for i, (v, workers) in enumerate(annotations.items()):
         seen: set[int] = set()
         for a in workers:
@@ -63,18 +60,11 @@ def guess_arrays(
             if not 0 <= k < width or k in seen:
                 raise ValueError(f"node {v}: configuration {k} out of range or repeated")
             seen.add(k)
-            if a.parse_failed or not a.guesses:
-                continue
-            top1[i, k] = index[a.guesses[0][0]]  # guesses are ranked best-first
-            base = (i * width + k) * num_classes
-            for label, conf in a.guesses:
-                cells.append(base + index[label])
-                confs.append(max(0, conf))
-    mass = np.bincount(
-        np.asarray(cells, dtype=np.intp), weights=confs, minlength=n * width * num_classes
-    )
+            if not a.parse_failed:
+                grid[i * width + k] = a.guesses
+    top1, mass = guess_rows(grid, class_names)
     nodes = np.fromiter(annotations, dtype=np.int64, count=n)
-    return nodes, top1, mass.astype(np.int32).reshape(n, width, num_classes)
+    return nodes, top1.reshape(n, width), mass.reshape(n, width, len(class_names))
 
 
 def _fsum(x: np.ndarray, axis: int) -> np.ndarray:

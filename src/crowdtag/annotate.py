@@ -4,7 +4,9 @@ Each (node, configuration) pair is one "worker": a prompt built from the
 texts of the tie members, sent to a chat-completions endpoint, parsed into a
 ranked guess list. Responses are cached in an append-only JSONL file keyed by
 a content hash of (model, prompt body), so a second run never re-queries, and
-every request is charged against a hard dollar budget.
+every request is charged against a hard dollar budget. Nodes are annotated in
+chunks of ``CHUNK_NODES``, so the prompts held at once stay bounded however
+large the graph is.
 
 A synthetic oracle client stands in for the remote model in tests and
 offline runs: it votes per tie member from ground truth under a noise rate
@@ -13,6 +15,8 @@ and emits the same JSON response shape the prompt requests.
 
 from __future__ import annotations
 
+import fcntl
+import functools
 import hashlib
 import json
 import math
@@ -20,6 +24,7 @@ import os
 import sys
 import threading
 import time
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
@@ -49,6 +54,10 @@ UNPARSEABLE = "UNPARSEABLE"
 # Longest wait, in seconds, that a 429 response's Retry-After can impose.
 RETRY_AFTER_CAP_S = 120.0
 
+# Nodes whose prompts are built and sent together: bounds the prompts held at
+# once (eight per node) and the requests submitted to the pool at once.
+CHUNK_NODES = 64
+
 
 class BudgetExhaustedError(RuntimeError):
     """Projected spend exceeds the configured dollar limit."""
@@ -60,6 +69,14 @@ class TransportError(RuntimeError):
 
 class ResponseParseError(ValueError):
     """No well-formed guess array found in the response text."""
+
+
+class CacheLockedError(RuntimeError):
+    """Another process holds the response cache file open for appending."""
+
+
+class CacheIndexError(RuntimeError):
+    """A cache line no longer holds the record the index recorded for it."""
 
 
 @dataclass(frozen=True)
@@ -157,6 +174,27 @@ def _clip(text: str, limit: int) -> str:
     return text if len(text) <= limit else text[:limit].rstrip() + "..."
 
 
+class ClippedTexts:
+    """``clip(m, limit)``: node ``m``'s text clipped as a prompt shows it,
+    computed once per node and limit. A text that clipping leaves unchanged is
+    kept by reference, so the memo costs one list slot per node and limit."""
+
+    def __init__(self, texts: list[str]) -> None:
+        self.texts = texts
+        self._by_limit: dict[int, list[str | None]] = {}
+
+    def clip(self, m: int, limit: int) -> str:
+        memo = self._by_limit.get(limit)
+        if memo is None:
+            memo = self._by_limit[limit] = [None] * len(self.texts)
+        text = memo[m]
+        if text is None:
+            text = self.texts[m]
+            clipped = _clip(text, limit)
+            text = memo[m] = text if clipped == text else clipped
+        return text
+
+
 def prompt_hash(model: str, body: str) -> str:
     digest = hashlib.sha256()
     digest.update(model.encode("utf-8"))
@@ -171,17 +209,25 @@ def build_prompt(
     class_names: list[str],
     policy: TruncationPolicy = TruncationPolicy(),
     model: str = "",
+    clipped: ClippedTexts | None = None,
 ) -> PromptSpec:
     """Render the annotation prompt for one tie.
 
     The center's text appears first; each relation group contributes one
     clause listing its member texts in ascending node-id order, truncated
     per the policy. The instruction asks for exactly ``len(class_names)``
-    ranked guesses with confidences meant to sum to 100.
+    ranked guesses with confidences meant to sum to 100. ``clipped``, a memo
+    over the same ``texts``, lets the prompts of many ties clip each text once.
     """
     if not class_names:
         raise ValueError("class_names must not be empty")
-    center_text = _clip(texts[tie.center], policy.center_text_chars)
+    if clipped is not None:
+        clip = clipped.clip
+    else:
+        def clip(m: int, limit: int) -> str:
+            return _clip(texts[m], limit)
+
+    center_text = clip(tie.center, policy.center_text_chars)
 
     groups: dict[str, list[int]] = {}
     for member, role in zip(tie.members, tie.roles):
@@ -192,9 +238,7 @@ def build_prompt(
         if not members:
             continue
         members = members[: policy.max_neighbors_per_role]
-        joined = " ; ".join(
-            _clip(texts[m], policy.neighbor_text_chars) for m in members
-        )
+        joined = " ; ".join(clip(m, policy.neighbor_text_chars) for m in members)
         parts.append(f", {_ROLE_PHRASES[role]} {joined}")
     categories = ", ".join(class_names)
     guess_count = len(class_names)
@@ -229,27 +273,37 @@ def parse_response(raw: str, class_names: list[str]) -> list[tuple[str, int]]:
     confidences are clamped to [0, 100]. Raises ResponseParseError when
     nothing usable is found.
     """
-    canonical = {c.strip().lower(): c for c in class_names}
-    decoder = json.JSONDecoder()
+    labels = _label_lookup(tuple(class_names))
     start = 0
     while True:
         idx = raw.find("[", start)
         if idx < 0:
             break
         try:
-            value, _ = decoder.raw_decode(raw, idx)
+            value, _ = _DECODER.raw_decode(raw, idx)
         except (json.JSONDecodeError, ValueError):
             start = idx + 1
             continue
-        guesses = _extract_guesses(value, canonical)
+        guesses = _extract_guesses(value, labels)
         if guesses:
             return guesses
         start = idx + 1
     raise ResponseParseError("no parseable guess array in response")
 
 
+_DECODER = json.JSONDecoder()
+
+
+@functools.lru_cache(maxsize=16)
+def _label_lookup(class_names: tuple[str, ...]) -> dict[str, str]:
+    """Answer -> class name, for each normalised (stripped, lower-case) class
+    name and each class name as written; read-only, shared by every parse."""
+    canonical = {c.strip().lower(): c for c in class_names}
+    return {**canonical, **{c: canonical[c.strip().lower()] for c in class_names}}
+
+
 def _extract_guesses(
-    value: object, canonical: dict[str, str]
+    value: object, labels: dict[str, str]
 ) -> list[tuple[str, int]]:
     if not isinstance(value, list):
         return []
@@ -257,13 +311,18 @@ def _extract_guesses(
     for item in value:
         if not isinstance(item, dict) or "answer" not in item:
             continue
-        answer = item.get("answer")
+        answer = item["answer"]
         if not isinstance(answer, str):
             continue
-        label = canonical.get(answer.strip().lower())
+        label = labels.get(answer)
         if label is None:
-            continue
+            label = labels.get(answer.strip().lower())
+            if label is None:
+                continue
         conf_raw = item.get("confidence", 0)
+        if type(conf_raw) is int and 0 <= conf_raw <= 100:
+            guesses.append((label, conf_raw))
+            continue
         try:
             conf = int(round(float(conf_raw)))  # JSON allows 9e999 -> inf
         except (TypeError, ValueError, OverflowError):
@@ -440,24 +499,36 @@ class SyntheticOracleClient:
 # ---------------------------------------------------------------------------
 
 class ResponseCache:
-    """Append-only JSONL response store with in-memory hash index.
+    """Append-only JSONL response store, indexed by prompt hash.
 
     Each record: {hash, model, prompt, raw_response, tokens_in, tokens_out,
     timestamp}. The file doubles as the replay fixture format for tests.
     Records lacking a ``hash`` key (e.g. the metadata header) are ignored on
     load.
 
-    The first ``put`` opens the file for appending and keeps that one handle;
-    every ``put`` flushes its line before returning, so a record is on disk
-    for a fresh reader (or another process) as soon as ``put`` returns.
-    ``close`` (or leaving a ``with`` block) releases the handle.
+    A file-backed cache holds no records in memory, only where each one's
+    line lies in the file: ``get`` reads that line back and checks that it
+    still holds the record asked for (``CacheIndexError`` if not). Without a
+    path the cache keeps whole records in memory.
+
+    Appending takes an exclusive ``flock`` on the file, held until ``close``,
+    so one process at a time appends to it; a second one gets
+    ``CacheLockedError`` from :meth:`open_for_append`, which ``annotate``
+    calls before it sends a request. Every ``put`` flushes its line before
+    returning, so a record is on disk for a fresh reader (or another process)
+    as soon as ``put`` returns. ``close`` (or leaving a ``with`` block)
+    releases the handle and the lock.
     """
 
     def __init__(self, path: str | Path | None = None) -> None:
         self.path = Path(path) if path is not None else None
-        self._records: dict[str, dict] = {}
+        # hash -> the record itself without a path; with one, the offset of
+        # its line << 32 | the line's length in bytes
+        self._index: dict[str, dict | int] = {}
         self._lock = threading.Lock()
         self._fh = None
+        # bytes of the file indexed, and appended by this cache, so far
+        self._end = 0
         # Byte offset of a torn final line (a crash mid-append), cut off
         # before the next append; None when the file ends cleanly.
         self.torn_tail_at: int | None = None
@@ -473,51 +544,102 @@ class ResponseCache:
     def _load(self) -> None:
         """Index the file's records. A malformed *final* line is skipped and
         reported; a malformed line before it raises JSONDecodeError."""
+        index: dict[str, int] = {}
         torn: json.JSONDecodeError | None = None
-        with open(self.path, encoding="utf-8") as fh:
+        torn_at = offset = 0
+        with open(self.path, "rb") as fh:
             for line in fh:
-                line = line.strip()
-                if not line:
+                at, offset = offset, offset + len(line)
+                if not line.strip():
                     continue
                 if torn is not None:
                     raise torn
                 try:
                     record = json.loads(line)
                 except json.JSONDecodeError as exc:
-                    torn = exc
+                    torn, torn_at = exc, at
                     continue
                 if "hash" in record:
-                    self._records[record["hash"]] = record
+                    index[record["hash"]] = at << 32 | len(line)
+        self._index, self._end, self.torn_tail_at = index, offset, None
         if torn is not None:
-            self.torn_tail_at = self.path.read_bytes().rstrip().rfind(b"\n") + 1
+            self.torn_tail_at = torn_at
             print(
-                f"warning: {self.path}: skipped a torn final record at byte {self.torn_tail_at}",
+                f"warning: {self.path}: skipped a torn final record at byte {torn_at}",
                 file=sys.stderr,
             )
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._index)
 
     def get(self, key: str) -> dict | None:
         with self._lock:
-            return self._records.get(key)
+            entry = self._index.get(key)
+        if entry is None or self.path is None:
+            return entry
+        offset, length = entry >> 32, entry & 0xFFFFFFFF
+        fd = os.open(self.path, os.O_RDONLY)
+        try:
+            line = os.pread(fd, length, offset)
+        finally:
+            os.close(fd)
+        try:
+            record = json.loads(line)
+        except ValueError:  # JSONDecodeError, or bytes that are not UTF-8
+            record = None
+        if not isinstance(record, dict) or record.get("hash") != key:
+            raise CacheIndexError(
+                f"{self.path}: the line at byte {offset} no longer holds the record of "
+                f"prompt {key}; the file was changed by something other than an append"
+            )
+        return record
 
     def put(self, record: dict) -> None:
-        line = json.dumps(record) + "\n"
+        line = (json.dumps(record) + "\n").encode("utf-8")
         with self._lock:
-            self._records[record["hash"]] = record
             if self.path is None:
+                self._index[record["hash"]] = record
                 return
-            if self._fh is None:
-                if self.torn_tail_at is not None:
-                    os.truncate(self.path, self.torn_tail_at)
-                    self.torn_tail_at = None
-                self._fh = open(self.path, "a", encoding="utf-8")
+            self._open_append()
             self._fh.write(line)
             self._fh.flush()
+            self._index[record["hash"]] = self._end << 32 | len(line)
+            self._end += len(line)
+
+    def open_for_append(self) -> None:
+        """Open the file for appending and take its lock, unless already
+        done; no-op without a path. Raises CacheLockedError while another
+        process appends to the file."""
+        if self.path is not None:
+            with self._lock:
+                self._open_append()
+
+    def _open_append(self) -> None:
+        if self._fh is not None:
+            return
+        fh = open(self.path, "ab")
+        try:
+            try:
+                fcntl.flock(fh.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except BlockingIOError:
+                raise CacheLockedError(
+                    f"response cache is being appended to by another run: {self.path}"
+                ) from None
+            # Another process may have appended (or cut a torn tail) since the
+            # file was indexed; offsets and the tail must describe it as it is.
+            if os.fstat(fh.fileno()).st_size != self._end:
+                self._load()
+            if self.torn_tail_at is not None:
+                os.ftruncate(fh.fileno(), self.torn_tail_at)
+                self._end, self.torn_tail_at = self.torn_tail_at, None
+        except BaseException:
+            fh.close()
+            raise
+        self._fh = fh
 
     def close(self) -> None:
-        """Close the append handle; a later ``put`` reopens it."""
+        """Close the append handle and release the lock; a later ``put``
+        reopens them."""
         with self._lock:
             if self._fh is not None:
                 self._fh.close()
@@ -571,7 +693,8 @@ def annotate(
 
     Unparseable responses produce a flagged sentinel annotation rather than
     an exception; budget exhaustion and transport failure raise their own
-    error types.
+    error types, and a cache file that another process appends to raises
+    CacheLockedError before the request is sent.
     """
     cached = cache.get(prompt.prompt_hash)
     if cached is not None:
@@ -580,6 +703,7 @@ def annotate(
         )
 
     budget.check()
+    cache.open_for_append()
     if limiter is not None:
         limiter.acquire()
     response = client.complete(prompt)
@@ -623,6 +747,65 @@ def _annotation_from_record(
     )
 
 
+@dataclass
+class _Chunk:
+    """The prompts of consecutive nodes, eight per node in configuration order,
+    with the annotations of those that were sent (or read from the cache)."""
+
+    start: int  # position of specs[0] in the run's prompt sequence
+    specs: list[PromptSpec]
+    # position of the first prompt with each spec's hash: its own position
+    # when it is that first one, an earlier one when it repeats a prompt
+    source: list[int]
+    # one per spec whose source is its own position, in order
+    answers: list[WorkerAnnotation]
+
+
+def _annotate_chunks(
+    graph: DirectedTAG,
+    nodes: list[int],
+    client: Client,
+    cache: ResponseCache,
+    budget: BudgetState,
+    model: str,
+    policy: TruncationPolicy,
+    max_inflight: int,
+    requests_per_second: float | None,
+    progress: Callable[[int, int], None] | None,
+) -> Iterator[_Chunk]:
+    """The dispatch loop of :func:`annotate_graph` and :func:`annotate_arrays`.
+
+    Ties with identical member sets share a prompt hash. Each distinct hash
+    is dispatched once, in first-occurrence order; a later occurrence names
+    its first one in ``source``, so concurrent runs neither pay for a prompt
+    twice nor differ from the serial path, and no response is parsed twice.
+    The pool gets one chunk's prompts at a time. Across chunks only the first
+    position of each hash is kept.
+    """
+    limiter = RateLimiter(requests_per_second, burst=max_inflight)
+    clipped = ClippedTexts(graph.texts)
+    first: dict[str, int] = {}
+    total = len(nodes) * NUM_TIE_CONFIGS
+
+    def work(spec: PromptSpec) -> WorkerAnnotation:
+        return annotate(spec, client, cache, budget, model, limiter)
+
+    with ThreadPoolExecutor(max_workers=max_inflight) if max_inflight > 1 else nullcontext() as pool:
+        dispatch = pool.map if pool is not None else map
+        for lo in range(0, len(nodes), CHUNK_NODES):
+            start = lo * NUM_TIE_CONFIGS
+            specs = [
+                build_prompt(tie, graph.texts, graph.class_names, policy, model, clipped)
+                for v in nodes[lo:lo + CHUNK_NODES]
+                for tie in graph.all_ties(v)
+            ]
+            source = [first.setdefault(spec.prompt_hash, i) for i, spec in enumerate(specs, start)]
+            fresh = [spec for i, (spec, s) in enumerate(zip(specs, source), start) if s == i]
+            yield _Chunk(start, specs, source, list(dispatch(work, fresh)))
+            if progress is not None:
+                progress(start + len(specs), total)
+
+
 def annotate_graph(
     graph: DirectedTAG,
     nodes: list[int],
@@ -639,42 +822,87 @@ def annotate_graph(
 
     Requests may run concurrently up to ``max_inflight``; cache and budget
     updates are lock-protected. Results are keyed by node id with workers
-    ordered by configuration index.
+    ordered by configuration index; a repeated prompt reuses its first
+    annotation as a cache hit. ``progress(done, total)`` follows each chunk
+    of prompts.
     """
-    prompts = [
-        build_prompt(tie, graph.texts, graph.class_names, policy, model)
-        for v in nodes
-        for tie in graph.all_ties(v)
-    ]
-    limiter = RateLimiter(requests_per_second, burst=max_inflight)
-    results: dict[tuple[int, int], WorkerAnnotation] = {}
-    # Ties with identical member sets share a prompt hash. Each distinct hash
-    # is dispatched once, in first-occurrence order; later occurrences reuse
-    # its parsed annotation as cache hits, so concurrent runs neither pay for
-    # a prompt twice nor differ from the serial path, and no response is
-    # parsed twice.
-    first: dict[str, PromptSpec] = {}
-    for spec in prompts:
-        first.setdefault(spec.prompt_hash, spec)
-    answered: dict[str, WorkerAnnotation] = {}
+    flat: list[WorkerAnnotation] = []
+    for chunk in _annotate_chunks(
+        graph, nodes, client, cache, budget, model, policy, max_inflight,
+        requests_per_second, progress,
+    ):
+        answers = iter(chunk.answers)
+        for i, (spec, s) in enumerate(zip(chunk.specs, chunk.source), chunk.start):
+            flat.append(next(answers) if s == i else replace(
+                flat[s], center=spec.center, config_k=spec.config_k, from_cache=True
+            ))
+    w = NUM_TIE_CONFIGS
+    return {v: flat[j * w:(j + 1) * w] for j, v in enumerate(nodes)}
 
-    def work(spec: PromptSpec) -> WorkerAnnotation:
-        return annotate(spec, client, cache, budget, model, limiter)
 
-    with ThreadPoolExecutor(max_workers=max_inflight) if max_inflight > 1 else nullcontext() as pool:
-        fresh = (pool.map if pool is not None else map)(work, first.values())
-        for i, spec in enumerate(prompts):
-            if first[spec.prompt_hash] is spec:
-                ann = answered[spec.prompt_hash] = next(fresh)
-            else:
-                ann = replace(
-                    answered[spec.prompt_hash],
-                    center=spec.center, config_k=spec.config_k, from_cache=True,
-                )
-            results[(spec.center, spec.config_k)] = ann
-            if progress is not None:
-                progress(i + 1, len(prompts))
+def annotate_arrays(
+    graph: DirectedTAG,
+    nodes: list[int],
+    client: Client,
+    cache: ResponseCache,
+    budget: BudgetState,
+    model: str = "",
+    policy: TruncationPolicy = TruncationPolicy(),
+    max_inflight: int = 1,
+    requests_per_second: float | None = None,
+) -> tuple[np.ndarray, np.ndarray, list[list[str]]]:
+    """:func:`annotate_graph`, recorded as ``aggregate.guess_arrays`` records
+    its result: ``(top1 (n, 8), mass (n, 8, C), prompt hashes per node)``,
+    rows in ``nodes`` order.
 
-    return {
-        v: [results[(v, k)] for k in range(NUM_TIE_CONFIGS)] for v in nodes
-    }
+    Each chunk's responses are parsed straight into their rows, and a
+    repeated prompt copies the row of its first occurrence, so the memory
+    held beyond one chunk is the arrays, the hashes and the first position of
+    each distinct hash.
+    """
+    w, class_names = NUM_TIE_CONFIGS, graph.class_names
+    top1 = np.full(len(nodes) * w, -1, dtype=np.int16)
+    mass = np.zeros((len(nodes) * w, len(class_names)), dtype=np.int32)
+    hashes: list[list[str]] = []
+    for chunk in _annotate_chunks(
+        graph, nodes, client, cache, budget, model, policy, max_inflight,
+        requests_per_second, None,
+    ):
+        rows = np.arange(chunk.start, chunk.start + len(chunk.specs))
+        source = np.asarray(chunk.source, dtype=np.intp)
+        own = source == rows
+        top1[rows[own]], mass[rows[own]] = guess_rows(
+            [None if a.parse_failed else a.guesses for a in chunk.answers], class_names
+        )
+        top1[rows[~own]], mass[rows[~own]] = top1[source[~own]], mass[source[~own]]
+        specs = chunk.specs
+        hashes.extend(
+            [spec.prompt_hash for spec in specs[j:j + w]] for j in range(0, len(specs), w)
+        )
+    return top1.reshape(-1, w), mass.reshape(-1, w, len(class_names)), hashes
+
+
+def guess_rows(
+    guesses: list[list[tuple[str, int]] | None], class_names: list[str]
+) -> tuple[np.ndarray, np.ndarray]:
+    """One row per worker's ranked guesses: ``top1`` (m,) int16, the class of
+    its first (best) guess, and ``mass`` (m, C) int32, its confidences summed
+    per class, a negative one counted as 0. ``None`` or an empty list, a
+    response that did not parse, gives -1 and zero mass."""
+    index = {c: i for i, c in enumerate(class_names)}
+    m, num_classes = len(guesses), len(class_names)
+    top1 = np.fromiter(
+        (index[g[0][0]] if g else -1 for g in guesses), dtype=np.int16, count=m
+    )
+    cells: list[int] = []
+    confs: list[int] = []
+    for r, ranked in enumerate(guesses):
+        if ranked:
+            base = r * num_classes
+            for label, conf in ranked:
+                cells.append(base + index[label])
+                confs.append(max(0, conf))
+    mass = np.bincount(
+        np.asarray(cells, dtype=np.intp), weights=confs, minlength=m * num_classes
+    )
+    return top1, mass.astype(np.int32).reshape(m, num_classes)

@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Subcommands mirror the pipeline stages plus `verify-theorem` and `sweep`.
-Exit codes: 0 success, 1 validation error, 2 missing prior artifact,
-3 budget refusal, 4 LLM transport failure.
+Exit codes: 0 success, 1 validation error (or a response cache that another
+run is appending to), 2 missing prior artifact, 3 budget refusal, 4 LLM
+transport failure.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import fixtures, pipeline
-from .annotate import BudgetExhaustedError, TransportError
+from .annotate import BudgetExhaustedError, CacheLockedError, TransportError
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -231,6 +232,9 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"{args.command}: {'ran' if did_run else 'skipped (up to date)'}")
     except pipeline.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return pipeline.EXIT_VALIDATION
+    except CacheLockedError as exc:
+        print(f"cache locked: {exc}", file=sys.stderr)
         return pipeline.EXIT_VALIDATION
     except pipeline.MissingArtifactError as exc:
         print(f"missing artifact: {exc}", file=sys.stderr)

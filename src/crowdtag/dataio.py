@@ -266,7 +266,8 @@ def load_graph(path: str | Path) -> DirectedTAG:
     """Read a :func:`save_graph` artifact; pickled members are refused. Raises
     ValueError on a wrong schema version, mismatched row counts or an edge id
     outside ``0..n-1``."""
-    with np.load(path, allow_pickle=False) as npz:
+    # np.load leaks the handle it opens when the zip is torn, so pass it one
+    with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
         features, edges = npz["features"], npz["edges"]
         meta = json.loads(npz["meta"].tobytes().decode("utf-8"))
     if meta.get("schema_version") != GRAPH_SCHEMA_VERSION:
@@ -285,8 +286,9 @@ def load_graph(path: str | Path) -> DirectedTAG:
 
 
 def save_guesses(path: str | Path, nodes: np.ndarray, top1: np.ndarray, mass: np.ndarray) -> None:
-    """Write the parsed guesses of ``aggregate.guess_arrays`` as an
-    uncompressed ``.npz``, atomically."""
+    """Write guess arrays, as ``annotate.annotate_arrays`` and
+    ``aggregate.guess_arrays`` give them, as an uncompressed ``.npz``,
+    atomically."""
     with atomic_write(path, "wb") as fh:
         np.savez(fh, nodes=nodes, top1=top1, mass=mass)
 

@@ -365,6 +365,18 @@ def _require(path: Path, produced_by: str) -> Path:
     return path
 
 
+def _load_graph(path: Path) -> DirectedTAG:
+    """``dataio.load_graph``; an unreadable or malformed artifact (a torn
+    write, say) raises MissingArtifactError naming the ingest stage."""
+    try:
+        return dataio.load_graph(path)
+    except (OSError, ValueError, KeyError, zipfile.BadZipFile) as exc:
+        raise MissingArtifactError(
+            f"{path}: graph artifact unreadable or malformed ({exc}); "
+            "delete it and re-run the 'ingest' stage"
+        ) from exc
+
+
 # ---------------------------------------------------------------------------
 # Stages
 # ---------------------------------------------------------------------------
@@ -443,7 +455,7 @@ def stage_annotate(cfg: PipelineConfig, paths: StagePaths, client: ann.Client | 
     if _manifest_current(paths, "annotate", cfg_hash, [graph_path], outputs):
         return False
 
-    graph = dataio.load_graph(graph_path)
+    graph = _load_graph(graph_path)
     nodes = _annotation_order(cfg, graph)
     if client is None:
         client = _make_client(cfg, graph)
@@ -456,7 +468,7 @@ def stage_annotate(cfg: PipelineConfig, paths: StagePaths, client: ann.Client | 
     )
     policy = ann.TruncationPolicy(**cfg.annotator.truncation)
     with ann.ResponseCache(cache_path) as cache:
-        results = ann.annotate_graph(
+        top1, mass, prompt_hashes = ann.annotate_arrays(
             graph,
             nodes,
             client,
@@ -467,14 +479,12 @@ def stage_annotate(cfg: PipelineConfig, paths: StagePaths, client: ann.Client | 
             max_inflight=cfg.annotator.max_inflight,
             requests_per_second=cfg.annotator.requests_per_second,
         )
-    del cache  # free the cached records before the artifacts are built
-    node_ids, top1, mass = agg.guess_arrays(results, graph.class_names)
-    dataio.save_guesses(paths.guesses, node_ids, top1, mass)
+    dataio.save_guesses(paths.guesses, np.array(nodes, dtype=np.int64), top1, mass)
     doc = {
         "schema_version": ARTIFACT_SCHEMA_VERSION,
         "config_hash": cfg_hash,
         "nodes": nodes,
-        "prompt_hashes": [[a.prompt_hash for a in results[v]] for v in nodes],
+        "prompt_hashes": prompt_hashes,
         "spent_usd": budget.spent_usd,
         "workers_per_node": NUM_TIE_CONFIGS,
         "unparseable": int((top1 < 0).sum()),
@@ -494,7 +504,7 @@ def stage_aggregate(cfg: PipelineConfig, paths: StagePaths) -> bool:
     if _manifest_current(paths, "aggregate", cfg_hash, inputs, outputs):
         return False
 
-    graph = dataio.load_graph(graph_path)
+    graph = _load_graph(graph_path)
     try:
         nodes, top1, mass = dataio.load_guesses(guesses_path, graph.num_nodes, graph.num_classes)
     except (OSError, ValueError, zipfile.BadZipFile) as exc:
@@ -554,7 +564,7 @@ def stage_filter(cfg: PipelineConfig, paths: StagePaths) -> bool:
     if _manifest_current(paths, "filter", cfg_hash, inputs, outputs):
         return False
 
-    graph = dataio.load_graph(graph_path)
+    graph = _load_graph(graph_path)
     labels, confidence = load_pseudo_labels(paths, graph)
     k = cfg.filter.k if cfg.filter.k is not None else default_k(graph, cfg.filter.eta)
     final, scores = filtering.run_filter(
@@ -663,7 +673,7 @@ def stage_train(cfg: PipelineConfig, paths: StagePaths) -> bool:
     if _manifest_current(paths, "train", cfg_hash, inputs, outputs):
         return False
 
-    graph = dataio.load_graph(graph_path)
+    graph = _load_graph(graph_path)
     labels, _conf = load_pseudo_labels(paths, graph)
     selected = json.loads(paths.selected.read_text())["final_nodes"]
     history, test_acc, model, val_acc = train_once(graph, selected, labels, cfg.gcn)
@@ -738,7 +748,7 @@ def hyperparameter_sweep(
     """
     if len(gamma_values) != len(lambda_values):
         raise ConfigError("gamma_values and lambda_values must have equal length")
-    graph = dataio.load_graph(_require(paths.graph, "ingest"))
+    graph = _load_graph(_require(paths.graph, "ingest"))
     labels, confidence = load_pseudo_labels(paths, graph)
     a_hat = gcn.normalize_adjacency(graph)
     k = cfg.filter.k if cfg.filter.k is not None else default_k(graph, cfg.filter.eta)

@@ -14,10 +14,14 @@ import numpy as np
 import pytest
 
 import crowdtag.annotate as annotate_module
+from crowdtag.aggregate import guess_arrays
 from crowdtag.annotate import (
+    CHUNK_NODES,
     UNPARSEABLE,
     BudgetExhaustedError,
     BudgetState,
+    CacheIndexError,
+    CacheLockedError,
     ClientResponse,
     HttpChatClient,
     ResponseCache,
@@ -27,6 +31,7 @@ from crowdtag.annotate import (
     TruncationPolicy,
     WorkerAnnotation,
     annotate,
+    annotate_arrays,
     annotate_graph,
     build_prompt,
     estimate_tokens,
@@ -129,6 +134,18 @@ def test_prompt_center_truncation():
     spec = build_prompt(g.homophily_tie(0, 0), g.texts, CLASSES)
     assert "y" * 1201 not in spec.body
     assert "y" * 1100 in spec.body
+
+
+def test_prompts_built_with_one_clip_memo_equal_unmemoised_ones():
+    g = labeled_graph(n=40, seed=3)
+    # texts longer than both limits, with runs of whitespace to collapse
+    texts = [f"paper  {v}\t" + " ".join(["word"] * (v % 9 + 1)) + "\n end" for v in range(40)]
+    policy = TruncationPolicy(max_neighbors_per_role=3, neighbor_text_chars=20, center_text_chars=35)
+    memo = annotate_module.ClippedTexts(texts)
+    for v in range(40):
+        for tie in g.all_ties(v):
+            plain = build_prompt(tie, texts, CLASSES, policy, model="m")
+            assert build_prompt(tie, texts, CLASSES, policy, model="m", clipped=memo) == plain
 
 
 def test_prompt_empty_class_names_rejected(chain_graph):
@@ -424,6 +441,103 @@ def test_cache_concurrent_puts_through_one_handle(tmp_path):
     lines = path.read_text(encoding="utf-8").splitlines()
     assert len(lines) == threads_n * per_thread
     assert len(ResponseCache(path)) == threads_n * per_thread
+
+
+def test_cache_get_after_reopen_returns_the_same_record(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    ResponseCache.write_header(path, "h")
+    records = [
+        {"hash": f"h{i}", "prompt": "p" * i, "raw_response": f"[{i}]", "tokens_in": i,
+         "timestamp": 1.5 + i}
+        for i in range(5)
+    ]
+    with ResponseCache(path) as cache:
+        for record in records:
+            cache.put(record)
+        assert cache.get("h3") == records[3]  # read back from the file
+    reopened = ResponseCache(path)
+    assert len(reopened) == len(records)
+    assert [reopened.get(r["hash"]) for r in records] == records
+    assert reopened.get("absent") is None
+
+
+def test_cache_get_raises_when_a_line_is_rewritten_under_the_index(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    lines = [json.dumps({"hash": h, "raw_response": "[]"}) for h in ("aa", "bb")]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    cache = ResponseCache(path)
+    assert cache.get("bb") == {"hash": "bb", "raw_response": "[]"}
+    # the same bytes, records swapped: every offset now points at another record
+    path.write_text("\n".join(reversed(lines)) + "\n", encoding="utf-8")
+    with pytest.raises(CacheIndexError, match="bb"):
+        cache.get("bb")
+    path.write_text("x" * 100, encoding="utf-8")
+    with pytest.raises(CacheIndexError):
+        cache.get("aa")
+
+
+def test_cache_second_appender_refused_before_sending(tmp_path, chain_graph, capsys):
+    path = tmp_path / "cache.jsonl"
+    ResponseCache.write_header(path, "h")
+    holder = subprocess.Popen(
+        [
+            sys.executable,
+            "-c",
+            "import sys\nfrom crowdtag.annotate import ResponseCache\n"
+            "with ResponseCache(sys.argv[1]) as cache:\n"
+            "    cache.put({'hash': 'first', 'raw_response': '[]'})\n"
+            "    print('appending', flush=True)\n"
+            "    sys.stdin.readline()\n"
+            "    cache.put({'hash': 'second', 'raw_response': '[]'})\n",
+            str(path),
+        ],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(annotate_module.__file__).parents[1])},
+    )
+    spec = make_prompt(chain_graph)
+    client = StubClient(fixture_response(("Theory", 90)))
+    try:
+        assert holder.stdout.readline().strip() == "appending"
+        with ResponseCache(path) as cache:
+            assert cache.get("first") is not None  # reading needs no lock
+            with pytest.raises(CacheLockedError, match="another run"):
+                annotate(spec, client, cache, BudgetState(limit_usd=1.0))
+        assert client.calls == 0
+        holder.stdin.write("go\n")
+        holder.stdin.flush()
+        assert holder.wait(timeout=30) == 0
+    finally:
+        holder.kill()
+        holder.wait()
+        holder.stdin.close()
+        holder.stdout.close()
+    # the holder's appends after the refusal are whole lines, and a later run
+    # that takes the lock indexes and extends the file as it now is
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line).get("hash") for line in lines] == [None, "first", "second"]
+    with ResponseCache(path) as cache:
+        annotate(spec, client, cache, BudgetState(limit_usd=1.0))
+        assert cache.get("second") is not None and cache.get(spec.prompt_hash) is not None
+    assert client.calls == 1
+    assert "torn" not in capsys.readouterr().err
+
+
+def test_cache_lock_reindexes_a_file_appended_since_load(tmp_path, chain_graph):
+    path = tmp_path / "cache.jsonl"
+    ResponseCache.write_header(path, "h")
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write('{"hash": "torn", "raw_')  # crash mid-append
+    stale = ResponseCache(path)  # indexes the file as it is now
+    with ResponseCache(path) as other:  # another run cuts the tail and appends
+        other.put({"hash": "other", "raw_response": "[]"})
+    spec = make_prompt(chain_graph)
+    with stale:
+        annotate(spec, StubClient(fixture_response(("Theory", 90))), stale, BudgetState(limit_usd=1.0))
+        assert stale.get("other") == {"hash": "other", "raw_response": "[]"}
+    hashes = [json.loads(line).get("hash") for line in path.read_text().splitlines()]
+    assert hashes == [None, "other", spec.prompt_hash]
 
 
 # --- http client ----------------------------------------------------------------------
@@ -732,3 +846,66 @@ def test_worker_vote_distribution_uses_center_double_weight():
         ann = synthetic_oracle(g.homophily_tie(0, 1), g, noise=0.0, seed=seed)
         wins[ann.guesses[0][0]] += 1
     assert wins["Class_0"] == 300
+
+
+class MeteredStub:
+    """Oracle answers with token usage, so spend moves; thread-safe."""
+
+    def __init__(self, graph):
+        self.oracle = SyntheticOracleClient(graph, noise=0.4, seed=3)
+        self.lock = threading.Lock()
+        self.sent = []
+
+    def complete(self, prompt):
+        text = self.oracle.complete(prompt).text
+        with self.lock:
+            self.sent.append(prompt.prompt_hash)
+        return ClientResponse(text, estimate_tokens(prompt.body), estimate_tokens(text))
+
+
+def test_annotate_arrays_equals_annotate_graph_across_chunks_serial_and_concurrent(tmp_path):
+    g = labeled_graph(n=2 * CHUNK_NODES + 37, seed=4)
+    nodes = list(range(g.num_nodes))
+    runs = {}
+    for inflight in (1, 8):
+        for kind in ("graph", "arrays"):
+            client, budget = MeteredStub(g), BudgetState(limit_usd=100.0)
+            cache_path = tmp_path / f"{kind}-{inflight}.jsonl"
+            with ResponseCache(cache_path) as cache:
+                if kind == "graph":
+                    results = annotate_graph(g, nodes, client, cache, budget, model="o",
+                                             max_inflight=inflight)
+                    _, top1, mass = guess_arrays(results, g.class_names)
+                    hashes = [[a.prompt_hash for a in results[v]] for v in nodes]
+                    flags = [[a.from_cache for a in results[v]] for v in nodes]
+                else:
+                    top1, mass, hashes = annotate_arrays(g, nodes, client, cache, budget,
+                                                         model="o", max_inflight=inflight)
+                    flags = None
+            runs[kind, inflight] = (top1, mass, hashes, flags, client.sent, budget.spent_usd,
+                                    cache_path.read_text().count("\n"))
+    top1, mass, hashes, flags, sent, spent, lines = runs["graph", 1]
+    first_occurrences = list(dict.fromkeys(h for row in hashes for h in row))
+    assert sent == first_occurrences
+    assert len(sent) == lines < len(nodes) * NUM_TIE_CONFIGS
+    assert sum(f for row in flags for f in row) == len(nodes) * NUM_TIE_CONFIGS - len(sent)
+    for key, (t, m, h, f, s, spend, n) in runs.items():
+        np.testing.assert_array_equal(t, top1)
+        np.testing.assert_array_equal(m, mass)
+        assert t.dtype == top1.dtype and m.dtype == mass.dtype
+        assert h == hashes and n == lines
+        assert f is None or f == flags
+        # serial sends in first-occurrence order; concurrent sends the same set
+        assert (s if key[1] == 1 else sorted(s)) == (sent if key[1] == 1 else sorted(sent))
+        assert spend == pytest.approx(spent, rel=1e-12)
+
+
+def test_annotate_arrays_repeats_the_first_row_of_a_repeated_prompt_across_chunks():
+    g = labeled_graph(n=CHUNK_NODES + 1, seed=2)
+    nodes = [0, *range(2, CHUNK_NODES + 1), 0]  # node 0 again, in the second chunk
+    client = SleepingOracle(g, delay_s=0.0)
+    top1, mass, hashes = annotate_arrays(g, nodes, client, ResponseCache(), BudgetState(limit_usd=1.0))
+    assert hashes[-1] == hashes[0]
+    np.testing.assert_array_equal(top1[-1], top1[0])
+    np.testing.assert_array_equal(mass[-1], mass[0])
+    assert len(client.sent) == len({h for row in hashes for h in row})

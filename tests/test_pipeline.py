@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -26,6 +27,7 @@ from crowdtag.pipeline import (
     run_pipeline,
     verify_theorem,
 )
+from crowdtag.synthetic import synthetic_citation_graph, write_dataset_files
 
 
 def fixture_config(tmp_path: Path, **filter_overrides) -> tuple[Path, Path]:
@@ -470,6 +472,85 @@ def test_annotate_stage_closes_the_cache(tmp_path):
         assert pipeline.stage_annotate(cfg, paths)
         gc.collect()
     assert [str(w.message) for w in caught if str(paths.cache) in str(w.message)] == []
+
+
+def test_annotate_stage_memory_per_node_is_bounded(tmp_path):
+    n = 2000
+    graph = synthetic_citation_graph(n, 7, feature_dim=16, avg_out_degree=4.0, seed=1)
+    files = write_dataset_files(graph, str(tmp_path / "data"))
+    del graph
+    cfg = load_config(None, {
+        "dataset": dict(zip(("content", "cites", "texts"), files)),
+        "annotator": {"mode": "oracle", "noise": 0.3, "seed": 1, "budget_usd": 1000.0},
+        "out_dir": str(tmp_path / "out"),
+    })
+    paths = StagePaths(cfg.out_dir)
+    assert pipeline.stage_ingest(cfg, paths)
+    classes = load_graph(paths.graph).class_names
+    # one answer for every prompt: the oracle's per-request work would
+    # dominate the run time under tracemalloc, and holds nothing afterwards
+    answer = json.dumps([{"answer": c, "confidence": 100 // len(classes)} for c in classes])
+
+    class Client:
+        def complete(self, prompt):
+            return annotate.ClientResponse(answer, 10, 10)
+
+    tracemalloc.start()
+    try:
+        assert pipeline.stage_annotate(cfg, paths, client=Client())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # holding every prompt, cache record and annotation to the end took 24 KiB
+    assert peak / n <= 8 * 1024, f"{peak / n / 1024:.1f} KiB per node"
+
+
+def test_cli_refuses_a_cache_another_run_appends_to(tmp_path, capsys):
+    cfg_path, out_dir = fixture_config(tmp_path)
+    cache = tmp_path / "shared.jsonl"
+    holder = subprocess.Popen(
+        [
+            sys.executable,
+            "-c",
+            "import sys\nfrom crowdtag.annotate import ResponseCache\n"
+            "with ResponseCache(sys.argv[1]) as cache:\n"
+            "    cache.open_for_append()\n"
+            "    print('appending', flush=True)\n"
+            "    sys.stdin.readline()\n",
+            str(cache),
+        ],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(pipeline.__file__).parents[1])},
+    )
+    try:
+        assert holder.stdout.readline().strip() == "appending"
+        code = cli.main(["pipeline", "--config", str(cfg_path), "--cache", str(cache)])
+    finally:
+        holder.kill()
+        holder.wait()
+        holder.stdin.close()
+        holder.stdout.close()
+    assert code == pipeline.EXIT_VALIDATION
+    assert "being appended to by another run" in capsys.readouterr().err
+    assert cache.read_text() == ""  # the refused run wrote nothing after the holder's open
+    assert cli.main(["pipeline", "--config", str(cfg_path), "--cache", str(cache)]) == 0
+
+
+def test_cli_torn_graph_artifact_exits_missing_naming_ingest(tmp_path, capsys):
+    cfg_path, out_dir = fixture_config(tmp_path)
+    assert cli.main(["pipeline", "--config", str(cfg_path)]) == 0
+    graph_npz = out_dir / "graph.npz"
+    data = graph_npz.read_bytes()
+    graph_npz.write_bytes(data[: len(data) // 2])
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        assert cli.main(["filter", "--config", str(cfg_path)]) == pipeline.EXIT_MISSING_ARTIFACT
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+    assert "'ingest'" in capsys.readouterr().err
 
 
 def test_out_dir_from_previous_schema_reruns_every_stage_once(tmp_path):
