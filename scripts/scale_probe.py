@@ -51,17 +51,10 @@ def main(argv: list[str] | None = None) -> int:
         "out_dir": str(args.out_dir / "out"),
     })
     paths = pl.StagePaths(cfg.out_dir)
-    stages = [
-        ("ingest", pl.stage_ingest),
-        ("annotate", pl.stage_annotate),
-        ("aggregate", pl.stage_aggregate),
-        ("filter", pl.stage_filter),
-        ("train", pl.stage_train),
-    ]
     print(f"{'stage':<12} {'wall':>9}   {'peak RSS':>10}")
-    for name, stage in stages:
+    for name in pl.STAGES:
         start = time.perf_counter()
-        if not stage(cfg, paths):
+        if not getattr(pl, f"stage_{name}")(cfg, paths):
             print(f"{name}: skipped, but the out dir was fresh", file=sys.stderr)
             return 1
         print(f"{name:<12} {time.perf_counter() - start:9.2f} s {peak_rss_mib():9.0f} MiB")

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
-from . import fixtures, pipeline
+from . import fixtures, homophily, pipeline
 from .annotate import BudgetExhaustedError, CacheLockedError, TransportError
 
 
@@ -149,6 +150,61 @@ def _overrides_from_args(args: argparse.Namespace) -> dict:
     return overrides
 
 
+def write_sweep_csv(path: Path, cfg_hash: str, results: list[dict]) -> None:
+    pipeline._write_csv(
+        path,
+        cfg_hash,
+        ["gamma", "lambda", "eta", "mean_acc", "std_acc", "seeds"],
+        [
+            [r["gamma"], r["lambda"], r["eta"], f"{r['mean_acc']:.6f}", f"{r['std_acc']:.6f}", r["seeds"]]
+            for r in results
+        ],
+    )
+
+
+def verify_theorem(
+    alpha: float,
+    num_classes: int,
+    hops: int,
+    samples: int,
+    seed: int,
+    out_path: Path | None = None,
+) -> tuple[list[homophily.HopReport], bool]:
+    """Closed form vs simulation; `passed` means every hop agrees within 3 SE
+    and the dominance verdicts match the sign of the analytic gap."""
+    params = homophily.HomophilyParams(alpha=alpha, num_classes=num_classes)
+    fanout = 8
+    # `samples` is the leaf count at the deepest hop
+    num_roots = max(1, math.ceil(samples / fanout**hops))
+    reports = homophily.simulate_propagation(params, hops, num_roots, fanout, seed)
+
+    passed = True
+    for r in reports:
+        if abs(r.empirical - r.diagonal) > 3.0 * max(r.std_error, 1e-12):
+            passed = False
+        if r.dominant != (r.gap > 0):
+            passed = False
+    if out_path is not None:
+        rows = [
+            [
+                r.hop,
+                f"{r.diagonal:.10f}",
+                f"{r.off_diagonal:.10f}",
+                f"{r.empirical:.6f}",
+                f"{r.gap:.10f}",
+                "dominant" if r.dominant else "not_dominant",
+            ]
+            for r in reports
+        ]
+        pipeline._write_csv(
+            out_path,
+            f"alpha={alpha},classes={num_classes}",
+            ["hop", "closed_diag", "closed_offdiag", "empirical", "gap", "verdict"],
+            rows,
+        )
+    return reports, passed
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
 
@@ -163,7 +219,7 @@ def main(argv: list[str] | None = None) -> int:
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         report_path = out / "theorem_report.csv"
-        reports, passed = pipeline.verify_theorem(
+        reports, passed = verify_theorem(
             args.alpha, args.classes, args.hops, args.samples, args.seed, report_path
         )
         for r in reports:
@@ -186,13 +242,6 @@ def main(argv: list[str] | None = None) -> int:
         return pipeline.EXIT_VALIDATION
 
     paths = pipeline.StagePaths(Path(cfg.out_dir))
-    stage_fns = {
-        "ingest": pipeline.stage_ingest,
-        "annotate": pipeline.stage_annotate,
-        "aggregate": pipeline.stage_aggregate,
-        "filter": pipeline.stage_filter,
-        "train": pipeline.stage_train,
-    }
 
     try:
         with pipeline.pipeline_lock(paths.out_dir):
@@ -218,7 +267,7 @@ def main(argv: list[str] | None = None) -> int:
                     cfg, paths, gamma_values, lambda_values, seeds
                 )
                 sweep_path = paths.out_dir / "sweep.csv"
-                pipeline.write_sweep_csv(
+                write_sweep_csv(
                     sweep_path, pipeline.config_hash(cfg, ("filter", "gcn")), results
                 )
                 for r in results:
@@ -228,7 +277,7 @@ def main(argv: list[str] | None = None) -> int:
                     )
                 print(f"wrote {sweep_path}")
             else:
-                did_run = stage_fns[args.command](cfg, paths)
+                did_run = getattr(pipeline, f"stage_{args.command}")(cfg, paths)
                 print(f"{args.command}: {'ran' if did_run else 'skipped (up to date)'}")
     except pipeline.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -1,20 +1,19 @@
 """Staged pipeline: ingest -> annotate -> aggregate -> filter -> train.
 
-Each stage reads its predecessor's on-disk artifact, writes its own alongside
-a manifest of input hashes, and is skipped on re-run when nothing changed.
-Within one :func:`run_pipeline` call each input file is hashed once.
-Stages after ``annotate`` never perform network I/O and never open the
-response cache: ``annotate`` parses each worker response once and records the
-parsed guesses as arrays in ``guesses.npz``, and aggregation fuses those in one
-array computation, failing hard when they are missing or malformed instead of
-re-querying. ``annotated_nodes.json`` is a summary (nodes, spend, prompt
-hashes) that no stage reads. Every artifact but the append-only cache, and
-every manifest, is written atomically (temp file + ``os.replace``).
-
-Artifacts carry a schema version and the hash of the producing config (JSON
-fields, the graph's npz ``meta`` member, or a leading ``#`` line for CSV),
-except ``guesses.npz``, which holds only its three arrays; the annotate
-manifest records both for it.
+One driver runs every stage from a table of the artifacts each stage reads
+and writes. A stage's manifest records the hash of the settings its outputs
+depend on (upstream settings reach it through its inputs), the hash of each
+input file and the ``[size, mtime_ns]`` of each output; the stage is skipped
+when its manifest equals the one it would write now, so a missing, malformed
+or outdated manifest, or a truncated or edited output, re-runs it. Within one
+:func:`run_pipeline` call each input file is hashed once. Stages after
+``annotate`` never perform network I/O and never open the response cache,
+which is no stage's output: they read the parsed guesses from ``guesses.npz``.
+``annotated_nodes.json`` is a summary (nodes, spend, prompt hashes) that no
+stage reads. Every artifact but the append-only cache, and every manifest, is
+written atomically (temp file + ``os.replace``). Artifacts carry a schema
+version and their stage's settings hash (JSON fields, the graph's npz
+``meta`` member, or a leading ``#`` line for CSV), except ``guesses.npz``.
 """
 
 from __future__ import annotations
@@ -27,25 +26,24 @@ import math
 import os
 import zipfile
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from . import aggregate as agg
 from . import annotate as ann
-from . import dataio, filtering, gcn, homophily
+from . import dataio, filtering, gcn
 from .graph import NUM_TIE_CONFIGS, DirectedTAG
 
-ARTIFACT_SCHEMA_VERSION = 4
+ARTIFACT_SCHEMA_VERSION = 5
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_MISSING_ARTIFACT = 2
 EXIT_BUDGET = 3
 EXIT_TRANSPORT = 4
-
-STAGES = ("ingest", "annotate", "aggregate", "filter", "train")
 
 
 class ConfigError(ValueError):
@@ -189,7 +187,10 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
 
 
 def config_hash(cfg: PipelineConfig, sections: tuple[str, ...]) -> str:
-    doc = {s: asdict(getattr(cfg, s)) for s in sections}
+    return _digest({s: asdict(getattr(cfg, s)) for s in sections})
+
+
+def _digest(doc: dict) -> str:
     blob = json.dumps(doc, sort_keys=True).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()[:16]
 
@@ -302,39 +303,6 @@ def _input_hash(paths: StagePaths, path: Path) -> str:
     return memo[key]
 
 
-def _manifest_current(
-    paths: StagePaths, stage: str, cfg_hash: str, inputs: list[Path], outputs: list[Path]
-) -> bool:
-    mpath = paths.manifest(stage)
-    if not mpath.exists():
-        return False
-    try:
-        doc = json.loads(mpath.read_text())
-    except json.JSONDecodeError:
-        return False
-    if doc.get("schema_version") != ARTIFACT_SCHEMA_VERSION or doc.get("config_hash") != cfg_hash:
-        return False
-    for p, h in doc.get("inputs", {}).items():
-        if not Path(p).exists() or _input_hash(paths, Path(p)) != h:
-            return False
-    if set(doc.get("inputs", {})) != {str(p) for p in inputs}:
-        return False
-    return all(p.exists() for p in outputs)
-
-
-def _write_manifest(
-    paths: StagePaths, stage: str, cfg_hash: str, inputs: list[Path], outputs: list[Path]
-) -> None:
-    doc = {
-        "stage": stage,
-        "schema_version": ARTIFACT_SCHEMA_VERSION,
-        "config_hash": cfg_hash,
-        "inputs": {str(p): _input_hash(paths, p) for p in inputs},
-        "outputs": [str(p) for p in outputs],
-    }
-    _write_json(paths.manifest(stage), doc, indent=1, sort_keys=True)
-
-
 def _write_json(path: Path, doc: dict, **dumps_kwargs) -> None:
     with dataio.atomic_write(path, encoding="utf-8") as fh:
         fh.write(json.dumps(doc, **dumps_kwargs) + "\n")
@@ -359,10 +327,99 @@ def read_csv_rows(path: Path) -> tuple[list[str], list[list[str]]]:
     return header, [row for row in reader]
 
 
-def _require(path: Path, produced_by: str) -> Path:
+def _dataset_files(cfg: PipelineConfig) -> list[Path]:
+    """The dataset files ingest reads, which must exist."""
+    d = cfg.dataset
+    if not d.content or not d.cites:
+        raise ConfigError("dataset.content and dataset.cites are required")
+    files = [Path(f) for f in (d.content, d.cites, d.texts, d.embeddings) if f]
+    for f in files:
+        if not f.exists():
+            raise ConfigError(f"dataset file not found: {f}")
+    return files
+
+
+# Annotator fields that only pace or cap a run: a finished annotate's outputs
+# do not depend on them.
+_PACING_FIELDS = (
+    "api_key_env", "budget_usd", "max_inflight", "requests_per_second", "retries", "backoff_s"
+)
+
+
+def _annotate_settings(cfg: PipelineConfig) -> dict:
+    settings = {"annotator": {k: v for k, v in asdict(cfg.annotator).items() if k not in _PACING_FIELDS}}
+    if cfg.annotator.node_cap is not None:  # the cap ranks nodes by the stage-one score
+        settings["filter"] = asdict(cfg.filter)
+    return settings
+
+
+# stage: (StagePaths artifacts it reads, artifacts it writes, the settings its
+# outputs depend on besides its inputs). The response cache is no stage's
+# output: guesses.npz holds all that later stages read.
+_STAGE_TABLE = {
+    "ingest": ((), ("graph",), lambda cfg: {"dataset": asdict(cfg.dataset)}),
+    "annotate": (("graph",), ("guesses", "annotated_nodes"), _annotate_settings),
+    "aggregate": (("graph", "guesses"), ("pseudo_labels", "worker_acc"), lambda cfg: {}),
+    "filter": (("graph", "pseudo_labels"), ("scores", "selected"), lambda cfg: {"filter": asdict(cfg.filter)}),
+    "train": (
+        ("graph", "pseudo_labels", "selected"),
+        ("history", "model", "report"),
+        lambda cfg: {"gcn": asdict(cfg.gcn)},
+    ),
+}
+STAGES = tuple(_STAGE_TABLE)
+_PRODUCER = {artifact: stage for stage, (_, writes, _) in _STAGE_TABLE.items() for artifact in writes}
+
+
+def _require(paths: StagePaths, artifact: str) -> Path:
+    """``paths.<artifact>``, which must exist; the error names the stage that writes it."""
+    path = getattr(paths, artifact)
     if not path.exists():
-        raise MissingArtifactError(f"{path} not found; run the {produced_by!r} stage first")
+        raise MissingArtifactError(f"{path} not found; run the {_PRODUCER[artifact]!r} stage first")
     return path
+
+
+def _stamps(outputs: list[Path]) -> dict[str, list[int]]:
+    """``[size, mtime_ns]`` of each output; a missing one raises FileNotFoundError."""
+    return {str(p): [(st := p.stat()).st_size, st.st_mtime_ns] for p in outputs}
+
+
+def _stage(name: str, sources: Callable[[PipelineConfig], list[Path]] = lambda cfg: []):
+    """Make ``body(cfg, paths, cfg_hash, *args)`` the stage ``stage_<name>(cfg,
+    paths, *args) -> bool``: it requires the files ``sources`` names and the
+    inputs ``_STAGE_TABLE`` lists, returns False when its manifest equals the
+    one it would write now, and else runs the body, writes that manifest and
+    returns True. ``cfg_hash`` is the hash of the stage's settings."""
+    reads, writes, settings = _STAGE_TABLE[name]
+
+    def wrap(body):
+        def stage(cfg: PipelineConfig, paths: StagePaths, *args, **kwargs) -> bool:
+            inputs = sources(cfg) + [_require(paths, artifact) for artifact in reads]
+            cfg_hash = _digest(settings(cfg))
+            manifest = {
+                "stage": name,
+                "schema_version": ARTIFACT_SCHEMA_VERSION,
+                "config_hash": cfg_hash,
+                "inputs": {str(p): _input_hash(paths, p) for p in inputs},
+            }
+            outputs = [getattr(paths, artifact) for artifact in writes]
+            mpath = paths.manifest(name)
+            try:  # a missing output, or a missing, unreadable or non-JSON manifest, is stale
+                recorded = json.loads(mpath.read_text(encoding="utf-8"))
+                if recorded == {**manifest, "outputs": _stamps(outputs)}:
+                    return False
+            except (OSError, ValueError):
+                pass
+            body(cfg, paths, cfg_hash, *args, **kwargs)
+            manifest["outputs"] = _stamps(outputs)
+            _write_json(mpath, manifest, indent=1, sort_keys=True)
+            return True
+
+        stage.__name__ = stage.__qualname__ = body.__name__
+        stage.__doc__ = body.__doc__
+        return stage
+
+    return wrap
 
 
 def _load_graph(path: Path) -> DirectedTAG:
@@ -373,7 +430,7 @@ def _load_graph(path: Path) -> DirectedTAG:
     except (OSError, ValueError, KeyError, zipfile.BadZipFile) as exc:
         raise MissingArtifactError(
             f"{path}: graph artifact unreadable or malformed ({exc}); "
-            "delete it and re-run the 'ingest' stage"
+            f"re-run the {_PRODUCER['graph']!r} stage"
         ) from exc
 
 
@@ -381,22 +438,9 @@ def _load_graph(path: Path) -> DirectedTAG:
 # Stages
 # ---------------------------------------------------------------------------
 
-def stage_ingest(cfg: PipelineConfig, paths: StagePaths) -> bool:
+@_stage("ingest", sources=_dataset_files)
+def stage_ingest(cfg: PipelineConfig, paths: StagePaths, cfg_hash: str) -> None:
     """Parse the dataset files and write the assembled graph artifact."""
-    if not cfg.dataset.content or not cfg.dataset.cites:
-        raise ConfigError("dataset.content and dataset.cites are required")
-    inputs = [Path(cfg.dataset.content), Path(cfg.dataset.cites)]
-    if cfg.dataset.texts:
-        inputs.append(Path(cfg.dataset.texts))
-    if cfg.dataset.embeddings:
-        inputs.append(Path(cfg.dataset.embeddings))
-    for p in inputs:
-        if not p.exists():
-            raise ConfigError(f"dataset file not found: {p}")
-    cfg_hash = config_hash(cfg, ("dataset",))
-    if _manifest_current(paths, "ingest", cfg_hash, inputs, [paths.graph]):
-        return False
-
     content = dataio.parse_content(cfg.dataset.content)
     cites, _ = dataio.parse_cites(cfg.dataset.cites)
     texts = dataio.parse_texts(cfg.dataset.texts) if cfg.dataset.texts else None
@@ -406,8 +450,6 @@ def stage_ingest(cfg: PipelineConfig, paths: StagePaths) -> bool:
     if not counters.reconciles():
         raise RuntimeError(f"edge counters do not reconcile: {counters}")
     dataio.save_graph(graph, paths.graph, cfg_hash)
-    _write_manifest(paths, "ingest", cfg_hash, inputs, [paths.graph])
-    return True
 
 
 def _annotation_order(cfg: PipelineConfig, graph: DirectedTAG) -> list[int]:
@@ -443,22 +485,16 @@ def _make_client(cfg: PipelineConfig, graph: DirectedTAG) -> ann.Client:
     )
 
 
-def stage_annotate(cfg: PipelineConfig, paths: StagePaths, client: ann.Client | None = None) -> bool:
+@_stage("annotate")
+def stage_annotate(
+    cfg: PipelineConfig, paths: StagePaths, cfg_hash: str, client: ann.Client | None = None
+) -> None:
     """Run the eight workers per node against the cache-backed client."""
-    graph_path = _require(paths.graph, "ingest")
-    sections: tuple[str, ...] = ("dataset", "annotator")
-    if cfg.annotator.node_cap is not None:
-        sections = ("dataset", "annotator", "filter")
-    cfg_hash = config_hash(cfg, sections)
-    cache_path = Path(cfg.annotator.cache) if cfg.annotator.cache else paths.cache
-    outputs = [cache_path, paths.guesses, paths.annotated_nodes]
-    if _manifest_current(paths, "annotate", cfg_hash, [graph_path], outputs):
-        return False
-
-    graph = _load_graph(graph_path)
+    graph = _load_graph(paths.graph)
     nodes = _annotation_order(cfg, graph)
     if client is None:
         client = _make_client(cfg, graph)
+    cache_path = Path(cfg.annotator.cache) if cfg.annotator.cache else paths.cache
     if not cache_path.exists():
         ann.ResponseCache.write_header(cache_path, cfg_hash)
     budget = ann.BudgetState(
@@ -490,27 +526,18 @@ def stage_annotate(cfg: PipelineConfig, paths: StagePaths, client: ann.Client | 
         "unparseable": int((top1 < 0).sum()),
     }
     _write_json(paths.annotated_nodes, doc)
-    _write_manifest(paths, "annotate", cfg_hash, [graph_path], outputs)
-    return True
 
 
-def stage_aggregate(cfg: PipelineConfig, paths: StagePaths) -> bool:
+@_stage("aggregate")
+def stage_aggregate(cfg: PipelineConfig, paths: StagePaths, cfg_hash: str) -> None:
     """Fuse the worker guesses that annotate recorded into pseudo-labels."""
-    graph_path = _require(paths.graph, "ingest")
-    guesses_path = _require(paths.guesses, "annotate")
-    cfg_hash = config_hash(cfg, ("dataset", "annotator"))
-    inputs = [graph_path, guesses_path]
-    outputs = [paths.pseudo_labels, paths.worker_acc]
-    if _manifest_current(paths, "aggregate", cfg_hash, inputs, outputs):
-        return False
-
-    graph = _load_graph(graph_path)
+    graph = _load_graph(paths.graph)
     try:
-        nodes, top1, mass = dataio.load_guesses(guesses_path, graph.num_nodes, graph.num_classes)
+        nodes, top1, mass = dataio.load_guesses(paths.guesses, graph.num_nodes, graph.num_classes)
     except (OSError, ValueError, zipfile.BadZipFile) as exc:
         raise MissingArtifactError(
-            f"{guesses_path}: recorded guesses unreadable or malformed ({exc}); "
-            "re-run the 'annotate' stage"
+            f"{paths.guesses}: recorded guesses unreadable or malformed ({exc}); "
+            f"re-run the {_PRODUCER['guesses']!r} stage"
         ) from exc
     node_list = nodes.tolist()
     truth = np.array([-1 if graph.labels[v] is None else graph.labels[v] for v in node_list])
@@ -533,13 +560,11 @@ def stage_aggregate(cfg: PipelineConfig, paths: StagePaths) -> bool:
     dropped = len(node_list) - len(rows)
     if dropped:
         print(f"aggregate: dropped {dropped} node(s) with no parseable worker")
-    _write_manifest(paths, "aggregate", cfg_hash, inputs, outputs)
-    return True
 
 
 def load_pseudo_labels(paths: StagePaths, graph: DirectedTAG) -> tuple[dict[int, int], dict[int, float]]:
     """Pseudo-label table -> (label by node id, confidence by node id)."""
-    _, rows = read_csv_rows(_require(paths.pseudo_labels, "aggregate"))
+    _, rows = read_csv_rows(_require(paths, "pseudo_labels"))
     class_index = {c: i for i, c in enumerate(graph.class_names)}
     labels: dict[int, int] = {}
     confidence: dict[int, float] = {}
@@ -555,31 +580,32 @@ def default_k(graph: DirectedTAG, eta: float) -> int:
     return math.ceil(20 * graph.num_classes / eta)
 
 
-def stage_filter(cfg: PipelineConfig, paths: StagePaths) -> bool:
-    """Two-stage selection over the annotated pool; writes scores + selection."""
-    graph_path = _require(paths.graph, "ingest")
-    inputs = [graph_path, _require(paths.pseudo_labels, "aggregate")]
-    cfg_hash = config_hash(cfg, ("dataset", "annotator", "filter"))
-    outputs = [paths.scores, paths.selected]
-    if _manifest_current(paths, "filter", cfg_hash, inputs, outputs):
-        return False
-
-    graph = _load_graph(graph_path)
-    labels, confidence = load_pseudo_labels(paths, graph)
-    k = cfg.filter.k if cfg.filter.k is not None else default_k(graph, cfg.filter.eta)
+def _select(graph: DirectedTAG, labels: dict[int, int], confidence: dict[int, float], f: FilterConfig):
+    """``filtering.run_filter`` over the pseudo-labeled nodes with the filter
+    settings ``f``; returns (stage-one size k, final nodes, scores)."""
+    k = f.k if f.k is not None else default_k(graph, f.eta)
     final, scores = filtering.run_filter(
         graph,
         graph.features,
         annotated_nodes=sorted(labels),
         confidences=confidence,
         pseudo_label_of=labels,
-        gamma=cfg.filter.gamma,
-        lam=cfg.filter.lam,
-        eta=cfg.filter.eta,
+        gamma=f.gamma,
+        lam=f.lam,
+        eta=f.eta,
         k=k,
-        kmeans_seed=cfg.filter.kmeans_seed,
-        damping=cfg.filter.damping,
+        kmeans_seed=f.kmeans_seed,
+        damping=f.damping,
     )
+    return k, final, scores
+
+
+@_stage("filter")
+def stage_filter(cfg: PipelineConfig, paths: StagePaths, cfg_hash: str) -> None:
+    """Two-stage selection over the annotated pool; writes scores + selection."""
+    graph = _load_graph(paths.graph)
+    labels, confidence = load_pseudo_labels(paths, graph)
+    k, final, scores = _select(graph, labels, confidence, cfg.filter)
 
     def fmt(x: float) -> str:
         return "" if np.isnan(x) else f"{x:.8f}"
@@ -615,8 +641,6 @@ def stage_filter(cfg: PipelineConfig, paths: StagePaths) -> bool:
         "final_nodes": final,
     }
     _write_json(paths.selected, doc, indent=1)
-    _write_manifest(paths, "filter", cfg_hash, inputs, outputs)
-    return True
 
 
 def train_once(
@@ -660,20 +684,10 @@ def train_once(
     return history, test_acc, model, val_acc
 
 
-def stage_train(cfg: PipelineConfig, paths: StagePaths) -> bool:
+@_stage("train")
+def stage_train(cfg: PipelineConfig, paths: StagePaths, cfg_hash: str) -> None:
     """Train the GCN on the selected pseudo-labeled nodes; write the report."""
-    graph_path = _require(paths.graph, "ingest")
-    inputs = [
-        graph_path,
-        _require(paths.pseudo_labels, "aggregate"),
-        _require(paths.selected, "filter"),
-    ]
-    cfg_hash = config_hash(cfg, ("dataset", "annotator", "filter", "gcn"))
-    outputs = [paths.history, paths.model, paths.report]
-    if _manifest_current(paths, "train", cfg_hash, inputs, outputs):
-        return False
-
-    graph = _load_graph(graph_path)
+    graph = _load_graph(paths.graph)
     labels, _conf = load_pseudo_labels(paths, graph)
     selected = json.loads(paths.selected.read_text())["final_nodes"]
     history, test_acc, model, val_acc = train_once(graph, selected, labels, cfg.gcn)
@@ -710,8 +724,6 @@ def stage_train(cfg: PipelineConfig, paths: StagePaths) -> bool:
         "pseudo_label_accuracy_on_train": pseudo_acc,
     }
     _write_json(paths.report, report, indent=1)
-    _write_manifest(paths, "train", cfg_hash, inputs, outputs)
-    return True
 
 
 def run_pipeline(cfg: PipelineConfig, paths: StagePaths, client: ann.Client | None = None) -> dict[str, bool]:
@@ -731,7 +743,7 @@ def run_pipeline(cfg: PipelineConfig, paths: StagePaths, client: ann.Client | No
 
 
 # ---------------------------------------------------------------------------
-# Sweep and theorem verification
+# Sweep
 # ---------------------------------------------------------------------------
 
 def hyperparameter_sweep(
@@ -748,28 +760,16 @@ def hyperparameter_sweep(
     """
     if len(gamma_values) != len(lambda_values):
         raise ConfigError("gamma_values and lambda_values must have equal length")
-    graph = _load_graph(_require(paths.graph, "ingest"))
+    cells = [replace(cfg.filter, gamma=g, lam=lam) for g, lam in zip(gamma_values, lambda_values)]
+    for f in cells:  # every cell is valid before the first one runs
+        replace(cfg, filter=f).validate()
+    graph = _load_graph(_require(paths, "graph"))
     labels, confidence = load_pseudo_labels(paths, graph)
     a_hat = gcn.normalize_adjacency(graph)
-    k = cfg.filter.k if cfg.filter.k is not None else default_k(graph, cfg.filter.eta)
 
     results = []
-    for gamma, lam in zip(gamma_values, lambda_values):
-        if gamma < 0 or lam < 0 or gamma + lam > 1.0 + 1e-12:
-            raise ConfigError(f"sweep cell invalid: gamma={gamma} lambda={lam}")
-        final, _ = filtering.run_filter(
-            graph,
-            graph.features,
-            annotated_nodes=sorted(labels),
-            confidences=confidence,
-            pseudo_label_of=labels,
-            gamma=gamma,
-            lam=lam,
-            eta=cfg.filter.eta,
-            k=k,
-            kmeans_seed=cfg.filter.kmeans_seed,
-            damping=cfg.filter.damping,
-        )
+    for f in cells:
+        _, final, _ = _select(graph, labels, confidence, f)
         accs = []
         for s in range(seeds):
             gcn_cfg = GCNTrainConfig(**{**asdict(cfg.gcn), "seed": cfg.gcn.seed + s})
@@ -778,67 +778,12 @@ def hyperparameter_sweep(
         arr = np.array(accs)
         results.append(
             {
-                "gamma": gamma,
-                "lambda": lam,
-                "eta": cfg.filter.eta,
+                "gamma": f.gamma,
+                "lambda": f.lam,
+                "eta": f.eta,
                 "mean_acc": float(arr.mean()),
                 "std_acc": float(arr.std(ddof=1)) if len(arr) > 1 else 0.0,
                 "seeds": seeds,
             }
         )
     return results
-
-
-def write_sweep_csv(path: Path, cfg_hash: str, results: list[dict]) -> None:
-    _write_csv(
-        path,
-        cfg_hash,
-        ["gamma", "lambda", "eta", "mean_acc", "std_acc", "seeds"],
-        [
-            [r["gamma"], r["lambda"], r["eta"], f"{r['mean_acc']:.6f}", f"{r['std_acc']:.6f}", r["seeds"]]
-            for r in results
-        ],
-    )
-
-
-def verify_theorem(
-    alpha: float,
-    num_classes: int,
-    hops: int,
-    samples: int,
-    seed: int,
-    out_path: Path | None = None,
-) -> tuple[list[homophily.HopReport], bool]:
-    """Closed form vs simulation; `passed` means every hop agrees within 3 SE
-    and the dominance verdicts match the sign of the analytic gap."""
-    params = homophily.HomophilyParams(alpha=alpha, num_classes=num_classes)
-    fanout = 8
-    # `samples` is the leaf count at the deepest hop
-    num_roots = max(1, math.ceil(samples / fanout**hops))
-    reports = homophily.simulate_propagation(params, hops, num_roots, fanout, seed)
-
-    passed = True
-    for r in reports:
-        if abs(r.empirical - r.diagonal) > 3.0 * max(r.std_error, 1e-12):
-            passed = False
-        if r.dominant != (r.gap > 0):
-            passed = False
-    if out_path is not None:
-        rows = [
-            [
-                r.hop,
-                f"{r.diagonal:.10f}",
-                f"{r.off_diagonal:.10f}",
-                f"{r.empirical:.6f}",
-                f"{r.gap:.10f}",
-                "dominant" if r.dominant else "not_dominant",
-            ]
-            for r in reports
-        ]
-        _write_csv(
-            out_path,
-            f"alpha={alpha},classes={num_classes}",
-            ["hop", "closed_diag", "closed_offdiag", "empirical", "gap", "verdict"],
-            rows,
-        )
-    return reports, passed

@@ -12,8 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from crowdtag import aggregate, annotate, cli, dataio, pipeline
+from crowdtag import aggregate, annotate, cli, dataio, filtering, pipeline
 from crowdtag.annotate import BudgetState, ResponseCache, TruncationPolicy, annotate_graph
+from crowdtag.cli import verify_theorem
 from crowdtag.dataio import load_graph
 from crowdtag.fixtures import fixture_paths, load_fixture_graph, replay_cache_path
 from crowdtag.graph import NUM_TIE_CONFIGS
@@ -25,7 +26,6 @@ from crowdtag.pipeline import (
     load_config,
     read_csv_rows,
     run_pipeline,
-    verify_theorem,
 )
 from crowdtag.synthetic import synthetic_citation_graph, write_dataset_files
 
@@ -150,6 +150,73 @@ def test_manifest_from_another_schema_version_reruns_its_stage(tmp_path):
                    "filter": True, "train": False}
     manifest = json.loads(paths.manifest("filter").read_text())
     assert manifest["schema_version"] == ARTIFACT_SCHEMA_VERSION
+
+
+ONLY = {stage: {s: s == stage for s in pipeline.STAGES} for stage in pipeline.STAGES}
+NONE = {s: False for s in pipeline.STAGES}
+
+
+@pytest.mark.parametrize("manifest", [b"\xff\xfe", b"[]", b'{"inputs": []}', "without_outputs"])
+def test_malformed_manifest_reruns_only_its_stage(tmp_path, manifest):
+    cfg_path, out_dir = fixture_config(tmp_path)
+    cfg = load_config(cfg_path)
+    paths = StagePaths(out_dir)
+    run_pipeline(cfg, paths)
+    if manifest == "without_outputs":
+        doc = json.loads(paths.manifest("filter").read_text())
+        del doc["outputs"]
+        manifest = json.dumps(doc).encode()
+    paths.manifest("filter").write_bytes(manifest)
+    assert run_pipeline(cfg, paths) == ONLY["filter"]
+    assert run_pipeline(cfg, paths) == NONE
+
+
+def test_settings_rerun_only_the_stages_whose_outputs_depend_on_them(tmp_path):
+    cfg_path, out_dir = fixture_config(tmp_path)
+    cfg = load_config(cfg_path)
+    paths = StagePaths(out_dir)
+    run_pipeline(cfg, paths)
+    # pacing and caps: a finished annotate's outputs do not depend on them
+    a = cfg.annotator
+    a.budget_usd, a.max_inflight, a.requests_per_second, a.retries, a.backoff_s = 9.0, 2, 50.0, 7, 0.5
+    a.api_key_env = "CROWDTAG_UNUSED_KEY"
+    assert run_pipeline(cfg, paths) == NONE
+    cfg.gcn.epochs = 30
+    assert run_pipeline(cfg, paths) == ONLY["train"]
+    assert len(read_csv_rows(paths.history)[1]) == 30
+
+
+def test_truncated_output_reruns_the_stage_that_wrote_it(tmp_path):
+    cfg_path, out_dir = fixture_config(tmp_path)
+    cfg = load_config(cfg_path)
+    paths = StagePaths(out_dir)
+    run_pipeline(cfg, paths)
+    data = paths.pseudo_labels.read_bytes()
+    paths.pseudo_labels.write_bytes(data[: len(data) // 2])
+    # filter skips: its input is byte-for-byte what it read before
+    assert run_pipeline(cfg, paths) == ONLY["aggregate"]
+    assert paths.pseudo_labels.read_bytes() == data
+
+
+def test_deleting_the_response_cache_reruns_nothing(tmp_path):
+    cfg_path, out_dir = fixture_config(tmp_path)
+    cfg = load_config(cfg_path)
+    paths = StagePaths(out_dir)
+    run_pipeline(cfg, paths)
+    paths.cache.unlink()
+    assert run_pipeline(cfg, paths) == NONE
+
+
+def test_cli_ingest_reruns_over_a_truncated_graph(tmp_path, capsys):
+    cfg_path, out_dir = fixture_config(tmp_path)
+    assert cli.main(["pipeline", "--config", str(cfg_path)]) == 0
+    graph_npz = out_dir / "graph.npz"
+    data = graph_npz.read_bytes()
+    graph_npz.write_bytes(data[: len(data) // 2])
+    capsys.readouterr()
+    assert cli.main(["ingest", "--config", str(cfg_path)]) == 0
+    assert capsys.readouterr().out == "ingest: ran\n"
+    assert cli.main(["pipeline", "--config", str(cfg_path)]) == 0
 
 
 def test_write_csv_failure_keeps_previous_file(tmp_path):
@@ -630,6 +697,18 @@ def test_sweep_deterministic_and_shaped(tmp_path):
     assert [r["gamma"] for r in a] == grid_g
     assert all(r["seeds"] == 2 for r in a)
     assert all(0.0 <= r["mean_acc"] <= 1.0 for r in a)
+
+
+def test_sweep_checks_every_cell_before_the_first_runs(tmp_path, monkeypatch):
+    cfg_path, out_dir = fixture_config(tmp_path)
+    cfg = load_config(cfg_path)
+    paths = StagePaths(out_dir)
+    run_pipeline(cfg, paths)
+    calls = []
+    monkeypatch.setattr(filtering, "run_filter", lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(ConfigError):
+        pipeline.hyperparameter_sweep(cfg, paths, [0.1, 0.0, 0.9], [0.6, 0.7, 0.3], seeds=1)
+    assert calls == []
 
 
 def test_sweep_single_cell_matches_filter_train(tmp_path):
