@@ -145,6 +145,7 @@ def _overrides_from_args(args: argparse.Namespace) -> dict:
         "annotator": annotator,
         "filter": filt,
         "gcn": gcn_over,
+        "sweep": {"seeds": get("sweep_seeds")},
         "out_dir": get("out_dir"),
     }
     return overrides
@@ -260,11 +261,10 @@ def main(argv: list[str] | None = None) -> int:
                     if args.lambda_values
                     else cfg.sweep.lambda_values
                 )
-                seeds = args.sweep_seeds or cfg.sweep.seeds
                 if not gamma_values:
                     raise pipeline.ConfigError("sweep requires gamma/lambda grids")
                 results = pipeline.hyperparameter_sweep(
-                    cfg, paths, gamma_values, lambda_values, seeds
+                    cfg, paths, gamma_values, lambda_values, cfg.sweep.seeds
                 )
                 sweep_path = paths.out_dir / "sweep.csv"
                 write_sweep_csv(

@@ -39,6 +39,17 @@ class ClusterModel:
 
 
 @dataclass
+class StructuralScores:
+    """Stage-one inputs of every node, indexed by node id: PageRank, cluster
+    density and total degree. They depend only on the graph, its features,
+    the damping factor and the k-means seed."""
+
+    pagerank: np.ndarray
+    c_density: np.ndarray
+    degree: np.ndarray
+
+
+@dataclass
 class FilterScores:
     """Per-node scoring state for the selection dump (CSV + analysis).
 
@@ -97,15 +108,28 @@ def pagerank(
     )
 
 
-def _sq_dists(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
+def _sq_dists(x: np.ndarray, centers: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
     """(n, k) squared euclidean distances from every point to every center.
 
-    One center at a time, so the scratch is (n, d) rather than (n, k, d).
+    One center at a time into ``scratch`` (``np.empty_like(x)`` when not
+    given), so the only (n, d) temporary is that one buffer.
     """
+    if scratch is None:
+        scratch = np.empty_like(x)
     out = np.empty((x.shape[0], centers.shape[0]))
     for j, c in enumerate(centers):
-        out[:, j] = ((x - c) ** 2).sum(axis=1)
+        out[:, j] = np.square(np.subtract(x, c, out=scratch), out=scratch).sum(axis=1)
     return out
+
+
+def _sq_residuals(x: np.ndarray, centers: np.ndarray, assignment: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """``(x - centers[assignment]) ** 2``, computed in ``scratch``.
+
+    ``mode="clip"`` (a no-op on valid assignments) lets ``take`` write into
+    ``scratch`` directly instead of through a buffer of the same size.
+    """
+    np.take(centers, assignment, axis=0, out=scratch, mode="clip")
+    return np.square(np.subtract(x, scratch, out=scratch), out=scratch)
 
 
 def kmeans(
@@ -121,15 +145,16 @@ def kmeans(
     farthest from its assigned center. Inertia is recorded per iteration and
     must never increase.
     """
-    x = np.asarray(features, dtype=np.float64)
+    x = np.ascontiguousarray(features, dtype=np.float64)  # row slices of the scratch are contiguous
     n = x.shape[0]
     if n < k:
         raise ValueError(f"need at least {k} points for {k} clusters, have {n}")
     rng = np.random.default_rng(seed)
 
+    scratch = np.empty_like(x)  # the one (n, d) buffer every step below reuses
     centers = np.empty((k, x.shape[1]))
     centers[0] = x[rng.integers(n)]
-    sq_dist = ((x - centers[0]) ** 2).sum(axis=1)
+    sq_dist = _sq_dists(x, centers[:1], scratch)[:, 0]
     for j in range(1, k):
         total = sq_dist.sum()
         if total <= 0:
@@ -137,24 +162,25 @@ def kmeans(
         else:
             idx = int(rng.choice(n, p=sq_dist / total))
         centers[j] = x[idx]
-        sq_dist = np.minimum(sq_dist, ((x - centers[j]) ** 2).sum(axis=1))
+        sq_dist = np.minimum(sq_dist, _sq_dists(x, centers[j : j + 1], scratch)[:, 0])
 
     history: list[float] = []
     assignment = np.zeros(n, dtype=np.intp)
     for _ in range(max_iter):
-        dists = _sq_dists(x, centers)
-        assignment = dists.argmin(axis=1)
+        assignment = _sq_dists(x, centers, scratch).argmin(axis=1)
         for j in range(k):
-            mask = assignment == j
-            if mask.any():
-                centers[j] = x[mask].mean(axis=0)
+            rows = np.flatnonzero(assignment == j)
+            if rows.size:
+                # x[rows].mean(axis=0), with the rows gathered into the scratch
+                members = np.take(x, rows, axis=0, out=scratch[: rows.size], mode="clip")
+                centers[j] = members.mean(axis=0)
             else:
                 # farthest point from its current center takes over
-                cur = ((x - centers[assignment]) ** 2).sum(axis=1)
+                cur = _sq_residuals(x, centers, assignment, scratch).sum(axis=1)
                 farthest = int(cur.argmax())
                 centers[j] = x[farthest]
                 assignment[farthest] = j
-        inertia = float(((x - centers[assignment]) ** 2).sum())
+        inertia = float(_sq_residuals(x, centers, assignment, scratch).sum())
         if history and inertia > history[-1] + 1e-9 * (1.0 + history[-1]):
             raise AssertionError(
                 f"k-means inertia increased: {history[-1]} -> {inertia}"
@@ -165,7 +191,7 @@ def kmeans(
             break
     # final pass so the returned assignment is exactly nearest-center
     # (reseeding can leave a moved point on an equidistant duplicate center)
-    dists = _sq_dists(x, centers)
+    dists = _sq_dists(x, centers, scratch)
     assignment = dists.argmin(axis=1)
     return ClusterModel(
         centers=centers,
@@ -180,6 +206,23 @@ def c_density(features: np.ndarray, model: ClusterModel) -> np.ndarray:
     x = np.asarray(features, dtype=np.float64)
     dists = np.sqrt(_sq_dists(x, model.centers))
     return 1.0 / (1.0 + dists.min(axis=1))
+
+
+def structural_scores(
+    graph: DirectedTAG,
+    features: np.ndarray,
+    damping: float = 0.85,
+    kmeans_seed: int = 0,
+) -> StructuralScores:
+    """PageRank, ``c_density`` under a k-means of ``features`` with one
+    cluster per class, and degree, for every node of ``graph``."""
+    pr = pagerank(graph, damping=damping)
+    model = kmeans(features, k=graph.num_classes, seed=kmeans_seed)
+    return StructuralScores(
+        pagerank=pr,
+        c_density=c_density(features, model),
+        degree=np.array([graph.degree(v) for v in range(graph.num_nodes)], dtype=np.float64),
+    )
 
 
 def minmax_normalize(values: np.ndarray) -> np.ndarray:
@@ -215,6 +258,8 @@ def stage1_scores(
 
 def select_top_k(node_ids: np.ndarray, scores: np.ndarray, k: int) -> list[int]:
     """Top-k node ids by score, ties to the lower id; sorted (score desc, id asc)."""
+    if k < 0:
+        raise ValueError(f"cannot select a negative number of nodes ({k})")
     if k > len(node_ids):
         raise ValueError(f"cannot select {k} of {len(node_ids)} nodes")
     order = sorted(range(len(node_ids)), key=lambda i: (-scores[i], node_ids[i]))
@@ -289,18 +334,20 @@ def run_filter(
     k: int,
     kmeans_seed: int = 0,
     damping: float = 0.85,
+    structure: StructuralScores | None = None,
 ) -> tuple[list[int], FilterScores]:
-    """Full two-stage pipeline over the annotated candidate pool."""
+    """Full two-stage pipeline over the annotated candidate pool.
+
+    ``structure`` is ``structural_scores(graph, features, damping,
+    kmeans_seed)`` when a caller already has it; it is computed when absent.
+    """
     if not annotated_nodes:
         raise ValueError("no annotated nodes to filter")
     pool = np.asarray(sorted(annotated_nodes), dtype=np.intp)
+    if structure is None:
+        structure = structural_scores(graph, features, damping=damping, kmeans_seed=kmeans_seed)
 
-    pr_full = pagerank(graph, damping=damping)
-    model = kmeans(features, k=graph.num_classes, seed=kmeans_seed)
-    dens_full = c_density(features, model)
-    deg_full = np.array([graph.degree(int(v)) for v in range(graph.num_nodes)], dtype=np.float64)
-
-    pr, dens, deg = pr_full[pool], dens_full[pool], deg_full[pool]
+    pr, dens, deg = structure.pagerank[pool], structure.c_density[pool], structure.degree[pool]
     s1 = stage1_scores(pr, dens, deg, gamma, lam)
     stage1_nodes = select_top_k(pool, s1, min(k, len(pool)))
 

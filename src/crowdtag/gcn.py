@@ -109,9 +109,14 @@ def forward(
     x: np.ndarray,
     training: bool = False,
     dropout_rng: np.random.Generator | None = None,
+    ax: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Logits for every node; dropout hits the hidden layer in training only."""
-    logits, _ = _forward_full(model, x, training, dropout_rng)
+    """Logits for every node; dropout hits the hidden layer in training only.
+
+    ``ax`` is ``model.a_hat @ x`` when the caller already has it: the product
+    depends on neither weights nor epoch, so training forms it once.
+    """
+    logits, _ = _forward_full(model, x, training, dropout_rng, ax)
     return logits
 
 
@@ -120,12 +125,16 @@ def _forward_full(
     x: np.ndarray,
     training: bool,
     dropout_rng: np.random.Generator | None,
+    ax: np.ndarray | None = None,
 ) -> tuple[np.ndarray, dict]:
     if x.shape[1] != model.w1.shape[0]:
         raise ValueError(
             f"feature dim {x.shape[1]} does not match W1 rows {model.w1.shape[0]}"
         )
-    ax = model.a_hat @ x
+    if ax is None:
+        ax = model.a_hat @ x
+    elif ax.shape != (model.a_hat.shape[0], x.shape[1]):
+        raise ValueError(f"A_hat @ X has shape {ax.shape}, expected {(model.a_hat.shape[0], x.shape[1])}")
     z1 = ax @ model.w1
     h = np.maximum(z1, 0.0)
     if training and model.config.dropout > 0.0:
@@ -156,12 +165,13 @@ def loss_and_grads(
     train_labels: np.ndarray,
     training: bool = True,
     dropout_rng: np.random.Generator | None = None,
+    ax: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     """Mean cross-entropy over the training nodes plus L2 penalty.
 
-    Returns (loss, dW1, dW2, logits).
+    Returns (loss, dW1, dW2, logits). ``ax`` is as in :func:`forward`.
     """
-    logits, cache = _forward_full(model, x, training, dropout_rng)
+    logits, cache = _forward_full(model, x, training, dropout_rng, ax)
     probs = softmax(logits)
     m = len(train_nodes)
     wd = model.config.weight_decay
@@ -227,23 +237,27 @@ def train(
     train_labels: np.ndarray,
     test_nodes: np.ndarray | None = None,
     test_labels: np.ndarray | None = None,
+    ax: np.ndarray | None = None,
 ) -> list[EpochRecord]:
     """Full training loop; one history row per epoch.
 
     Train accuracy is measured against the (pseudo-)labels being fit; test
     accuracy against the supplied ground truth, when given. Both come from
-    one eval-mode forward after each weight update.
+    one eval-mode forward after each weight update. Every forward shares one
+    ``A_hat @ x``: ``ax`` when given, else computed here once.
     """
     if len(train_nodes) == 0:
         raise ValueError("training node set is empty")
     train_nodes = np.asarray(train_nodes, dtype=np.intp)
     train_labels = np.asarray(train_labels, dtype=np.intp)
     dropout_rng = np.random.default_rng(model.config.seed + 1)
+    if ax is None:
+        ax = model.a_hat @ x
 
     history: list[EpochRecord] = []
     for epoch in range(1, model.config.epochs + 1):
         loss, d_w1, d_w2, _ = loss_and_grads(
-            model, x, train_nodes, train_labels, training=True, dropout_rng=dropout_rng
+            model, x, train_nodes, train_labels, training=True, dropout_rng=dropout_rng, ax=ax
         )
         if not np.isfinite(loss):
             raise TrainingDivergedError(epoch)
@@ -251,7 +265,7 @@ def train(
         if not (np.isfinite(model.w1).all() and np.isfinite(model.w2).all()):
             raise TrainingDivergedError(epoch)
 
-        logits = forward(model, x)
+        logits = forward(model, x, ax=ax)
         train_acc = _accuracy(logits, train_nodes, train_labels)
         if test_nodes is not None and len(test_nodes) > 0:
             test_acc = _accuracy(logits, np.asarray(test_nodes), np.asarray(test_labels))

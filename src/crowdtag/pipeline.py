@@ -6,7 +6,9 @@ depend on (upstream settings reach it through its inputs), the hash of each
 input file and the ``[size, mtime_ns]`` of each output; the stage is skipped
 when its manifest equals the one it would write now, so a missing, malformed
 or outdated manifest, or a truncated or edited output, re-runs it. Within one
-:func:`run_pipeline` call each input file is hashed once. Stages after
+:func:`run_pipeline` call each input file is hashed once, the graph artifact
+is loaded once and its structural scores (PageRank, ``c_density``, degree)
+are computed once; training forms ``A_hat @ X`` once. Stages after
 ``annotate`` never perform network I/O and never open the response cache,
 which is no stage's output: they read the parsed guesses from ``guesses.npz``.
 ``annotated_nodes.json`` is a summary (nodes, spend, prompt hashes) that no
@@ -137,6 +139,12 @@ class PipelineConfig:
             raise ConfigError(f"filter weights invalid: gamma={f.gamma} lambda={f.lam}")
         if not 0.0 < f.eta <= 1.0:
             raise ConfigError(f"eta must be in (0, 1], got {f.eta}")
+        if f.k is not None and f.k < 1:
+            raise ConfigError(f"filter.k must be >= 1, got {f.k}")
+        if self.annotator.node_cap is not None and self.annotator.node_cap < 1:
+            raise ConfigError(f"node_cap must be >= 1, got {self.annotator.node_cap}")
+        if self.sweep.seeds < 1:
+            raise ConfigError(f"sweep seeds must be >= 1, got {self.sweep.seeds}")
         if self.annotator.budget_usd < 0:
             raise ConfigError("budget must be >= 0")
         if self.annotator.mode not in ("oracle", "llm"):
@@ -210,8 +218,10 @@ def _file_hash(path: Path) -> str:
 @dataclass
 class StagePaths:
     out_dir: Path
-    # input hashes by (path, inode, size, mtime_ns), kept while run_pipeline runs
+    # kept while run_pipeline runs, keyed by (path, inode, size, mtime_ns):
+    # the hash of each input file, and each graph artifact loaded
     file_hashes: dict | None = field(default=None, init=False, repr=False)
+    graphs: dict | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.out_dir = Path(self.out_dir)
@@ -289,18 +299,22 @@ def pipeline_lock(out_dir: Path):
         os.close(fd)
 
 
-def _input_hash(paths: StagePaths, path: Path) -> str:
-    """``_file_hash(path)``, memoised in ``paths.file_hashes`` when that is set.
-    The key holds the inode, size and mtime, so a file replaced since it was
-    hashed is hashed again."""
-    memo = paths.file_hashes
+def _memoised(memo: dict | None, path: Path, read: Callable[[Path], object]):
+    """``read(path)``, kept in ``memo`` when that is set. The key holds the
+    inode, size and mtime, so a file replaced since it was read is read
+    again; a read that raises keeps nothing."""
     if memo is None:
-        return _file_hash(path)
+        return read(path)
     st = path.stat()
     key = (str(path), st.st_ino, st.st_size, st.st_mtime_ns)
     if key not in memo:
-        memo[key] = _file_hash(path)
+        memo[key] = read(path)
     return memo[key]
+
+
+def _input_hash(paths: StagePaths, path: Path) -> str:
+    """``_file_hash(path)``, memoised in ``paths.file_hashes`` when that is set."""
+    return _memoised(paths.file_hashes, path, _file_hash)
 
 
 def _write_json(path: Path, doc: dict, **dumps_kwargs) -> None:
@@ -422,16 +436,40 @@ def _stage(name: str, sources: Callable[[PipelineConfig], list[Path]] = lambda c
     return wrap
 
 
-def _load_graph(path: Path) -> DirectedTAG:
+@dataclass
+class _LoadedGraph:
+    """A loaded graph artifact and the structural scores computed on it, by
+    (damping, k-means seed)."""
+
+    graph: DirectedTAG
+    _structure: dict = field(default_factory=dict, repr=False)
+
+    def structure(self, f: FilterConfig) -> filtering.StructuralScores:
+        """``filtering.structural_scores`` under the settings ``f``, computed once."""
+        key = (f.damping, f.kmeans_seed)
+        if key not in self._structure:
+            self._structure[key] = filtering.structural_scores(
+                self.graph, self.graph.features, damping=f.damping, kmeans_seed=f.kmeans_seed
+            )
+        return self._structure[key]
+
+
+def _read_graph(path: Path) -> _LoadedGraph:
     """``dataio.load_graph``; an unreadable or malformed artifact (a torn
     write, say) raises MissingArtifactError naming the ingest stage."""
     try:
-        return dataio.load_graph(path)
+        return _LoadedGraph(dataio.load_graph(path))
     except (OSError, ValueError, KeyError, zipfile.BadZipFile) as exc:
         raise MissingArtifactError(
             f"{path}: graph artifact unreadable or malformed ({exc}); "
             f"re-run the {_PRODUCER['graph']!r} stage"
         ) from exc
+
+
+def _load_graph(paths: StagePaths) -> _LoadedGraph:
+    """The graph artifact, which must exist; within one :func:`run_pipeline`
+    call it is loaded, and each of its structural scores computed, once."""
+    return _memoised(paths.graphs, _require(paths, "graph"), _read_graph)
 
 
 # ---------------------------------------------------------------------------
@@ -452,22 +490,19 @@ def stage_ingest(cfg: PipelineConfig, paths: StagePaths, cfg_hash: str) -> None:
     dataio.save_graph(graph, paths.graph, cfg_hash)
 
 
-def _annotation_order(cfg: PipelineConfig, graph: DirectedTAG) -> list[int]:
+def _annotation_order(cfg: PipelineConfig, loaded: _LoadedGraph) -> list[int]:
     """Nodes to annotate: all, or the stage-one top ``node_cap`` re-ranked.
 
     The stage-one score needs no annotations, so capping by it keeps the
     expensive LLM calls on the nodes the filter will actually consider.
     """
-    nodes = list(range(graph.num_nodes))
+    n = loaded.graph.num_nodes
     cap = cfg.annotator.node_cap
-    if cap is None or cap >= len(nodes):
-        return nodes
-    pr = filtering.pagerank(graph, damping=cfg.filter.damping)
-    model = filtering.kmeans(graph.features, k=graph.num_classes, seed=cfg.filter.kmeans_seed)
-    dens = filtering.c_density(graph.features, model)
-    deg = np.array([graph.degree(v) for v in nodes], dtype=np.float64)
-    s1 = filtering.stage1_scores(pr, dens, deg, cfg.filter.gamma, cfg.filter.lam)
-    return sorted(filtering.select_top_k(np.arange(graph.num_nodes), s1, cap))
+    if cap is None or cap >= n:
+        return list(range(n))
+    st = loaded.structure(cfg.filter)
+    s1 = filtering.stage1_scores(st.pagerank, st.c_density, st.degree, cfg.filter.gamma, cfg.filter.lam)
+    return sorted(filtering.select_top_k(np.arange(n), s1, cap))
 
 
 def _make_client(cfg: PipelineConfig, graph: DirectedTAG) -> ann.Client:
@@ -490,8 +525,9 @@ def stage_annotate(
     cfg: PipelineConfig, paths: StagePaths, cfg_hash: str, client: ann.Client | None = None
 ) -> None:
     """Run the eight workers per node against the cache-backed client."""
-    graph = _load_graph(paths.graph)
-    nodes = _annotation_order(cfg, graph)
+    loaded = _load_graph(paths)
+    graph = loaded.graph
+    nodes = _annotation_order(cfg, loaded)
     if client is None:
         client = _make_client(cfg, graph)
     cache_path = Path(cfg.annotator.cache) if cfg.annotator.cache else paths.cache
@@ -531,7 +567,7 @@ def stage_annotate(
 @_stage("aggregate")
 def stage_aggregate(cfg: PipelineConfig, paths: StagePaths, cfg_hash: str) -> None:
     """Fuse the worker guesses that annotate recorded into pseudo-labels."""
-    graph = _load_graph(paths.graph)
+    graph = _load_graph(paths).graph
     try:
         nodes, top1, mass = dataio.load_guesses(paths.guesses, graph.num_nodes, graph.num_classes)
     except (OSError, ValueError, zipfile.BadZipFile) as exc:
@@ -580,9 +616,10 @@ def default_k(graph: DirectedTAG, eta: float) -> int:
     return math.ceil(20 * graph.num_classes / eta)
 
 
-def _select(graph: DirectedTAG, labels: dict[int, int], confidence: dict[int, float], f: FilterConfig):
+def _select(loaded: _LoadedGraph, labels: dict[int, int], confidence: dict[int, float], f: FilterConfig):
     """``filtering.run_filter`` over the pseudo-labeled nodes with the filter
     settings ``f``; returns (stage-one size k, final nodes, scores)."""
+    graph = loaded.graph
     k = f.k if f.k is not None else default_k(graph, f.eta)
     final, scores = filtering.run_filter(
         graph,
@@ -596,6 +633,7 @@ def _select(graph: DirectedTAG, labels: dict[int, int], confidence: dict[int, fl
         k=k,
         kmeans_seed=f.kmeans_seed,
         damping=f.damping,
+        structure=loaded.structure(f),
     )
     return k, final, scores
 
@@ -603,9 +641,10 @@ def _select(graph: DirectedTAG, labels: dict[int, int], confidence: dict[int, fl
 @_stage("filter")
 def stage_filter(cfg: PipelineConfig, paths: StagePaths, cfg_hash: str) -> None:
     """Two-stage selection over the annotated pool; writes scores + selection."""
-    graph = _load_graph(paths.graph)
+    loaded = _load_graph(paths)
+    graph = loaded.graph
     labels, confidence = load_pseudo_labels(paths, graph)
-    k, final, scores = _select(graph, labels, confidence, cfg.filter)
+    k, final, scores = _select(loaded, labels, confidence, cfg.filter)
 
     def fmt(x: float) -> str:
         return "" if np.isnan(x) else f"{x:.8f}"
@@ -649,12 +688,14 @@ def train_once(
     pseudo_labels: dict[int, int],
     gcn_cfg: GCNTrainConfig,
     a_hat=None,
+    ax: np.ndarray | None = None,
 ) -> tuple[list[gcn.EpochRecord], float, gcn.GCNModel, float | None]:
     """Train a GCN on pseudo-labeled nodes.
 
     Returns (history, test accuracy, model, validation accuracy). The seeded
     validation sample is held out of the test set and used only for the
-    report.
+    report. ``a_hat`` and ``ax`` (``a_hat @ graph.features``) are computed
+    when not given; every forward shares that one ``ax``.
     """
     config = gcn.GCNConfig(
         hidden=gcn_cfg.hidden,
@@ -666,16 +707,18 @@ def train_once(
     )
     if a_hat is None:
         a_hat = gcn.normalize_adjacency(graph)
+    if ax is None:
+        ax = a_hat @ graph.features
     train_ids, val_ids, test_ids = gcn.split_nodes(
         graph, train_nodes, val_size=gcn_cfg.val_size, seed=gcn_cfg.seed
     )
     model = gcn.init_model(a_hat, graph.feature_dim, graph.num_classes, config)
     y_train = np.array([pseudo_labels[v] for v in train_ids], dtype=np.intp)
     y_test = np.array([graph.labels[v] for v in test_ids], dtype=np.intp)
-    history = gcn.train(model, graph.features, train_ids, y_train, test_ids, y_test)
+    history = gcn.train(model, graph.features, train_ids, y_train, test_ids, y_test, ax=ax)
     if len(test_ids) == 0:
         raise ValueError("evaluation node set is empty")
-    logits = gcn.forward(model, graph.features)  # one eval-mode forward for both accuracies
+    logits = gcn.forward(model, graph.features, ax=ax)  # one eval-mode forward for both accuracies
     test_acc = gcn._accuracy(logits, test_ids, y_test)
     val_acc = None
     if len(val_ids):
@@ -687,7 +730,7 @@ def train_once(
 @_stage("train")
 def stage_train(cfg: PipelineConfig, paths: StagePaths, cfg_hash: str) -> None:
     """Train the GCN on the selected pseudo-labeled nodes; write the report."""
-    graph = _load_graph(paths.graph)
+    graph = _load_graph(paths).graph
     labels, _conf = load_pseudo_labels(paths, graph)
     selected = json.loads(paths.selected.read_text())["final_nodes"]
     history, test_acc, model, val_acc = train_once(graph, selected, labels, cfg.gcn)
@@ -728,8 +771,10 @@ def stage_train(cfg: PipelineConfig, paths: StagePaths, cfg_hash: str) -> None:
 
 def run_pipeline(cfg: PipelineConfig, paths: StagePaths, client: ann.Client | None = None) -> dict[str, bool]:
     """All stages in order; returns which stages actually ran. Each input file
-    is hashed once per call, however many manifests list it."""
+    is hashed once per call, however many manifests list it, and the graph
+    artifact is loaded, and its structural scores computed, once."""
     paths.file_hashes = {}
+    paths.graphs = {}
     try:
         ran = {}
         ran["ingest"] = stage_ingest(cfg, paths)
@@ -739,7 +784,7 @@ def run_pipeline(cfg: PipelineConfig, paths: StagePaths, client: ann.Client | No
         ran["train"] = stage_train(cfg, paths)
         return ran
     finally:
-        paths.file_hashes = None
+        paths.file_hashes = paths.graphs = None
 
 
 # ---------------------------------------------------------------------------
@@ -756,24 +801,29 @@ def hyperparameter_sweep(
     """Mean/std test accuracy per (gamma, lambda) cell over ``seeds`` runs.
 
     Requires cached annotations (the pseudo-label artifact); never queries
-    the LLM.
+    the LLM. The graph is loaded, its structural scores computed and
+    ``A_hat @ X`` formed once, for every cell and seed.
     """
     if len(gamma_values) != len(lambda_values):
         raise ConfigError("gamma_values and lambda_values must have equal length")
+    if seeds < 1:
+        raise ConfigError(f"sweep seeds must be >= 1, got {seeds}")
     cells = [replace(cfg.filter, gamma=g, lam=lam) for g, lam in zip(gamma_values, lambda_values)]
     for f in cells:  # every cell is valid before the first one runs
         replace(cfg, filter=f).validate()
-    graph = _load_graph(_require(paths, "graph"))
+    loaded = _load_graph(paths)
+    graph = loaded.graph
     labels, confidence = load_pseudo_labels(paths, graph)
     a_hat = gcn.normalize_adjacency(graph)
+    ax = a_hat @ graph.features
 
     results = []
     for f in cells:
-        _, final, _ = _select(graph, labels, confidence, f)
+        _, final, _ = _select(loaded, labels, confidence, f)
         accs = []
         for s in range(seeds):
             gcn_cfg = GCNTrainConfig(**{**asdict(cfg.gcn), "seed": cfg.gcn.seed + s})
-            _, acc, _, _ = train_once(graph, final, labels, gcn_cfg, a_hat=a_hat)
+            _, acc, _, _ = train_once(graph, final, labels, gcn_cfg, a_hat=a_hat, ax=ax)
             accs.append(acc)
         arr = np.array(accs)
         results.append(

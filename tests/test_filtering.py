@@ -19,6 +19,7 @@ from crowdtag.filtering import (
     shannon_entropy,
     stage1_scores,
     stage2_select,
+    structural_scores,
 )
 from crowdtag.synthetic import synthetic_citation_graph
 
@@ -189,7 +190,55 @@ def test_kmeans_scratch_below_n_k_d_tensor():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < n * k * d * 8
+    assert peak < 1.5 * n * d * 8  # about one (n, d) scratch, far below n * k * d
+
+
+def kmeans_gathering_reference(x, k, seed=0, max_iter=100, tol=1e-6):
+    """k-means as written with full-size temporaries (``centers[assignment]``,
+    ``x[mask]``): the arithmetic ``kmeans`` must reproduce bit for bit."""
+    n = x.shape[0]
+    rng = np.random.default_rng(seed)
+    centers = np.empty((k, x.shape[1]))
+    centers[0] = x[rng.integers(n)]
+    sq_dist = ((x - centers[0]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        total = sq_dist.sum()
+        idx = int(rng.integers(n)) if total <= 0 else int(rng.choice(n, p=sq_dist / total))
+        centers[j] = x[idx]
+        sq_dist = np.minimum(sq_dist, ((x - centers[j]) ** 2).sum(axis=1))
+    history = []
+    for _ in range(max_iter):
+        assignment = _sq_dists(x, centers).argmin(axis=1)
+        for j in range(k):
+            mask = assignment == j
+            if mask.any():
+                centers[j] = x[mask].mean(axis=0)
+            else:
+                farthest = int(((x - centers[assignment]) ** 2).sum(axis=1).argmax())
+                centers[j] = x[farthest]
+                assignment[farthest] = j
+        inertia = float(((x - centers[assignment]) ** 2).sum())
+        converged = bool(history) and history[-1] - inertia < tol
+        history.append(inertia)
+        if converged:
+            break
+    return centers, _sq_dists(x, centers).argmin(axis=1), history
+
+
+def test_kmeans_bit_identical_to_gathering_reference():
+    rng = np.random.default_rng(23)
+    for trial in range(60):
+        n, d = int(rng.integers(3, 200)), int(rng.integers(1, 20))
+        k = int(rng.integers(1, min(n, 8) + 1))
+        if trial % 2:  # few distinct rows: duplicate centers and empty-cluster reseeds
+            x = rng.integers(0, 3, size=(n, d)).astype(np.float64)
+        else:
+            x = rng.normal(size=(n, d)) * rng.uniform(0.1, 100.0)
+        centers, assignment, history = kmeans_gathering_reference(x, k, seed=trial)
+        model = kmeans(x, k=k, seed=trial)
+        np.testing.assert_array_equal(model.centers, centers)
+        np.testing.assert_array_equal(model.assignment, assignment)
+        assert model.inertia_history == history
 
 
 # --- c_density -------------------------------------------------------------------
@@ -266,6 +315,13 @@ def test_select_top_k_matches_full_sort_oracle():
 def test_select_top_k_too_large_errors():
     with pytest.raises(ValueError):
         select_top_k(np.arange(3), np.ones(3), 4)
+
+
+def test_select_top_k_negative_k_errors():
+    # a negative slice bound would silently drop nodes from the end instead
+    with pytest.raises(ValueError):
+        select_top_k(np.arange(3), np.ones(3), -1)
+    assert select_top_k(np.arange(3), np.ones(3), 0) == []
 
 
 # --- change of entropy -----------------------------------------------------------------
@@ -366,3 +422,23 @@ def test_run_filter_deterministic():
     a, _ = run_filter(graph, graph.features, annotated, conf, labels, **kwargs)
     b, _ = run_filter(graph, graph.features, annotated, conf, labels, **kwargs)
     assert a == b
+
+
+def test_structural_scores_feed_run_filter_unchanged():
+    graph = synthetic_citation_graph(n=90, num_classes=3, seed=34)
+    structure = structural_scores(graph, graph.features, damping=0.8, kmeans_seed=4)
+    np.testing.assert_array_equal(structure.pagerank, pagerank(graph, damping=0.8))
+    model = kmeans(graph.features, k=graph.num_classes, seed=4)
+    np.testing.assert_array_equal(structure.c_density, c_density(graph.features, model))
+    assert structure.degree.tolist() == [graph.degree(v) for v in range(graph.num_nodes)]
+
+    annotated = list(range(0, graph.num_nodes, 2))
+    rng = np.random.default_rng(2)
+    labels = {v: int(rng.integers(3)) for v in annotated}
+    conf = {v: float(rng.random()) for v in annotated}
+    kwargs = dict(gamma=0.1, lam=0.6, eta=0.3, k=20, kmeans_seed=4, damping=0.8)
+    a, scores_a = run_filter(graph, graph.features, annotated, conf, labels, **kwargs)
+    b, scores_b = run_filter(graph, graph.features, annotated, conf, labels, structure=structure, **kwargs)
+    assert a == b
+    for name in ("pagerank", "c_density", "degree", "s1", "s2", "selected_stage"):
+        np.testing.assert_array_equal(getattr(scores_a, name), getattr(scores_b, name))

@@ -99,6 +99,33 @@ def test_forward_dimension_mismatch():
     g, model = small_model(d=4)
     with pytest.raises(ValueError):
         forward(model, np.zeros((g.num_nodes, 7)))
+    with pytest.raises(ValueError):  # a product of another shape than A_hat @ x
+        forward(model, g.features, ax=np.zeros((g.num_nodes + 1, 4)))
+
+
+def test_training_with_a_given_product_matches_training_without():
+    def run(with_ax: bool):
+        g, model = small_model(n=20, seed=9, dropout=0.5, epochs=30)
+        nodes = np.arange(10)
+        labels = np.array([g.labels[v] for v in nodes])
+        ax = model.a_hat @ g.features if with_ax else None
+        history = train(model, g.features, nodes, labels, ax=ax)
+        return [(r.loss, r.train_acc) for r in history], model.w1.copy(), forward(model, g.features, ax=ax)
+
+    (h1, w1a, logits_a), (h2, w1b, logits_b) = run(False), run(True)
+    assert h1 == h2
+    np.testing.assert_array_equal(w1a, w1b)
+    np.testing.assert_array_equal(logits_a, logits_b)
+
+
+def test_forward_on_another_feature_matrix_uses_its_own_product():
+    g, model = small_model(n=12, d=4, seed=5, epochs=5)
+    nodes = np.arange(6)
+    train(model, g.features, nodes, np.array([g.labels[v] for v in nodes]))
+    other = np.random.default_rng(6).normal(size=g.features.shape)
+    for x in (other, g.features, other):
+        oracle = forward_oracle(model.a_hat, x, model.w1, model.w2)
+        assert np.max(np.abs(forward(model, x) - oracle)) < 1e-12
 
 
 def test_sparse_adjacency_path_matches_dense():

@@ -1,18 +1,21 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import json
 import os
 import subprocess
 import sys
 import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from crowdtag import aggregate, annotate, cli, dataio, filtering, pipeline
+from crowdtag import aggregate, annotate, cli, dataio, filtering, gcn, pipeline
 from crowdtag.annotate import BudgetState, ResponseCache, TruncationPolicy, annotate_graph
 from crowdtag.cli import verify_theorem
 from crowdtag.dataio import load_graph
@@ -78,6 +81,30 @@ def test_cli_validation_exit_code(tmp_path):
     assert cli.main(["filter", "--config", str(cfg_path)]) == pipeline.EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("flags", [["--node-cap", "-5"], ["--k", "-3"], ["--k", "0"]])
+def test_cli_rejects_a_cap_or_stage_one_size_below_one(tmp_path, capsys, flags):
+    cfg_path, out_dir = fixture_config(tmp_path)
+    assert cli.main(["pipeline", "--config", str(cfg_path), *flags]) == pipeline.EXIT_VALIDATION
+    assert "config error" in capsys.readouterr().err
+    assert not (out_dir / "graph.npz").exists()  # refused before any stage ran
+
+
+def test_cli_sweep_rejects_fewer_than_one_seed(tmp_path, capsys):
+    cfg_path, out_dir = fixture_config(tmp_path)
+    assert cli.main(["pipeline", "--config", str(cfg_path)]) == 0
+    grid = ["--gamma-values", "0.1", "--lambda-values", "0.6"]
+    assert cli.main(["sweep", "--config", str(cfg_path), *grid, "--sweep-seeds", "0"]) == 1
+    doc = json.loads(cfg_path.read_text())
+    doc["sweep"] = {"seeds": 0}
+    cfg_path.write_text(json.dumps(doc))
+    assert cli.main(["sweep", "--config", str(cfg_path), *grid]) == 1
+    assert capsys.readouterr().err.count("config error") == 2
+    assert not (out_dir / "sweep.csv").exists()
+    cfg = load_config(cfg_path, {"sweep": {"seeds": 1}})
+    with pytest.raises(ConfigError):
+        pipeline.hyperparameter_sweep(cfg, StagePaths(out_dir), [0.1], [0.6], seeds=0)
+
+
 # --- full pipeline on the bundled fixture -------------------------------------------
 
 def test_pipeline_fixture_end_to_end(tmp_path):
@@ -113,6 +140,121 @@ def test_pipeline_fixture_end_to_end(tmp_path):
     header, rows = read_csv_rows(paths.history)
     assert header == ["epoch", "train_acc", "test_acc", "loss"]
     assert len(rows) == 60
+
+
+# Digests of the quick start's outputs, recorded before the per-run constants
+# (graph, structural scores, A_hat @ X) were shared; sharing changes no byte.
+# model.json holds the weights at full precision, so a BLAS that rounds the
+# GCN's products differently on another CPU changes it.
+QUICK_START_DIGESTS = {
+    "history.csv": "2e993f254b8190883218be79b16ec4ea272f997651465d5bbd3f251979eafbd8",
+    "model.json": "f60a209e93a0047869f0b93d723bc1f9faac057ff9a26051d1566c53496eac4b",
+    "scores.csv": "b6fe7d1acfc49d87572d76f838c47f5641d3a7c6ba09349f018459a90db706f8",
+    "selected.json": "23eea1f1ce520e892ee179786be11c3d332bb83032f07e303b6d8300abeddc15",
+    "pseudo_labels.csv": "6118d9ed13430a59208f76088f278439dd5ce32faa47403e706698bdf2120ce0",
+}
+
+
+def test_quick_start_outputs_keep_their_bytes(tmp_path):
+    out_dir = tmp_path / "quickstart"
+    args = ["pipeline", "--fixture", "--out-dir", str(out_dir), "--seed", "3", "--noise", "0.3",
+            "--k", "20", "--eta", "0.45", "--gamma", "0.1", "--lambda", "0.6"]
+    assert cli.main(args) == 0
+    digests = {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in QUICK_START_DIGESTS}
+    assert digests == QUICK_START_DIGESTS
+
+
+def counting(monkeypatch, module, name: str) -> list:
+    """Replace ``module.name`` with a wrapper that records each call's arguments."""
+    calls: list = []
+    fn = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_node_cap_run_loads_the_graph_and_scores_its_structure_once(tmp_path, monkeypatch):
+    cfg_path, out_dir = fixture_config(tmp_path)
+    cfg = load_config(cfg_path)
+    cfg.annotator.node_cap = 20
+    paths = StagePaths(out_dir)
+    loads = counting(monkeypatch, dataio, "load_graph")
+    pageranks = counting(monkeypatch, filtering, "pagerank")
+    kmeans_fits = counting(monkeypatch, filtering, "kmeans")
+    assert all(run_pipeline(cfg, paths).values())
+    assert (len(loads), len(pageranks), len(kmeans_fits)) == (1, 1, 1)
+    assert paths.graphs is None  # the memo does not outlive the call
+    assert len(json.loads(paths.annotated_nodes.read_text())["nodes"]) == 20
+
+    # a stage called on its own loads the graph itself
+    assert pipeline.stage_train(replace(cfg, gcn=replace(cfg.gcn, epochs=3)), paths)
+    assert len(loads) == 2
+
+
+def test_graph_memo_reloads_a_replaced_artifact_and_keeps_no_failed_load(tmp_path, monkeypatch):
+    cfg_path, out_dir = fixture_config(tmp_path)
+    cfg = load_config(cfg_path)
+    paths = StagePaths(out_dir)
+    assert all(run_pipeline(cfg, paths).values())
+    loads = counting(monkeypatch, dataio, "load_graph")
+
+    paths.graphs = {}
+    first = pipeline._load_graph(paths)
+    assert pipeline._load_graph(paths) is first and len(loads) == 1
+    graph = first.graph
+    graph.class_names = [name.upper() for name in graph.class_names]
+    dataio.save_graph(graph, paths.graph, "replaced")
+    second = pipeline._load_graph(paths)
+    assert second is not first and len(loads) == 2
+    assert second.graph.class_names == graph.class_names
+    data = paths.graph.read_bytes()
+    paths.graph.write_bytes(data[: len(data) // 2])
+    memo = dict(paths.graphs)
+    for _ in range(2):  # a torn artifact fails on every load, and is never kept
+        with pytest.raises(MissingArtifactError, match="'ingest'"):
+            pipeline._load_graph(paths)
+    assert paths.graphs == memo and len(loads) == 4
+    paths.graphs = None
+
+    # between two run_pipeline calls: the replaced graph is loaded by the second
+    cfg.dataset.edge_semantics = dataio.CITED_TO_CITING
+    assert all(run_pipeline(cfg, paths).values())
+    assert len(loads) == 5
+    assert load_graph(paths.graph).successors != load_fixture_graph().successors
+
+
+def test_sweep_scores_structure_and_propagates_features_once(tmp_path, monkeypatch):
+    cfg_path, out_dir = fixture_config(tmp_path)
+    cfg = load_config(cfg_path)
+    paths = StagePaths(out_dir)
+    run_pipeline(cfg, paths)
+    loads = counting(monkeypatch, dataio, "load_graph")
+    pageranks = counting(monkeypatch, filtering, "pagerank")
+    kmeans_fits = counting(monkeypatch, filtering, "kmeans")
+    products = []
+    normalize = gcn.normalize_adjacency
+
+    def counting_normalize(graph):
+        features = graph.features
+
+        class CountingCSR(sp.csr_matrix):
+            def __matmul__(self, other):
+                if other is features:
+                    products.append(other.shape)
+                return super().__matmul__(other)
+
+        return CountingCSR(normalize(graph))
+
+    monkeypatch.setattr(gcn, "normalize_adjacency", counting_normalize)
+    cells = pipeline.hyperparameter_sweep(cfg, paths, [0.0, 0.1], [0.7, 0.6], seeds=2)
+    assert len(cells) == 2
+    assert (len(loads), len(pageranks), len(kmeans_fits), len(products)) == (1, 1, 1, 1)
+    monkeypatch.undo()
+    assert pipeline.hyperparameter_sweep(cfg, paths, [0.0, 0.1], [0.7, 0.6], seeds=2) == cells
 
 
 def test_ingest_writes_npz_graph_and_no_temp_file(tmp_path):
