@@ -122,7 +122,9 @@ def _sq_dists(x: np.ndarray, centers: np.ndarray, scratch: np.ndarray | None = N
     return out
 
 
-def _sq_residuals(x: np.ndarray, centers: np.ndarray, assignment: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+def _sq_residuals(
+    x: np.ndarray, centers: np.ndarray, assignment: np.ndarray, scratch: np.ndarray
+) -> np.ndarray:
     """``(x - centers[assignment]) ** 2``, computed in ``scratch``.
 
     ``mode="clip"`` (a no-op on valid assignments) lets ``take`` write into

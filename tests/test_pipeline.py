@@ -160,7 +160,9 @@ def test_quick_start_outputs_keep_their_bytes(tmp_path):
     args = ["pipeline", "--fixture", "--out-dir", str(out_dir), "--seed", "3", "--noise", "0.3",
             "--k", "20", "--eta", "0.45", "--gamma", "0.1", "--lambda", "0.6"]
     assert cli.main(args) == 0
-    digests = {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in QUICK_START_DIGESTS}
+    digests = {
+        name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in QUICK_START_DIGESTS
+    }
     assert digests == QUICK_START_DIGESTS
 
 
