@@ -11,9 +11,10 @@ File formats (public Cora/Citeseer conventions):
 * embeddings file (optional): ``key<TAB>v1,v2,...,vd`` per line.
 
 The assembled graph is stored as one uncompressed ``.npz`` archive: the
-feature matrix and the edge list as binary arrays, plus a small versioned JSON
-``meta`` member with keys, texts, labels and class names. Features round-trip
-bit-exactly and every stage loads the artifact without re-parsing text.
+feature matrix and the graph's edge array as binary arrays, plus a small
+versioned JSON ``meta`` member with keys, texts, labels and class names.
+Features and edges round-trip bit-exactly and every stage loads the artifact
+without re-parsing text.
 
 The workers' parsed guesses are a second uncompressed ``.npz``: integer
 ``nodes``, ``top1`` and ``mass`` arrays, the form ``aggregate.fuse`` takes.
@@ -151,8 +152,9 @@ def assemble(
     """Assemble a directed graph from parsed records.
 
     Under ``citing_to_cited`` an edge u -> v means "u cites v". Cite records
-    naming unknown keys are counted and skipped; self-citations and duplicate
-    edges are dropped and counted.
+    naming unknown keys are counted and skipped. Self-citations and duplicate
+    edges are counted here and dropped by :func:`build_graph`, so the counters
+    reconcile only if its edge array holds exactly the rest.
     """
     if not content:
         raise ValueError("content record list is empty")
@@ -169,31 +171,28 @@ def assemble(
     labels: list[int | None] = [class_index[r.label] for r in content]
     features = np.stack([r.features for r in content])
 
-    counters = AssemblyCounters(records=len(cites))
-    seen: set[tuple[int, int]] = set()
-    edges: list[tuple[int, int]] = []
-    for rec in cites:
-        if rec.cited not in key_to_id or rec.citing not in key_to_id:
-            counters.unknown_key += 1
-            continue
-        cited, citing = key_to_id[rec.cited], key_to_id[rec.citing]
-        u, v = (citing, cited) if edge_semantics == CITING_TO_CITED else (cited, citing)
-        if u == v:
-            counters.self_loops += 1
-            continue
-        if (u, v) in seen:
-            counters.duplicates += 1
-            continue
-        seen.add((u, v))
-        edges.append((u, v))
-    counters.edges_added = len(edges)
+    lookup = key_to_id.get
+    cited = np.fromiter((lookup(r.cited, -1) for r in cites), np.int64, len(cites))
+    citing = np.fromiter((lookup(r.citing, -1) for r in cites), np.int64, len(cites))
+    known = (cited >= 0) & (citing >= 0)
+    cited, citing = cited[known], citing[known]
+    src, dst = (citing, cited) if edge_semantics == CITING_TO_CITED else (cited, citing)
+    loop = src == dst
+    counters = AssemblyCounters(
+        records=len(cites),
+        unknown_key=len(cites) - len(src),
+        self_loops=int(loop.sum()),
+        duplicates=int((~loop).sum()) - len(np.unique((src * len(keys) + dst)[~loop])),
+    )
 
     if texts is None:
         node_texts = [MISSING_TEXT_MARKER] * len(keys)
     else:
         node_texts = [texts.get(k, MISSING_TEXT_MARKER) for k in keys]
 
-    graph = build_graph(keys, edges, node_texts, features, labels, class_names)
+    pairs = np.stack([src, dst], axis=1)
+    graph = build_graph(keys, pairs, node_texts, features, labels, class_names)
+    counters.edges_added = graph.num_edges
     return graph, counters
 
 
@@ -249,23 +248,24 @@ def atomic_write(path: str | Path, mode: str = "w", **open_kwargs):
 
 def save_graph(graph: DirectedTAG, path: str | Path, config_hash: str | None = None) -> None:
     """Write the uncompressed ``.npz`` graph artifact, atomically: ``features``
-    (float64, n x d), ``edges`` (int64, m x 2, sorted) and ``meta`` (UTF-8
-    JSON of the schema version, class names, keys, texts, labels and config
-    hash).
+    (float64, n x d), ``edges`` (the graph's edge array: int64, m x 2, unique
+    and sorted) and ``meta`` (UTF-8 JSON of the schema version, class names,
+    keys, texts, labels and config hash).
     """
     meta = {"schema_version": GRAPH_SCHEMA_VERSION, "class_names": graph.class_names,
             "keys": graph.original_keys, "texts": graph.texts, "labels": graph.labels,
             "config_hash": config_hash}
     blob = np.frombuffer(json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8)
-    edges = np.array(sorted(graph.edges()), dtype=np.int64).reshape(-1, 2)
     with atomic_write(path, "wb") as fh:
-        np.savez(fh, features=np.asarray(graph.features, dtype=np.float64), edges=edges, meta=blob)
+        np.savez(fh, features=np.asarray(graph.features, dtype=np.float64), edges=graph.edge_array,
+                 meta=blob)
 
 
 def load_graph(path: str | Path) -> DirectedTAG:
     """Read a :func:`save_graph` artifact; pickled members are refused. Raises
-    ValueError on a wrong schema version, mismatched row counts or an edge id
-    outside ``0..n-1``."""
+    ValueError on a wrong schema version, mismatched row counts, an ``edges``
+    member that is not int64 of shape (m, 2), or (from :func:`build_graph`)
+    an edge id outside ``0..n-1``."""
     # np.load leaks the handle it opens when the zip is torn, so pass it one
     with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
         features, edges = npz["features"], npz["edges"]
@@ -280,9 +280,7 @@ def load_graph(path: str | Path) -> DirectedTAG:
         raise ValueError(f"{path}: features {features.shape}, texts and labels do not fit {n} keys")
     if edges.dtype != np.int64 or edges.ndim != 2 or edges.shape[1] != 2:
         raise ValueError(f"{path}: edges must be int64 of shape (m, 2), got {edges.dtype}{edges.shape}")
-    if edges.size and (edges.min() < 0 or edges.max() >= n):
-        raise ValueError(f"{path}: edge node id outside 0..{n - 1}")
-    return build_graph(keys, edges.tolist(), texts, features, labels, meta["class_names"])
+    return build_graph(keys, edges, texts, features, labels, meta["class_names"])
 
 
 def save_guesses(path: str | Path, nodes: np.ndarray, top1: np.ndarray, mass: np.ndarray) -> None:

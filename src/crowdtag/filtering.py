@@ -61,9 +61,6 @@ class FilterScores:
     pagerank: np.ndarray
     c_density: np.ndarray
     degree: np.ndarray
-    pagerank_norm: np.ndarray
-    c_density_norm: np.ndarray
-    degree_norm: np.ndarray
     s1: np.ndarray
     coe: np.ndarray
     confidence: np.ndarray
@@ -85,11 +82,9 @@ def pagerank(
     n = graph.num_nodes
     if n < 1:
         raise ValueError("graph has no nodes")
-    out_deg = np.array([len(s) for s in graph.successors], dtype=np.float64)
+    src, dst = graph.edge_array.T
+    out_deg = np.bincount(src, minlength=n).astype(np.float64)
     dangling = out_deg == 0
-    edges = graph.edges()
-    src = np.array([u for u, _ in edges], dtype=np.intp)
-    dst = np.array([v for _, v in edges], dtype=np.intp)
 
     x = np.full(n, 1.0 / n)
     for _ in range(max_iter):
@@ -223,7 +218,7 @@ def structural_scores(
     return StructuralScores(
         pagerank=pr,
         c_density=c_density(features, model),
-        degree=np.array([graph.degree(v) for v in range(graph.num_nodes)], dtype=np.float64),
+        degree=np.bincount(graph.edge_array.ravel(), minlength=graph.num_nodes).astype(np.float64),
     )
 
 
@@ -377,9 +372,6 @@ def run_filter(
         pagerank=pr,
         c_density=dens,
         degree=deg,
-        pagerank_norm=minmax_normalize(pr),
-        c_density_norm=minmax_normalize(dens),
-        degree_norm=minmax_normalize(deg),
         s1=s1,
         coe=coe_col,
         confidence=conf_col,

@@ -59,21 +59,18 @@ class GCNModel:
 
 
 def normalize_adjacency(graph: DirectedTAG) -> sp.csr_matrix:
-    """Symmetrize, add self-loops, apply symmetric degree normalization."""
+    """A_hat = D^-1/2 (A + I) D^-1/2, where ``A[u, v] = A[v, u] = 1`` for
+    each edge ``u -> v`` of the graph's edge array.
+
+    ``A + I`` is built from the distinct ``u * n + v`` codes of the edges,
+    the reversed edges and the diagonal, so its CSR indices are sorted; that
+    order fixes the summation order of ``A_hat @ X``.
+    """
     n = graph.num_nodes
-    rows, cols = [], []
-    seen: set[tuple[int, int]] = set()
-    for u, v in graph.edges():
-        for a, b in ((u, v), (v, u)):
-            if (a, b) not in seen:
-                seen.add((a, b))
-                rows.append(a)
-                cols.append(b)
-    for i in range(n):
-        rows.append(i)
-        cols.append(i)
-    data = np.ones(len(rows))
-    adj = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
+    src, dst = graph.edge_array.T
+    diag = np.arange(n, dtype=np.int64)
+    codes = np.unique(np.concatenate([src * n + dst, dst * n + src, diag * n + diag]))
+    adj = sp.csr_matrix((np.ones(codes.size), np.divmod(codes, n)), shape=(n, n))
     deg = np.asarray(adj.sum(axis=1)).ravel()
     inv_sqrt = 1.0 / np.sqrt(deg)
     return sp.csr_matrix(sp.diags(inv_sqrt) @ adj @ sp.diags(inv_sqrt))

@@ -1,9 +1,11 @@
 """Directed text-attributed graph with the homophily-tie neighborhood algebra.
 
-A graph couples directed structure (forward and reverse adjacency), per-node
-raw text, per-node feature vectors, and optional ground-truth class labels.
-Around any node, eight subgraph configurations ("homophily ties") are defined
-from compositions of predecessor/successor lookups up to two hops; these drive
+A graph couples directed structure, per-node raw text, per-node feature
+vectors, and optional ground-truth class labels. The structure is one sorted
+``(m, 2)`` int64 array of distinct edges ``u -> v`` without self-loops, put in
+that form only by :func:`build_graph`; everything else reads it. Around any
+node, eight subgraph configurations ("homophily ties") are defined from
+compositions of predecessor/successor lookups up to two hops; these drive
 prompt construction for the annotation workers.
 
 Graphs are immutable after construction: all read operations are safe to call
@@ -89,45 +91,60 @@ def _assemble_tie(v: int, k: int, groups: dict[str, Iterable[int]]) -> Homophily
     )
 
 
+def _grouped(keys: np.ndarray, values: np.ndarray, n: int) -> list[list[int]]:
+    """``values`` split into one list per node id ``0..n-1`` by ``keys``,
+    which must be sorted ascending."""
+    ends = np.cumsum(np.bincount(keys, minlength=n)).tolist()
+    flat = values.tolist()
+    return [flat[start:end] for start, end in zip([0, *ends[:-1]], ends)]
+
+
 @dataclass
 class DirectedTAG:
     """In-memory directed text-attributed graph.
 
     Nodes carry dense integer ids ``0..n-1`` assigned in input order; the
     original string keys are kept for reporting. ``labels[i]`` is a class
-    index or ``None`` when ground truth is unknown.
+    index or ``None`` when ground truth is unknown. ``edge_array`` holds the
+    edges as :func:`build_graph` normalises them; ``successors[u]`` and
+    ``predecessors[v]`` are derived from it as sorted lists of ids.
     """
 
     original_keys: list[str]
-    successors: list[list[int]]
-    predecessors: list[list[int]]
+    edge_array: np.ndarray
     texts: list[str]
     features: np.ndarray
     labels: list[int | None]
     class_names: list[str]
     key_to_id: dict[str, int] = field(init=False, repr=False)
+    successors: list[list[int]] = field(init=False, repr=False)
+    predecessors: list[list[int]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.key_to_id = {k: i for i, k in enumerate(self.original_keys)}
         self._validate()
+        n = self.num_nodes
+        src, dst = self.edge_array.T
+        self.successors = _grouped(src, dst, n)
+        by_dst = np.argsort(dst, kind="stable")  # keeps sources ascending per target
+        self.predecessors = _grouped(dst[by_dst], src[by_dst], n)
 
     def _validate(self) -> None:
         n = len(self.original_keys)
-        if not (len(self.successors) == len(self.predecessors) == n):
-            raise ValueError("adjacency lists do not match node count")
         if len(self.texts) != n or len(self.labels) != n:
             raise ValueError("texts/labels do not match node count")
         if self.features.ndim != 2 or self.features.shape[0] != n:
             raise ValueError(f"feature matrix must be ({n}, d)")
-        forward = {(u, v) for u, succ in enumerate(self.successors) for v in succ}
-        reverse = {(u, v) for v, pred in enumerate(self.predecessors) for u in pred}
-        if forward != reverse:
-            raise ValueError("forward and reverse adjacency disagree")
-        if any(u == v for u, v in forward):
+        e = self.edge_array
+        if e.dtype != np.int64 or e.ndim != 2 or e.shape[1] != 2:
+            raise ValueError(f"edge array must be int64 of shape (m, 2), got {e.dtype}{e.shape}")
+        if e.size and (e.min() < 0 or e.max() >= n):
+            raise ValueError(f"edge node id outside 0..{n - 1}")
+        src, dst = e.T
+        if (src == dst).any():
             raise ValueError("self-loops are not allowed")
-        for u, succ in enumerate(self.successors):
-            if len(set(succ)) != len(succ):
-                raise ValueError(f"duplicate edges out of node {u}")
+        if (np.diff(src * n + dst) <= 0).any():
+            raise ValueError("edges must be unique and sorted by (u, v)")
 
     @property
     def num_nodes(self) -> int:
@@ -135,7 +152,7 @@ class DirectedTAG:
 
     @property
     def num_edges(self) -> int:
-        return sum(len(s) for s in self.successors)
+        return len(self.edge_array)
 
     @property
     def num_classes(self) -> int:
@@ -146,7 +163,8 @@ class DirectedTAG:
         return int(self.features.shape[1])
 
     def edges(self) -> list[tuple[int, int]]:
-        return [(u, v) for u, succ in enumerate(self.successors) for v in succ]
+        """Every edge ``(u, v)``, sorted."""
+        return list(map(tuple, self.edge_array.tolist()))
 
     def _check_node(self, v: int) -> None:
         if not 0 <= v < self.num_nodes:
@@ -226,38 +244,34 @@ class DirectedTAG:
     def adjacency_matrix(self) -> np.ndarray:
         """Dense boolean adjacency; A[u, v] iff edge u -> v. For small graphs."""
         a = np.zeros((self.num_nodes, self.num_nodes), dtype=bool)
-        for u, succ in enumerate(self.successors):
-            a[u, list(succ)] = True
+        a[self.edge_array[:, 0], self.edge_array[:, 1]] = True
         return a
 
 
 def build_graph(
     keys: list[str],
-    edges: list[tuple[int, int]],
+    edges: list[tuple[int, int]] | np.ndarray,
     texts: list[str],
     features: np.ndarray,
     labels: list[int | None],
     class_names: list[str],
 ) -> DirectedTAG:
-    """Assemble a graph from an edge list, dropping self-loops and duplicates."""
+    """Assemble a graph from ``(u, v)`` pairs: a list or an ``(m, 2)`` array.
+
+    Raises ValueError for a node id outside ``0..len(keys)-1``; drops
+    self-loops and duplicates and sorts the rest by ``(u, v)``.
+    """
     n = len(keys)
-    succ: list[list[int]] = [[] for _ in range(n)]
-    pred: list[list[int]] = [[] for _ in range(n)]
-    seen: set[tuple[int, int]] = set()
-    for u, v in edges:
-        if u == v or (u, v) in seen:
-            continue
-        seen.add((u, v))
-        succ[u].append(v)
-        pred[v].append(u)
-    for lst in succ:
-        lst.sort()
-    for lst in pred:
-        lst.sort()
+    pairs = np.asarray(edges, dtype=np.int64)
+    if pairs.size and (pairs.ndim != 2 or pairs.shape[1] != 2):
+        raise ValueError(f"edges must be (u, v) pairs, got shape {pairs.shape}")
+    if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
+        raise ValueError(f"edge node id outside 0..{n - 1}")
+    src, dst = pairs.reshape(-1, 2).T
+    codes = np.unique((src * n + dst)[src != dst])
     return DirectedTAG(
         original_keys=list(keys),
-        successors=succ,
-        predecessors=pred,
+        edge_array=np.stack(np.divmod(codes, n), axis=1),
         texts=list(texts),
         features=np.asarray(features, dtype=np.float64),
         labels=list(labels),

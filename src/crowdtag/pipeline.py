@@ -87,13 +87,7 @@ class AnnotatorConfig:
     noise: float = 0.0
     seed: int = 0
     node_cap: int | None = None
-    truncation: dict = field(
-        default_factory=lambda: {
-            "max_neighbors_per_role": 5,
-            "neighbor_text_chars": 600,
-            "center_text_chars": 1200,
-        }
-    )
+    truncation: dict = field(default_factory=lambda: asdict(ann.TruncationPolicy()))
 
 
 @dataclass
@@ -153,6 +147,18 @@ class PipelineConfig:
             raise ConfigError("llm mode requires an endpoint URL")
         if not 0.0 <= self.annotator.noise <= 1.0:
             raise ConfigError("oracle noise must be in [0, 1]")
+        rate = self.annotator.requests_per_second
+        if rate is not None and not rate > 0:
+            raise ConfigError(f"annotator.requests_per_second must be unset or > 0, got {rate}")
+        if not 0.0 <= f.damping < 1.0:
+            raise ConfigError(f"filter.damping must be in [0, 1), got {f.damping}")
+        g = self.gcn
+        if g.epochs < 1:
+            raise ConfigError(f"gcn.epochs must be >= 1, got {g.epochs}")
+        if not 0.0 <= g.dropout < 1.0:
+            raise ConfigError(f"gcn.dropout must be in [0, 1), got {g.dropout}")
+        if g.val_size < 0:
+            raise ConfigError(f"gcn.val_size must be >= 0, got {g.val_size}")
 
 
 def _merge_section(cls, values: dict, aliases: dict[str, str] | None = None):

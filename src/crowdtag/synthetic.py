@@ -68,8 +68,7 @@ def synthetic_citation_graph(
     by_class = [np.flatnonzero(labels == c) for c in range(num_classes)]
     outlier = rng.random(n) < outlier_frac
 
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
+    edges: list[tuple[int, int]] = []  # build_graph drops self-loops and repeats
     for u in range(n):
         rate = avg_out_degree * (0.3 if outlier[u] else 1.0)
         out_deg = rng.poisson(rate)
@@ -79,10 +78,7 @@ def synthetic_citation_graph(
             else:
                 other = (labels[u] + 1 + rng.integers(num_classes - 1)) % num_classes
                 pool = by_class[other]
-            v = int(pool[rng.integers(len(pool))])
-            if v != u and (u, v) not in seen:
-                seen.add((u, v))
-                edges.append((u, v))
+            edges.append((u, int(pool[rng.integers(len(pool))])))
 
     centers = rng.normal(size=(num_classes, feature_dim)) * 2.0
     features = centers[labels] + rng.normal(size=(n, feature_dim)) * feature_noise
@@ -119,8 +115,9 @@ def write_dataset_files(graph: DirectedTAG, prefix: str) -> tuple[str, str, str]
             fh.write(f"{graph.original_keys[i]}\t{feats}\t{label}\n")
     with open(cites_path, "w", encoding="utf-8") as fh:
         # public convention: first key = cited, second = citing
-        for u, v in sorted(graph.edges()):
-            fh.write(f"{graph.original_keys[v]}\t{graph.original_keys[u]}\n")
+        keys = graph.original_keys
+        for u, v in zip(*graph.edge_array.T.tolist()):
+            fh.write(f"{keys[v]}\t{keys[u]}\n")
     with open(texts_path, "w", encoding="utf-8") as fh:
         for i in range(graph.num_nodes):
             fh.write(f"{graph.original_keys[i]}\t{graph.texts[i]}\n")

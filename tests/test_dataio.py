@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -127,6 +128,36 @@ def test_assemble_duplicates_deduplicated(tmp_path):
     graph, counters = assemble(content, cites)
     assert graph.num_edges == 1
     assert counters.duplicates == 2 and counters.reconciles()
+
+
+def test_assemble_counts_every_kind_of_dropped_record_at_once(tmp_path):
+    p = write(tmp_path, "g.content", "p1 0 A\np2 1 B\np3 0 A\n")
+    cites = [CiteRecord(cited=a, citing=b) for a, b in [
+        ("p2", "p1"), ("p1", "p1"), ("p2", "p1"), ("p9", "p1"), ("p1", "p3"), ("p1", "p1"),
+        ("p2", "p1"), ("p1", "p2"), ("p1", "p9")]]
+    graph, counters = assemble(parse_content(p), cites)
+    assert graph.edges() == [(0, 1), (1, 0), (2, 0)]
+    assert (counters.edges_added, counters.unknown_key, counters.self_loops,
+            counters.duplicates) == (3, 2, 2, 2)
+    assert counters.reconciles()
+
+
+def test_assemble_memory_per_edge(tmp_path):
+    graph = synthetic_citation_graph(5000, 3, avg_out_degree=4.0, feature_dim=1, seed=3)
+    content_p, cites_p, _ = write_dataset_files(graph, str(tmp_path / "g"))
+    content = parse_content(content_p)
+    cites, _ = parse_cites(cites_p)
+    cites += cites[:2000]
+    tracemalloc.start()
+    try:
+        assembled, counters = assemble(content, cites)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert assembled.num_edges == graph.num_edges > 19_000 and counters.duplicates == 2000
+    # sets and lists of edge tuples in assemble, build_graph and the graph's
+    # validation took about 760 bytes per record
+    assert peak / len(cites) <= 400, f"{peak / len(cites):.0f} bytes per cite record"
 
 
 def test_assemble_texts_default_and_supplied(tmp_path):

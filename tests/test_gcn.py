@@ -18,7 +18,7 @@ from crowdtag.gcn import (
 )
 from crowdtag.synthetic import synthetic_citation_graph
 
-from conftest import tiny_graph
+from conftest import random_graph, tiny_graph
 
 
 # --- independent oracle: straight-line forward recomputation -------------------
@@ -64,6 +64,39 @@ def test_normalize_symmetric():
     a = normalize_adjacency(g)
     assert isinstance(a, sp.csr_matrix)
     np.testing.assert_allclose(a.toarray(), a.T.toarray(), atol=1e-15)
+
+
+def set_based_adjacency(graph) -> sp.csr_matrix:
+    """A_hat as a set of seen entries builds it, before normalize_adjacency
+    read the edge array; the reference for CSR index order."""
+    n = graph.num_nodes
+    rows, cols = [], []
+    seen: set[tuple[int, int]] = set()
+    for u, v in graph.edges():
+        for a, b in ((u, v), (v, u)):
+            if (a, b) not in seen:
+                seen.add((a, b))
+                rows.append(a)
+                cols.append(b)
+    rows += range(n)
+    cols += range(n)
+    adj = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+    inv_sqrt = 1.0 / np.sqrt(np.asarray(adj.sum(axis=1)).ravel())
+    return sp.csr_matrix(sp.diags(inv_sqrt) @ adj @ sp.diags(inv_sqrt))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_normalize_matches_dense_and_set_based_references_bit_for_bit(seed):
+    g = random_graph(np.random.default_rng(seed), max_nodes=80)
+    a = normalize_adjacency(g)
+    adj = g.adjacency_matrix()
+    dense = (adj | adj.T | np.eye(g.num_nodes, dtype=bool)).astype(np.float64)
+    inv_sqrt = 1.0 / np.sqrt(dense.sum(axis=1))
+    assert np.array_equal(a.toarray(), inv_sqrt[:, None] * dense * inv_sqrt[None, :])
+    ref = set_based_adjacency(g)
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(a, name), getattr(ref, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
 
 
 # --- forward ---------------------------------------------------------------------

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -193,6 +195,62 @@ def test_build_graph_drops_self_loops_and_duplicates():
     assert g.num_edges == 1
     assert g.succ(0) == {1}
     assert g.pred(1) == {0}
+
+
+def set_based_build(n: int, edges: list[tuple[int, int]]) -> tuple[list[list[int]], list[list[int]]]:
+    """Successor and predecessor lists as a set of seen edges gives them: the
+    algorithm build_graph used before it normalised an edge array."""
+    succ: list[list[int]] = [[] for _ in range(n)]
+    pred: list[list[int]] = [[] for _ in range(n)]
+    seen: set[tuple[int, int]] = set()
+    for u, v in edges:
+        if u == v or (u, v) in seen:
+            continue
+        seen.add((u, v))
+        succ[u].append(v)
+        pred[v].append(u)
+    return [sorted(s) for s in succ], [sorted(p) for p in pred]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_build_graph_matches_a_set_based_reference(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 40))
+    m = 0 if seed == 0 else int(rng.integers(0, 4 * n))
+    drawn = rng.integers(0, n, size=(m, 2))
+    # repeat a third of the pairs, add self-loops, then shuffle the lot
+    loops = np.repeat(rng.integers(0, n, size=(m // 5, 1)), 2, axis=1)
+    pairs = np.concatenate([drawn, drawn[: m // 3], loops])[rng.permutation(m + m // 3 + m // 5)]
+    edges = [(int(u), int(v)) for u, v in pairs]
+    g = tiny_graph(edges, n=n)
+    succ, pred = set_based_build(n, edges)
+    assert g.successors == succ and g.predecessors == pred
+    assert g.edges() == sorted({(u, v) for u, v in edges if u != v})
+    assert g.num_edges == len(g.edges())
+    assert g.edge_array.dtype == np.int64 and g.edge_array.shape == (g.num_edges, 2)
+    assert [g.degree(v) for v in range(n)] == [len(s) + len(p) for s, p in zip(succ, pred)]
+    from_array = tiny_graph(np.array(edges, dtype=np.int64).reshape(-1, 2), n=n)
+    assert np.array_equal(from_array.edge_array, g.edge_array)
+
+
+@pytest.mark.parametrize("bad_id", [-1, 5])
+def test_build_graph_rejects_a_node_id_outside_the_graph(bad_id):
+    with pytest.raises(ValueError, match="edge node id outside 0..4"):
+        tiny_graph([(0, 1), (2, bad_id)], n=5)
+    with pytest.raises(ValueError, match="edge node id outside 0..4"):
+        tiny_graph([(bad_id, 3)], n=5)
+
+
+@pytest.mark.parametrize("edges, dtype, message", [
+    ([[1, 0], [0, 1]], np.int64, "sorted"),
+    ([[0, 1], [0, 1]], np.int64, "unique"),
+    ([[0, 0]], np.int64, "self-loops"),
+    ([[0, 5]], np.int64, "outside"),
+    ([[0, 1]], np.int32, "int64"),
+])
+def test_graph_rejects_an_edge_array_build_graph_would_not_give(edges, dtype, message):
+    with pytest.raises(ValueError, match=message):
+        replace(tiny_graph([], n=5), edge_array=np.array(edges, dtype=dtype))
 
 
 def test_adjacency_roundtrip_consistency():

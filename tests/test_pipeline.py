@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+import zipfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -89,6 +90,25 @@ def test_cli_rejects_a_cap_or_stage_one_size_below_one(tmp_path, capsys, flags):
     assert not (out_dir / "graph.npz").exists()  # refused before any stage ran
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("gcn", "epochs", 0),
+    ("gcn", "dropout", 1.0),
+    ("gcn", "val_size", -1),
+    ("filter", "damping", 1.5),
+    ("annotator", "requests_per_second", 0),
+])
+def test_cli_rejects_a_setting_that_would_crash_a_stage(tmp_path, capsys, section, key, value):
+    out_dir = tmp_path / "out"
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({section: {key: value}}))
+    args = ["pipeline", "--config", str(cfg_path), "--fixture", "--out-dir", str(out_dir),
+            "--seed", "3", "--noise", "0.3", "--k", "20", "--eta", "0.45", "--gamma", "0.1",
+            "--lambda", "0.6"]
+    assert cli.main(args) == pipeline.EXIT_VALIDATION
+    assert f"config error: {section}.{key} must be" in capsys.readouterr().err
+    assert not (out_dir / "graph.npz").exists()  # refused before any stage ran
+
+
 def test_cli_sweep_rejects_fewer_than_one_seed(tmp_path, capsys):
     cfg_path, out_dir = fixture_config(tmp_path)
     assert cli.main(["pipeline", "--config", str(cfg_path)]) == 0
@@ -153,6 +173,10 @@ QUICK_START_DIGESTS = {
     "selected.json": "23eea1f1ce520e892ee179786be11c3d332bb83032f07e303b6d8300abeddc15",
     "pseudo_labels.csv": "6118d9ed13430a59208f76088f278439dd5ce32faa47403e706698bdf2120ce0",
 }
+# The ``edges.npy`` member of the quick start's graph.npz, recorded before
+# build_graph became the one place that normalises edges. The whole file is
+# not pinned: its ``meta`` holds a settings hash that covers the fixture's path.
+QUICK_START_EDGES_DIGEST = "063fbe623caf8d2b26865948de5f9acf9bacf418bbf1018c1ff9a9385f92954e"
 
 
 def test_quick_start_outputs_keep_their_bytes(tmp_path):
@@ -164,6 +188,9 @@ def test_quick_start_outputs_keep_their_bytes(tmp_path):
         name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in QUICK_START_DIGESTS
     }
     assert digests == QUICK_START_DIGESTS
+    with zipfile.ZipFile(out_dir / "graph.npz") as archive:
+        edges = archive.read("edges.npy")
+    assert hashlib.sha256(edges).hexdigest() == QUICK_START_EDGES_DIGEST
 
 
 def counting(monkeypatch, module, name: str) -> list:
@@ -905,7 +932,8 @@ def test_cli_verify_theorem(tmp_path, capsys):
 def test_cli_make_fixture(tmp_path, capsys):
     code = cli.main(["make-fixture", "--out-dir", str(tmp_path)])
     assert code == 0
-    assert (tmp_path / "fixture30.content").exists()
+    for bundled in fixture_paths():
+        assert (tmp_path / bundled.name).read_bytes() == bundled.read_bytes(), bundled.name
 
 
 # --- fixture CLI flag ------------------------------------------------------------------------
