@@ -8,10 +8,12 @@ It builds ``synthetic_citation_graph(n, 7, feature_dim=128,
 avg_out_degree=4.0, seed=1)``, writes its dataset files into the output
 directory and calls the five stages one by one with the oracle annotator at
 noise 0.3 and the default GCN settings (200 epochs), then times a re-run of
-all five, which must skip every stage. It prints each stage's wall time, the
-process's peak RSS after it (so the stage that set the peak shows), and the
-size of every artifact. One 100k-node probe takes about 7 minutes and 3 GB,
-so this stays out of the benchmark.
+all five, which must skip every stage. Last it times a resumed annotate with
+every response cached (its manifest removed, so the stage runs again), whose
+``guesses.npz`` must equal the first one. It prints each stage's wall time,
+the process's peak RSS after it (so the stage that set the peak shows), and
+the size of every artifact. One 100k-node probe takes about 7 minutes and
+3 GB, so this stays out of the benchmark.
 """
 
 from __future__ import annotations
@@ -22,12 +24,19 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from crowdtag import pipeline as pl
 from crowdtag import synthetic
 
 
 def peak_rss_mib() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # KiB on Linux
+
+
+def guess_arrays(path: Path) -> dict[str, np.ndarray]:
+    with np.load(path, allow_pickle=False) as npz:
+        return {name: npz[name] for name in npz.files}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -64,6 +73,18 @@ def main(argv: list[str] | None = None) -> int:
     print(f"{'re-run':<12} {time.perf_counter() - start:9.3f} s")
     if any(ran.values()):
         print(f"re-run ran stages: {ran}", file=sys.stderr)
+        return 1
+
+    first = guess_arrays(paths.guesses)
+    paths.manifest("annotate").unlink()
+    start = time.perf_counter()
+    pl.stage_annotate(cfg, paths)
+    print(f"{'resume':<12} {time.perf_counter() - start:9.2f} s {peak_rss_mib():9.0f} MiB")
+    resumed = guess_arrays(paths.guesses)
+    if first.keys() != resumed.keys() or any(
+        a.dtype != resumed[k].dtype or not np.array_equal(a, resumed[k]) for k, a in first.items()
+    ):
+        print("resumed annotate wrote other guesses than the first run", file=sys.stderr)
         return 1
 
     print("artifacts:")

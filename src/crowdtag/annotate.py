@@ -4,7 +4,7 @@ Each (node, configuration) pair is one "worker": a prompt built from the
 texts of the tie members, sent to a chat-completions endpoint, parsed into a
 ranked guess list. Responses are cached in an append-only JSONL file keyed by
 a content hash of (model, prompt body), so a second run never re-queries, and
-every request is charged against a hard dollar budget. Nodes are annotated in
+every request is charged against a dollar budget. Nodes are annotated in
 chunks of ``CHUNK_NODES``, so the prompts held at once stay bounded however
 large the graph is.
 
@@ -21,9 +21,11 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 import threading
 import time
+import weakref
 from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
@@ -48,6 +50,10 @@ from .graph import (
 
 CACHE_SCHEMA_VERSION = 1
 
+# How every line that ``ResponseCache.put`` writes begins: ``json.dumps`` of a
+# record whose first key is ``hash``, a 64-digit lowercase hex prompt hash.
+_PUT_PREFIX = re.compile(rb'\{"hash": "([0-9a-f]{64})", ')
+
 # Sentinel guess recorded when a response cannot be parsed after retries.
 UNPARSEABLE = "UNPARSEABLE"
 
@@ -60,7 +66,7 @@ CHUNK_NODES = 64
 
 
 class BudgetExhaustedError(RuntimeError):
-    """Projected spend exceeds the configured dollar limit."""
+    """Spend has reached the configured dollar limit."""
 
 
 class TransportError(RuntimeError):
@@ -119,7 +125,10 @@ class WorkerAnnotation:
 
 @dataclass
 class BudgetState:
-    """Dollar accounting; refuses new requests once the limit is reached."""
+    """Dollar accounting; refuses new requests once the money already spent
+    reaches the limit. Requests in flight are not counted until they are
+    charged, so the spend can pass the limit by as many requests as are in
+    flight."""
 
     limit_usd: float
     price_per_1k_in: float = 0.0005
@@ -507,9 +516,13 @@ class ResponseCache:
     load.
 
     A file-backed cache holds no records in memory, only where each one's
-    line lies in the file: ``get`` reads that line back and checks that it
-    still holds the record asked for (``CacheIndexError`` if not). Without a
-    path the cache keeps whole records in memory.
+    line lies in the file. Opening it decodes no line that ``put`` wrote: such
+    a line is indexed from its fixed ``{"hash": "<64 hex digits>", `` prefix.
+    ``get`` reads the line back through one read descriptor, held until
+    ``close``, decodes it and checks that it still holds the record asked for
+    (``CacheIndexError`` if not, which is also how a corrupt line before the
+    last one surfaces). Without a path the cache keeps whole records in
+    memory.
 
     Appending takes an exclusive ``flock`` on the file, held until ``close``,
     so one process at a time appends to it; a second one gets
@@ -517,7 +530,7 @@ class ResponseCache:
     calls before it sends a request. Every ``put`` flushes its line before
     returning, so a record is on disk for a fresh reader (or another process)
     as soon as ``put`` returns. ``close`` (or leaving a ``with`` block)
-    releases the handle and the lock.
+    releases both handles and the lock.
     """
 
     def __init__(self, path: str | Path | None = None) -> None:
@@ -527,6 +540,10 @@ class ResponseCache:
         self._index: dict[str, dict | int] = {}
         self._lock = threading.Lock()
         self._fh = None
+        # the read descriptor and the finalizer that closes it, also when the
+        # cache is dropped without close(); opened by the first get
+        self._read_fd: int | None = None
+        self._read_closer: weakref.finalize | None = None
         # bytes of the file indexed, and appended by this cache, so far
         self._end = 0
         # Byte offset of a torn final line (a crash mid-append), cut off
@@ -542,18 +559,28 @@ class ResponseCache:
         self.close()
 
     def _load(self) -> None:
-        """Index the file's records. A malformed *final* line is skipped and
-        reported; a malformed line before it raises JSONDecodeError."""
+        """Index the file's records. A line that ``put`` wrote, whole, is
+        indexed from its prefix; any other line is decoded. A malformed
+        *final* line is skipped and reported; a malformed line before it
+        raises JSONDecodeError, unless it keeps ``put``'s prefix and ending,
+        in which case ``get`` raises CacheIndexError for its hash."""
         index: dict[str, int] = {}
         torn: json.JSONDecodeError | None = None
         torn_at = offset = 0
+        match = _PUT_PREFIX.match
         with open(self.path, "rb") as fh:
             for line in fh:
                 at, offset = offset, offset + len(line)
+                if torn is not None:
+                    if line.strip():
+                        raise torn
+                    continue
+                prefix = match(line)
+                if prefix is not None and line.endswith(b"}\n"):
+                    index[prefix[1].decode("ascii")] = at << 32 | len(line)
+                    continue
                 if not line.strip():
                     continue
-                if torn is not None:
-                    raise torn
                 try:
                     record = json.loads(line)
                 except json.JSONDecodeError as exc:
@@ -562,6 +589,8 @@ class ResponseCache:
                 if "hash" in record:
                     index[record["hash"]] = at << 32 | len(line)
         self._index, self._end, self.torn_tail_at = index, offset, None
+        # the index describes the file now at the path: read from that one
+        self._close_reader()
         if torn is not None:
             self.torn_tail_at = torn_at
             print(
@@ -575,16 +604,15 @@ class ResponseCache:
     def get(self, key: str) -> dict | None:
         with self._lock:
             entry = self._index.get(key)
-        if entry is None or self.path is None:
-            return entry
-        offset, length = entry >> 32, entry & 0xFFFFFFFF
-        fd = os.open(self.path, os.O_RDONLY)
+            if entry is None or self.path is None:
+                return entry
+            if self._read_fd is None:
+                self._read_fd = fd = os.open(self.path, os.O_RDONLY)
+                self._read_closer = weakref.finalize(self, os.close, fd)
+            offset = entry >> 32
+            line = os.pread(self._read_fd, entry & 0xFFFFFFFF, offset)
         try:
-            line = os.pread(fd, length, offset)
-        finally:
-            os.close(fd)
-        try:
-            record = json.loads(line)
+            record = json.loads(line.decode("utf-8"))
         except ValueError:  # JSONDecodeError, or bytes that are not UTF-8
             record = None
         if not isinstance(record, dict) or record.get("hash") != key:
@@ -638,12 +666,18 @@ class ResponseCache:
         self._fh = fh
 
     def close(self) -> None:
-        """Close the append handle and release the lock; a later ``put``
-        reopens them."""
+        """Close the read descriptor and the append handle and release the
+        lock; a later ``get`` or ``put`` reopens what it needs."""
         with self._lock:
+            self._close_reader()
             if self._fh is not None:
                 self._fh.close()
                 self._fh = None
+
+    def _close_reader(self) -> None:
+        if self._read_closer is not None:
+            self._read_closer()
+            self._read_fd = self._read_closer = None
 
     @staticmethod
     def write_header(path: str | Path, config_hash: str) -> None:
@@ -696,11 +730,25 @@ def annotate(
     error types, and a cache file that another process appends to raises
     CacheLockedError before the request is sent.
     """
+    record, from_cache = _answer(prompt, client, cache, budget, model, limiter)
+    return _annotation_from_record(
+        prompt.center, prompt.config_k, prompt.category_list, record, from_cache
+    )
+
+
+def _answer(
+    prompt: PromptSpec,
+    client: Client,
+    cache: ResponseCache,
+    budget: BudgetState,
+    model: str,
+    limiter: RateLimiter | None,
+) -> tuple[dict, bool]:
+    """The cache record that answers ``prompt``, and whether it was already
+    cached; otherwise one budgeted request, whose record is cached first."""
     cached = cache.get(prompt.prompt_hash)
     if cached is not None:
-        return _annotation_from_record(
-            prompt.center, prompt.config_k, prompt.category_list, cached, from_cache=True
-        )
+        return cached, True
 
     budget.check()
     cache.open_for_append()
@@ -718,9 +766,15 @@ def annotate(
         "timestamp": time.time(),
     }
     cache.put(record)
-    return _annotation_from_record(
-        prompt.center, prompt.config_k, prompt.category_list, record, from_cache=False
-    )
+    return record, False
+
+
+def _guesses(raw: str, class_names: list[str]) -> list[tuple[str, int]] | None:
+    """The ranked guesses of response ``raw``, or None when it does not parse."""
+    try:
+        return parse_response(raw, class_names)
+    except ResponseParseError:
+        return None
 
 
 def _annotation_from_record(
@@ -728,21 +782,16 @@ def _annotation_from_record(
     from_cache: bool,
 ) -> WorkerAnnotation:
     raw = record["raw_response"]
-    try:
-        guesses = parse_response(raw, list(class_names))
-        failed = False
-    except ResponseParseError:
-        guesses = [(UNPARSEABLE, 0)]
-        failed = True
+    guesses = _guesses(raw, list(class_names))
     return WorkerAnnotation(
         center=center,
         config_k=config_k,
-        guesses=guesses,
+        guesses=guesses or [(UNPARSEABLE, 0)],
         raw_response=raw,
         tokens_in=int(record.get("tokens_in", 0)),
         tokens_out=int(record.get("tokens_out", 0)),
         from_cache=from_cache,
-        parse_failed=failed,
+        parse_failed=guesses is None,
         prompt_hash=record["hash"],
     )
 
@@ -750,15 +799,16 @@ def _annotation_from_record(
 @dataclass
 class _Chunk:
     """The prompts of consecutive nodes, eight per node in configuration order,
-    with the annotations of those that were sent (or read from the cache)."""
+    with the cache records that answered those that were sent (or looked up)."""
 
     start: int  # position of specs[0] in the run's prompt sequence
     specs: list[PromptSpec]
     # position of the first prompt with each spec's hash: its own position
     # when it is that first one, an earlier one when it repeats a prompt
     source: list[int]
-    # one per spec whose source is its own position, in order
-    answers: list[WorkerAnnotation]
+    # (record, from_cache), one per spec whose source is its own position, in
+    # order
+    answers: list[tuple[dict, bool]]
 
 
 def _annotate_chunks(
@@ -787,8 +837,8 @@ def _annotate_chunks(
     first: dict[str, int] = {}
     total = len(nodes) * NUM_TIE_CONFIGS
 
-    def work(spec: PromptSpec) -> WorkerAnnotation:
-        return annotate(spec, client, cache, budget, model, limiter)
+    def work(spec: PromptSpec) -> tuple[dict, bool]:
+        return _answer(spec, client, cache, budget, model, limiter)
 
     with ThreadPoolExecutor(max_workers=max_inflight) if max_inflight > 1 else nullcontext() as pool:
         dispatch = pool.map if pool is not None else map
@@ -833,7 +883,9 @@ def annotate_graph(
     ):
         answers = iter(chunk.answers)
         for i, (spec, s) in enumerate(zip(chunk.specs, chunk.source), chunk.start):
-            flat.append(next(answers) if s == i else replace(
+            flat.append(_annotation_from_record(
+                spec.center, spec.config_k, spec.category_list, *next(answers)
+            ) if s == i else replace(
                 flat[s], center=spec.center, config_k=spec.config_k, from_cache=True
             ))
     w = NUM_TIE_CONFIGS
@@ -872,7 +924,8 @@ def annotate_arrays(
         source = np.asarray(chunk.source, dtype=np.intp)
         own = source == rows
         top1[rows[own]], mass[rows[own]] = guess_rows(
-            [None if a.parse_failed else a.guesses for a in chunk.answers], class_names
+            [_guesses(record["raw_response"], class_names) for record, _ in chunk.answers],
+            class_names,
         )
         top1[rows[~own]], mass[rows[~own]] = top1[source[~own]], mass[source[~own]]
         specs = chunk.specs

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import os
@@ -540,6 +541,170 @@ def test_cache_lock_reindexes_a_file_appended_since_load(tmp_path, chain_graph):
     assert hashes == [None, "other", spec.prompt_hash]
 
 
+def test_cache_skips_a_torn_final_line_that_keeps_a_full_hash_prefix(tmp_path, capsys):
+    path = tmp_path / "cache.jsonl"
+    ResponseCache.write_header(path, "h")
+    first, second = ({"hash": c * 64, "raw_response": "[]"} for c in "ab")
+    with ResponseCache(path) as cache:
+        cache.put(first)
+    clean_size = path.stat().st_size
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write('{"hash": "' + "c" * 64 + '", "raw_')  # crash mid-append
+
+    with ResponseCache(path) as cache:
+        assert len(cache) == 1 and cache.torn_tail_at == clean_size
+        assert cache.get("c" * 64) is None and cache.get("a" * 64) == first
+        assert "torn final record" in capsys.readouterr().err
+        cache.put(second)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert [json.loads(l).get("hash") for l in lines] == [None, "a" * 64, "b" * 64]
+    assert len(ResponseCache(path)) == 2
+    assert capsys.readouterr().err == ""
+
+
+def test_cache_corrupt_body_behind_an_intact_prefix_raises_on_get(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    bad, good = "d" * 64, {"hash": "e" * 64, "raw_response": "[]"}
+    path.write_text(
+        '{"hash": "' + bad + '", "raw_response": not json}\n' + json.dumps(good) + "\n",
+        encoding="utf-8",
+    )
+    with ResponseCache(path) as cache:  # opening decodes neither line
+        assert len(cache) == 2 and cache.torn_tail_at is None
+        assert cache.get(good["hash"]) == good
+        with pytest.raises(CacheIndexError, match=bad):
+            cache.get(bad)
+
+
+def _count_json_decodes(monkeypatch) -> list:
+    """The argument of every ``json.loads`` call from now to the end of the test."""
+    decoded, loads = [], json.loads
+    monkeypatch.setattr(annotate_module.json, "loads",
+                        lambda s, **kw: decoded.append(s) or loads(s, **kw))
+    return decoded
+
+
+def test_cache_indexes_lines_without_the_put_prefix_by_decoding_them(tmp_path, monkeypatch):
+    path = tmp_path / "cache.jsonl"
+    ResponseCache.write_header(path, "h")
+    foreign = [
+        {"hash": "aa", "raw_response": "[]"},  # short hash
+        {"hash": "F" * 64, "raw_response": "[]"},  # not lowercase hex
+        {"raw_response": "[]", "hash": "f" * 64},  # hash not the first key
+        {"hash": "0" * 64},  # no field after the hash
+    ]
+    put = {"hash": "1" * 64, "raw_response": "[]", "tokens_in": 3}
+    with open(path, "a", encoding="utf-8") as fh:
+        for record in foreign:
+            fh.write(json.dumps(record) + "\n")
+    with ResponseCache(path) as cache:
+        cache.put(put)
+    decoded = _count_json_decodes(monkeypatch)
+    cache = ResponseCache(path)
+    assert len(decoded) == 1 + len(foreign)  # the header and the foreign lines
+    assert len(cache) == len(foreign) + 1
+    assert [cache.get(r["hash"]) for r in [*foreign, put]] == [*foreign, put]
+    cache.close()
+
+
+def _descriptors_on(path: Path) -> int:
+    """How many of this process's file descriptors are open on ``path``."""
+    target, count = os.path.realpath(path), 0
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            count += os.readlink(f"/proc/self/fd/{fd}") == target
+        except OSError:  # the descriptor listdir itself used, closed since
+            pass
+    return count
+
+
+def _filled_cache(path: Path, n: int = 20) -> list[dict]:
+    records = [{"hash": f"{i:064x}", "raw_response": f"[{i}]", "tokens_in": i} for i in range(n)]
+    with ResponseCache(path) as cache:
+        for record in records:
+            cache.put(record)
+    return records
+
+
+needs_proc_fd = pytest.mark.skipif(
+    not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd to list descriptors"
+)
+
+
+@needs_proc_fd
+def test_cache_close_closes_the_read_descriptor_and_get_reopens_it(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    records = _filled_cache(path)
+    cache = ResponseCache(path)
+    assert _descriptors_on(path) == 0  # indexing leaves nothing open
+    assert [cache.get(r["hash"]) for r in records] == records
+    assert _descriptors_on(path) == 1
+    cache.close()
+    assert _descriptors_on(path) == 0
+    assert cache.get(records[3]["hash"]) == records[3]
+    assert _descriptors_on(path) == 1
+    cache.close()
+    assert _descriptors_on(path) == 0
+
+
+def test_cache_concurrent_gets_open_one_descriptor(tmp_path, monkeypatch):
+    path = tmp_path / "cache.jsonl"
+    records = _filled_cache(path)
+    opened = []
+    real_open = os.open
+
+    def counting_open(name, *args, **kwargs):
+        if os.fspath(name) == os.fspath(path):
+            opened.append(name)
+        return real_open(name, *args, **kwargs)
+
+    monkeypatch.setattr(annotate_module.os, "open", counting_open)
+    threads_n = 8
+    start = threading.Barrier(threads_n)
+    results: dict[int, list] = {}
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ResponseCache(path) as cache:
+            def reader(t):
+                start.wait(timeout=30)
+                results[t] = [cache.get(r["hash"]) for r in records]
+
+            threads = [threading.Thread(target=reader, args=(t,)) for t in range(threads_n)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=30)
+            assert not any(th.is_alive() for th in threads)
+    finally:
+        sys.setswitchinterval(switch)
+    assert len(opened) == 1
+    assert results == {t: records for t in range(threads_n)}
+
+
+@needs_proc_fd
+def test_cache_open_get_close_cycles_leave_no_descriptor_open(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    records = _filled_cache(path)
+    before = len(os.listdir("/proc/self/fd"))
+    for i in range(200):
+        with ResponseCache(path) as cache:
+            assert cache.get(records[i % len(records)]["hash"]) is not None
+    assert len(os.listdir("/proc/self/fd")) == before
+
+
+@needs_proc_fd
+def test_cache_dropped_without_close_releases_its_read_descriptor(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    records = _filled_cache(path)
+    cache = ResponseCache(path)
+    assert cache.get(records[0]["hash"]) == records[0]
+    assert _descriptors_on(path) == 1
+    del cache
+    gc.collect()
+    assert _descriptors_on(path) == 0
+
+
 # --- http client ----------------------------------------------------------------------
 
 class FakeHttpSession:
@@ -909,3 +1074,35 @@ def test_annotate_arrays_repeats_the_first_row_of_a_repeated_prompt_across_chunk
     np.testing.assert_array_equal(top1[-1], top1[0])
     np.testing.assert_array_equal(mass[-1], mass[0])
     assert len(client.sent) == len({h for row in hashes for h in row})
+
+
+def test_fully_cached_annotate_arrays_decodes_each_record_once(tmp_path, monkeypatch):
+    g = labeled_graph(n=2 * CHUNK_NODES + 37, seed=4)
+    nodes = list(range(g.num_nodes))
+    path = tmp_path / "cache.jsonl"
+    with ResponseCache(path) as cache:
+        first = annotate_arrays(g, nodes, MeteredStub(g), cache, BudgetState(limit_usd=100.0),
+                                model="o")
+    records = path.read_text(encoding="utf-8").count("\n")
+
+    decodes = _count_json_decodes(monkeypatch)
+    built = []
+    real_annotation = WorkerAnnotation
+
+    def counting_annotation(*args, **kwargs):
+        built.append(args)
+        return real_annotation(*args, **kwargs)
+
+    monkeypatch.setattr(annotate_module, "WorkerAnnotation", counting_annotation)
+    client = MeteredStub(g)
+    with ResponseCache(path) as cache:
+        again = annotate_arrays(g, nodes, client, cache, BudgetState(limit_usd=100.0), model="o")
+    assert client.sent == []
+    assert 0 < len(decodes) <= records
+    assert built == []
+    for a, b in zip(first, again):
+        if isinstance(a, np.ndarray):
+            np.testing.assert_array_equal(a, b)
+            assert a.dtype == b.dtype
+        else:
+            assert a == b
