@@ -81,7 +81,12 @@ class CacheLockedError(RuntimeError):
     """Another process holds the response cache file open for appending."""
 
 
-class CacheIndexError(RuntimeError):
+class CorruptCacheError(RuntimeError):
+    """The response cache file holds a line that is not a record ``put``
+    could have written; the message starts with the file's path."""
+
+
+class CacheIndexError(CorruptCacheError):
     """A cache line no longer holds the record the index recorded for it."""
 
 
@@ -549,6 +554,9 @@ class ResponseCache:
         # Byte offset of a torn final line (a crash mid-append), cut off
         # before the next append; None when the file ends cleanly.
         self.torn_tail_at: int | None = None
+        # whether the final line lacks its newline (a crash just before it),
+        # which the next append writes first
+        self._unterminated = False
         if self.path is not None and self.path.exists():
             self._load()
 
@@ -561,12 +569,15 @@ class ResponseCache:
     def _load(self) -> None:
         """Index the file's records. A line that ``put`` wrote, whole, is
         indexed from its prefix; any other line is decoded. A malformed
-        *final* line is skipped and reported; a malformed line before it
-        raises JSONDecodeError, unless it keeps ``put``'s prefix and ending,
-        in which case ``get`` raises CacheIndexError for its hash."""
+        *final* line is skipped and reported; a whole final record that only
+        lacks its newline is kept, and the next append ends its line first. A
+        malformed line before the last raises JSONDecodeError, unless it keeps
+        ``put``'s prefix and ending, in which case ``get`` raises
+        CacheIndexError for its hash."""
         index: dict[str, int] = {}
         torn: json.JSONDecodeError | None = None
         torn_at = offset = 0
+        line = b""
         match = _PUT_PREFIX.match
         with open(self.path, "rb") as fh:
             for line in fh:
@@ -589,6 +600,7 @@ class ResponseCache:
                 if "hash" in record:
                     index[record["hash"]] = at << 32 | len(line)
         self._index, self._end, self.torn_tail_at = index, offset, None
+        self._unterminated = torn is None and not line.endswith(b"\n") and offset > 0
         # the index describes the file now at the path: read from that one
         self._close_reader()
         if torn is not None:
@@ -660,6 +672,10 @@ class ResponseCache:
             if self.torn_tail_at is not None:
                 os.ftruncate(fh.fileno(), self.torn_tail_at)
                 self._end, self.torn_tail_at = self.torn_tail_at, None
+            elif self._unterminated:  # keep the final record: end its line
+                fh.write(b"\n")
+                fh.flush()
+                self._end, self._unterminated = self._end + 1, False
         except BaseException:
             fh.close()
             raise

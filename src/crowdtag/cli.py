@@ -2,8 +2,8 @@
 
 Subcommands mirror the pipeline stages plus `verify-theorem` and `sweep`.
 Exit codes: 0 success, 1 validation error (or a response cache that another
-run is appending to), 2 missing prior artifact, 3 budget refusal, 4 LLM
-transport failure.
+run is appending to, or a corrupt one), 2 missing prior artifact, 3 budget
+refusal, 4 LLM transport failure.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import fixtures, homophily, pipeline
-from .annotate import BudgetExhaustedError, CacheLockedError, TransportError
+from .annotate import BudgetExhaustedError, CacheLockedError, CorruptCacheError, TransportError
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -284,6 +284,9 @@ def main(argv: list[str] | None = None) -> int:
         return pipeline.EXIT_VALIDATION
     except CacheLockedError as exc:
         print(f"cache locked: {exc}", file=sys.stderr)
+        return pipeline.EXIT_VALIDATION
+    except CorruptCacheError as exc:
+        print(f"corrupt cache: {exc}", file=sys.stderr)
         return pipeline.EXIT_VALIDATION
     except pipeline.MissingArtifactError as exc:
         print(f"missing artifact: {exc}", file=sys.stderr)

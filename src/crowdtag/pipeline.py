@@ -2,13 +2,19 @@
 
 One driver runs every stage from a table of the artifacts each stage reads
 and writes. A stage's manifest records the hash of the settings its outputs
-depend on (upstream settings reach it through its inputs), the hash of each
-input file and the ``[size, mtime_ns]`` of each output; the stage is skipped
-when its manifest equals the one it would write now, so a missing, malformed
-or outdated manifest, or a truncated or edited output, re-runs it. Within one
-:func:`run_pipeline` call each input file is hashed once, the graph artifact
-is loaded once and its structural scores (PageRank, ``c_density``, degree)
-are computed once; training forms ``A_hat @ X`` once. Stages after
+depend on (upstream settings reach it through its inputs), the content hash
+of each input file and the ``[size, mtime_ns]`` of each output; the stage is
+skipped when its manifest equals the one it would write now, so a missing,
+malformed or outdated manifest, or a truncated or edited output, re-runs it.
+The manifest also records each input's stat stamp (device, inode, size,
+mtime, ctime) under ``input_stats``, which the comparison leaves out: an
+input whose stamp is unchanged, and whose ctime is older than the manifest,
+is not read again, and its recorded hash is reused, so a no-op re-run reads
+manifests and stats files only. A touched or copied input is hashed again,
+and its stage is still skipped when its content is unchanged. Within one
+:func:`run_pipeline` call each input file is hashed at most once, the graph
+artifact is loaded once and its structural scores (PageRank, ``c_density``,
+degree) are computed once; training forms ``A_hat @ X`` once. Stages after
 ``annotate`` never perform network I/O and never open the response cache,
 which is no stage's output: they read the parsed guesses from ``guesses.npz``.
 ``annotated_nodes.json`` is a summary (nodes, spend, prompt hashes) that no
@@ -224,8 +230,8 @@ def _file_hash(path: Path) -> str:
 @dataclass
 class StagePaths:
     out_dir: Path
-    # kept while run_pipeline runs, keyed by (path, inode, size, mtime_ns):
-    # the hash of each input file, and each graph artifact loaded
+    # kept while run_pipeline runs, keyed by the path and its _stamp: the
+    # hash of each input file, and each graph artifact loaded
     file_hashes: dict | None = field(default=None, init=False, repr=False)
     graphs: dict | None = field(default=None, init=False, repr=False)
 
@@ -305,22 +311,49 @@ def pipeline_lock(out_dir: Path):
         os.close(fd)
 
 
-def _memoised(memo: dict | None, path: Path, read: Callable[[Path], object]):
-    """``read(path)``, kept in ``memo`` when that is set. The key holds the
-    inode, size and mtime, so a file replaced since it was read is read
-    again; a read that raises keeps nothing."""
+def _stamp(path: Path) -> list[int]:
+    """``[st_dev, st_ino, st_size, st_mtime_ns, st_ctime_ns]`` of ``path``.
+    A write, a replacement by a copy and a ``touch`` each change it, and an
+    edit whose mtime is set back still changes the ctime, which ``utime``
+    cannot set."""
+    st = path.stat()
+    return [st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns]
+
+
+def _memoised(
+    memo: dict | None, path: Path, read: Callable[[Path], object], stamp: list[int] | None = None
+):
+    """``read(path)``, kept in ``memo`` when that is set, under the file's
+    stamp (``stamp``, or :func:`_stamp` taken now), so a file changed since
+    it was read is read again; a read that raises keeps nothing."""
     if memo is None:
         return read(path)
-    st = path.stat()
-    key = (str(path), st.st_ino, st.st_size, st.st_mtime_ns)
+    key = (str(path), *(stamp or _stamp(path)))
     if key not in memo:
         memo[key] = read(path)
     return memo[key]
 
 
-def _input_hash(paths: StagePaths, path: Path) -> str:
-    """``_file_hash(path)``, memoised in ``paths.file_hashes`` when that is set."""
-    return _memoised(paths.file_hashes, path, _file_hash)
+def _read_manifest(path: Path) -> tuple[object, int]:
+    """The decoded manifest at ``path`` and its own ``st_mtime_ns``; ``(None,
+    0)`` when it is missing, unreadable, not UTF-8 or not JSON."""
+    try:
+        with open(path, "rb") as fh:
+            mtime_ns = os.fstat(fh.fileno()).st_mtime_ns
+            return json.loads(fh.read().decode("utf-8")), mtime_ns
+    except (OSError, ValueError):
+        return None, 0
+
+
+def _recorded_hashes(recorded: object, mtime_ns: int) -> dict[str, tuple[list, str]]:
+    """path -> (stamp, content hash) for each input a manifest recorded with a
+    stamp whose ctime is strictly older than the manifest (git's racy-clean
+    rule: a file changed in the tick it was hashed in may keep its stamp)."""
+    try:
+        stats, hashes = recorded["input_stats"], recorded["inputs"]
+        return {p: (stamp, hashes[p]) for p, stamp in stats.items() if stamp[4] < mtime_ns}
+    except (KeyError, TypeError, IndexError, AttributeError):
+        return {}
 
 
 def _write_json(path: Path, doc: dict, **dumps_kwargs) -> None:
@@ -409,29 +442,49 @@ def _stage(name: str, sources: Callable[[PipelineConfig], list[Path]] = lambda c
     paths, *args) -> bool``: it requires the files ``sources`` names and the
     inputs ``_STAGE_TABLE`` lists, returns False when its manifest equals the
     one it would write now, and else runs the body, writes that manifest and
-    returns True. ``cfg_hash`` is the hash of the stage's settings."""
+    returns True. ``cfg_hash`` is the hash of the stage's settings.
+
+    The recorded manifest is read first, and each input is stat-ed once
+    before it is read. An input whose stamp (:func:`_stamp`) equals the one
+    the manifest records for it, and whose ctime is older than the manifest,
+    is not read: its recorded content hash is reused. Any other input is
+    hashed (once per :func:`run_pipeline` call). The manifest records the
+    stamps under ``input_stats``, which the skip decision leaves out, so a
+    touched or copied input is hashed again and its stage is still skipped."""
     reads, writes, settings = _STAGE_TABLE[name]
 
     def wrap(body):
         def stage(cfg: PipelineConfig, paths: StagePaths, *args, **kwargs) -> bool:
             inputs = sources(cfg) + [_require(paths, artifact) for artifact in reads]
             cfg_hash = _digest(settings(cfg))
+            mpath = paths.manifest(name)
+            recorded, recorded_at = _read_manifest(mpath)
+            known = _recorded_hashes(recorded, recorded_at)
+            stats = {str(p): _stamp(p) for p in inputs}
+            hashes = {}
+            for p in inputs:
+                stamp, old = stats[str(p)], known.get(str(p))
+                if old is not None and old[0] == stamp:
+                    hashes[str(p)] = old[1]
+                else:
+                    hashes[str(p)] = _memoised(paths.file_hashes, p, _file_hash, stamp)
             manifest = {
                 "stage": name,
                 "schema_version": ARTIFACT_SCHEMA_VERSION,
                 "config_hash": cfg_hash,
-                "inputs": {str(p): _input_hash(paths, p) for p in inputs},
+                "inputs": hashes,
             }
             outputs = [getattr(paths, artifact) for artifact in writes]
-            mpath = paths.manifest(name)
-            try:  # a missing output, or a missing, unreadable or non-JSON manifest, is stale
-                recorded = json.loads(mpath.read_text(encoding="utf-8"))
-                if recorded == {**manifest, "outputs": _stamps(outputs)}:
-                    return False
-            except (OSError, ValueError):
-                pass
+            if isinstance(recorded, dict):
+                recorded.pop("input_stats", None)
+                try:
+                    if recorded == {**manifest, "outputs": _stamps(outputs)}:
+                        return False
+                except OSError:  # a missing output is stale
+                    pass
             body(cfg, paths, cfg_hash, *args, **kwargs)
             manifest["outputs"] = _stamps(outputs)
+            manifest["input_stats"] = stats
             _write_json(mpath, manifest, indent=1, sort_keys=True)
             return True
 
@@ -545,7 +598,11 @@ def stage_annotate(
         price_per_1k_out=cfg.annotator.price_per_1k_out,
     )
     policy = ann.TruncationPolicy(**cfg.annotator.truncation)
-    with ann.ResponseCache(cache_path) as cache:
+    try:
+        cache = ann.ResponseCache(cache_path)
+    except json.JSONDecodeError as exc:
+        raise ann.CorruptCacheError(f"{cache_path}: a line before the last is not JSON ({exc})") from exc
+    with cache:
         top1, mass, prompt_hashes = ann.annotate_arrays(
             graph,
             nodes,
@@ -777,8 +834,8 @@ def stage_train(cfg: PipelineConfig, paths: StagePaths, cfg_hash: str) -> None:
 
 def run_pipeline(cfg: PipelineConfig, paths: StagePaths, client: ann.Client | None = None) -> dict[str, bool]:
     """All stages in order; returns which stages actually ran. Each input file
-    is hashed once per call, however many manifests list it, and the graph
-    artifact is loaded, and its structural scores computed, once."""
+    is hashed at most once per call, however many manifests list it, and the
+    graph artifact is loaded, and its structural scores computed, once."""
     paths.file_hashes = {}
     paths.graphs = {}
     try:

@@ -562,6 +562,24 @@ def test_cache_skips_a_torn_final_line_that_keeps_a_full_hash_prefix(tmp_path, c
     assert capsys.readouterr().err == ""
 
 
+def test_cache_keeps_a_final_record_that_lost_only_its_newline(tmp_path, capsys):
+    path = tmp_path / "cache.jsonl"
+    first, second = ({"hash": c * 64, "raw_response": "[]"} for c in "ab")
+    with ResponseCache(path) as cache:
+        cache.put(first)
+    data = path.read_bytes()
+    path.write_bytes(data[:-1])  # a crash between the record and its newline
+
+    with ResponseCache(path) as cache:
+        assert len(cache) == 1 and cache.torn_tail_at is None
+        cache.put(second)
+    with ResponseCache(path) as cache:
+        assert len(cache) == 2
+        assert cache.get(first["hash"]) == first and cache.get(second["hash"]) == second
+    assert path.read_bytes() == data + (json.dumps(second) + "\n").encode()
+    assert "torn" not in capsys.readouterr().err
+
+
 def test_cache_corrupt_body_behind_an_intact_prefix_raises_on_get(tmp_path):
     path = tmp_path / "cache.jsonl"
     bad, good = "d" * 64, {"hash": "e" * 64, "raw_response": "[]"}

@@ -4,6 +4,7 @@ import gc
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -26,6 +27,7 @@ from crowdtag.pipeline import (
     ARTIFACT_SCHEMA_VERSION,
     ConfigError,
     MissingArtifactError,
+    PipelineConfig,
     StagePaths,
     load_config,
     read_csv_rows,
@@ -646,11 +648,8 @@ def test_guesses_round_trip_through_the_npz_artifact(tmp_path):
         np.testing.assert_array_equal(got, want)
 
 
-def test_rerun_hashes_each_input_file_once(tmp_path, monkeypatch):
-    cfg_path, out_dir = fixture_config(tmp_path)
-    cfg = load_config(cfg_path)
-    paths = StagePaths(out_dir)
-    assert all(run_pipeline(cfg, paths).values())
+def counting_hashes(monkeypatch) -> list[str]:
+    """The name of every file ``pipeline._file_hash`` reads from now on."""
     hashed: list[str] = []
     file_hash = pipeline._file_hash
 
@@ -659,16 +658,114 @@ def test_rerun_hashes_each_input_file_once(tmp_path, monkeypatch):
         return file_hash(path)
 
     monkeypatch.setattr(pipeline, "_file_hash", counting_hash)
+    return hashed
+
+
+def test_rerun_reads_no_unchanged_input(tmp_path, monkeypatch):
+    cfg_path, out_dir = fixture_config(tmp_path)
+    cfg = load_config(cfg_path)
+    paths = StagePaths(out_dir)
+    hashed = counting_hashes(monkeypatch)
+    assert all(run_pipeline(cfg, paths).values())
+    # a fresh run hashes each input once, however many stages read it
+    assert sorted(hashed) == sorted(
+        [Path(f).name for f in fixture_paths()]
+        + ["graph.npz", "guesses.npz", "pseudo_labels.csv", "selected.json"]
+    )
+
+    hashed.clear()
     assert not any(run_pipeline(cfg, paths).values())
-    assert hashed.count("graph.npz") == 1
-    assert len(hashed) == len(set(hashed))
+    assert hashed == []
     assert paths.file_hashes is None  # the memo does not outlive the call
 
-    # a stage called on its own hashes its inputs on every call
+    # a stage called on its own reuses the recorded hashes too
+    assert not pipeline.stage_filter(cfg, paths)
+    assert not pipeline.stage_filter(cfg, paths)
+    assert hashed == []
+
+
+def copied_fixture_config(tmp_path: Path) -> tuple[PipelineConfig, StagePaths, dict[str, Path]]:
+    """``fixture_config`` over copies of the fixture's dataset files, which a
+    test may edit; returns the config, its paths and the copies by suffix."""
+    cfg_path, out_dir = fixture_config(tmp_path)
+    cfg = load_config(cfg_path)
+    data = tmp_path / "data"
+    data.mkdir()
+    files = {}
+    for src in fixture_paths():
+        files[src.suffix] = data / src.name
+        shutil.copyfile(src, files[src.suffix])
+    cfg.dataset = replace(cfg.dataset, content=str(files[".content"]), cites=str(files[".cites"]),
+                          texts=str(files[".texts"]))
+    return cfg, StagePaths(out_dir), files
+
+
+def test_same_size_edit_with_its_mtime_set_back_reruns_ingest(tmp_path, monkeypatch):
+    cfg, paths, files = copied_fixture_config(tmp_path)
+    assert all(run_pipeline(cfg, paths).values())
+    content = files[".content"]
+    st = content.stat()
+    data = content.read_bytes()
+    edited = data.replace(b"1.8545659611415597", b"1.8545659611415598", 1)
+    assert edited != data and len(edited) == len(data)
+    content.write_bytes(edited)
+    os.utime(content, ns=(st.st_atime_ns, st.st_mtime_ns))
+    assert content.stat().st_mtime_ns == st.st_mtime_ns and content.stat().st_size == st.st_size
+    hashed = counting_hashes(monkeypatch)
+    assert run_pipeline(cfg, paths)["ingest"]
+    assert content.name in hashed
+
+
+def test_input_replaced_by_a_copy_of_itself_is_hashed_again_and_skips(tmp_path, monkeypatch):
+    cfg, paths, files = copied_fixture_config(tmp_path)
+    assert all(run_pipeline(cfg, paths).values())
+    cites = files[".cites"]
+    inode = cites.stat().st_ino
+    copy = cites.with_name("copy.cites")
+    shutil.copy2(cites, copy)
+    os.replace(copy, cites)
+    assert cites.stat().st_ino != inode
+    hashed = counting_hashes(monkeypatch)
+    assert run_pipeline(cfg, paths) == NONE
+    assert hashed == [cites.name]
+
+
+def test_touched_input_is_hashed_again_and_skips(tmp_path, monkeypatch):
+    cfg, paths, files = copied_fixture_config(tmp_path)
+    assert all(run_pipeline(cfg, paths).values())
+    os.utime(files[".texts"])
+    hashed = counting_hashes(monkeypatch)
+    assert run_pipeline(cfg, paths) == NONE
+    assert hashed == [files[".texts"].name]
     hashed.clear()
-    assert not pipeline.stage_filter(cfg, paths)
-    assert not pipeline.stage_filter(cfg, paths)
-    assert hashed.count("graph.npz") == 2
+    # the skipped stage wrote nothing, so its manifest holds the old stamp
+    assert run_pipeline(cfg, paths) == NONE
+    assert hashed == [files[".texts"].name]
+
+
+def test_inputs_no_older_than_their_manifest_are_hashed_again_and_skip(tmp_path, monkeypatch):
+    cfg_path, out_dir = fixture_config(tmp_path)
+    cfg = load_config(cfg_path)
+    paths = StagePaths(out_dir)
+    assert all(run_pipeline(cfg, paths).values())
+    os.utime(paths.manifest("train"), ns=(0, 0))  # every input counts as racy
+    hashed = counting_hashes(monkeypatch)
+    assert run_pipeline(cfg, paths) == NONE
+    assert sorted(hashed) == ["graph.npz", "pseudo_labels.csv", "selected.json"]
+
+
+def test_manifest_without_input_stats_still_skips(tmp_path, monkeypatch):
+    cfg_path, out_dir = fixture_config(tmp_path)
+    cfg = load_config(cfg_path)
+    paths = StagePaths(out_dir)
+    assert all(run_pipeline(cfg, paths).values())
+    doc = json.loads(paths.manifest("filter").read_text())
+    del doc["input_stats"]
+    paths.manifest("filter").write_text(json.dumps(doc))
+    hashed = counting_hashes(monkeypatch)
+    assert run_pipeline(cfg, paths) == NONE
+    assert sorted(hashed) == ["graph.npz", "pseudo_labels.csv"]
+    assert "input_stats" not in json.loads(paths.manifest("filter").read_text())
 
 
 def test_each_response_parsed_once_and_never_in_aggregate(tmp_path, monkeypatch):
@@ -774,6 +871,28 @@ def test_cli_refuses_a_cache_another_run_appends_to(tmp_path, capsys):
     assert "being appended to by another run" in capsys.readouterr().err
     assert cache.read_text() == ""  # the refused run wrote nothing after the holder's open
     assert cli.main(["pipeline", "--config", str(cfg_path), "--cache", str(cache)]) == 0
+
+
+@pytest.mark.parametrize("corrupt, surfaces", [
+    # prefix and ending intact: the cache opens, and the lookup fails
+    (lambda line: line.replace(b'"raw_response": ', b'"raw_response": not json '), "no longer holds"),
+    # the line no longer ends its record: opening the cache fails
+    (lambda line: line[: len(line) // 2] + b"\n", "not JSON"),
+])
+def test_cli_names_a_corrupt_cache_and_exits_1(tmp_path, capsys, corrupt, surfaces):
+    cfg_path, out_dir = fixture_config(tmp_path)
+    assert cli.main(["pipeline", "--config", str(cfg_path)]) == 0
+    cache = out_dir / "annotations.jsonl"
+    lines = cache.read_bytes().splitlines(keepends=True)
+    assert len(lines) > 6
+    lines[5] = corrupt(lines[5])
+    cache.write_bytes(b"".join(lines))
+    (out_dir / "manifest_annotate.json").unlink()
+    capsys.readouterr()
+    assert cli.main(["pipeline", "--config", str(cfg_path)]) == pipeline.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith(f"corrupt cache: {cache}: ") and surfaces in err
+    assert "Traceback" not in err
 
 
 def test_cli_torn_graph_artifact_exits_missing_naming_ingest(tmp_path, capsys):
