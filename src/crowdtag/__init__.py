@@ -22,7 +22,7 @@ from .annotate import (
     parse_response,
     synthetic_oracle,
 )
-from .dataio import assemble, load_embeddings, load_graph, parse_cites, parse_content, save_graph
+from .dataio import load_graph, read_dataset, save_graph
 from .filtering import c_density, coe, kmeans, pagerank, stage1_scores, stage2_select
 from .graph import DirectedTAG, HomophilyTie, build_graph
 from .homophily import (
@@ -40,10 +40,7 @@ __all__ = [
     "DirectedTAG",
     "HomophilyTie",
     "build_graph",
-    "parse_content",
-    "parse_cites",
-    "assemble",
-    "load_embeddings",
+    "read_dataset",
     "save_graph",
     "load_graph",
     "PromptSpec",

@@ -1,9 +1,9 @@
 """Command-line entry point.
 
 Subcommands mirror the pipeline stages plus `verify-theorem` and `sweep`.
-Exit codes: 0 success, 1 validation error (or a response cache that another
-run is appending to, or a corrupt one), 2 missing prior artifact, 3 budget
-refusal, 4 LLM transport failure.
+Exit codes: 0 success, 1 validation error (a bad setting, a malformed dataset
+file, or a response cache that another run is appending to or that is
+corrupt), 2 missing prior artifact, 3 budget refusal, 4 LLM transport failure.
 """
 
 from __future__ import annotations
@@ -16,6 +16,18 @@ from pathlib import Path
 
 from . import fixtures, homophily, pipeline
 from .annotate import BudgetExhaustedError, CacheLockedError, CorruptCacheError, TransportError
+from .dataio import EDGE_SEMANTICS, ParseError
+
+# Errors a command reports on stderr, not as a traceback, with the exit code of each
+_NAMED_ERRORS = (
+    (pipeline.ConfigError, "config error", pipeline.EXIT_VALIDATION),
+    (ParseError, "dataset error", pipeline.EXIT_VALIDATION),
+    (CacheLockedError, "cache locked", pipeline.EXIT_VALIDATION),
+    (CorruptCacheError, "corrupt cache", pipeline.EXIT_VALIDATION),
+    (pipeline.MissingArtifactError, "missing artifact", pipeline.EXIT_MISSING_ARTIFACT),
+    (BudgetExhaustedError, "budget refusal", pipeline.EXIT_BUDGET),
+    (TransportError, "transport failure", pipeline.EXIT_TRANSPORT),
+)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -31,7 +43,7 @@ def _add_dataset_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--embeddings", help="optional key<TAB>floats file")
     parser.add_argument(
         "--edge-semantics",
-        choices=["citing_to_cited", "cited_to_citing"],
+        choices=EDGE_SEMANTICS,
         help="direction an edge represents",
     )
     parser.add_argument(
@@ -279,24 +291,10 @@ def main(argv: list[str] | None = None) -> int:
             else:
                 did_run = getattr(pipeline, f"stage_{args.command}")(cfg, paths)
                 print(f"{args.command}: {'ran' if did_run else 'skipped (up to date)'}")
-    except pipeline.ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return pipeline.EXIT_VALIDATION
-    except CacheLockedError as exc:
-        print(f"cache locked: {exc}", file=sys.stderr)
-        return pipeline.EXIT_VALIDATION
-    except CorruptCacheError as exc:
-        print(f"corrupt cache: {exc}", file=sys.stderr)
-        return pipeline.EXIT_VALIDATION
-    except pipeline.MissingArtifactError as exc:
-        print(f"missing artifact: {exc}", file=sys.stderr)
-        return pipeline.EXIT_MISSING_ARTIFACT
-    except BudgetExhaustedError as exc:
-        print(f"budget refusal: {exc}", file=sys.stderr)
-        return pipeline.EXIT_BUDGET
-    except TransportError as exc:
-        print(f"transport failure: {exc}", file=sys.stderr)
-        return pipeline.EXIT_TRANSPORT
+    except tuple(error for error, _, _ in _NAMED_ERRORS) as exc:
+        name, code = next((n, c) for error, n, c in _NAMED_ERRORS if isinstance(exc, error))
+        print(f"{name}: {exc}", file=sys.stderr)
+        return code
     return pipeline.EXIT_OK
 
 

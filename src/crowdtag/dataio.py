@@ -10,6 +10,10 @@ File formats (public Cora/Citeseer conventions):
 * texts file (optional): ``key<TAB>utf8 text`` per line.
 * embeddings file (optional): ``key<TAB>v1,v2,...,vd`` per line.
 
+The reader is columnar: :func:`parse_content` counts the rows, then writes each
+row's values straight into one ``(n, d)`` float64 matrix; keys, labels and cite
+ends are lists of strings. :func:`read_dataset` is the one ingest sequence.
+
 The assembled graph is stored as one uncompressed ``.npz`` archive: the
 feature matrix and the graph's edge array as binary arrays, plus a small
 versioned JSON ``meta`` member with keys, texts, labels and class names.
@@ -25,7 +29,9 @@ from __future__ import annotations
 import json
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -36,26 +42,14 @@ GRAPH_SCHEMA_VERSION = 2
 
 CITING_TO_CITED = "citing_to_cited"
 CITED_TO_CITING = "cited_to_citing"
+EDGE_SEMANTICS = (CITING_TO_CITED, CITED_TO_CITING)
 
 # Per-node text used when no texts file is supplied.
 MISSING_TEXT_MARKER = "Title/abstract unavailable."
 
 
 class ParseError(ValueError):
-    """Malformed input file; message carries the 1-based line number."""
-
-
-@dataclass(frozen=True)
-class ContentRecord:
-    key: str
-    features: np.ndarray
-    label: str
-
-
-@dataclass(frozen=True)
-class CiteRecord:
-    cited: str
-    citing: str
+    """Malformed dataset file; the message names the file and 1-based line."""
 
 
 @dataclass
@@ -71,7 +65,6 @@ class AssemblyCounters:
     unknown_key: int = 0
     self_loops: int = 0
     duplicates: int = 0
-    skipped_blank_lines: int = 0
 
     def reconciles(self) -> bool:
         return self.records == (
@@ -79,108 +72,150 @@ class AssemblyCounters:
         )
 
 
-def parse_content(path: str | Path) -> list[ContentRecord]:
-    """Parse a ``.content`` file; dimension inferred from the first line."""
-    records: list[ContentRecord] = []
-    dim: int | None = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            fields = line.split()
-            if not fields:
-                continue
-            if len(fields) < 3:
-                raise ParseError(f"{path}:{lineno}: expected key, features and label")
-            key, label = fields[0], fields[-1]
-            values = fields[1:-1]
-            if dim is None:
-                dim = len(values)
-            elif len(values) != dim:
-                raise ParseError(
-                    f"{path}:{lineno}: expected {dim} feature columns, found {len(values)}"
-                )
-            try:
-                feats = np.array([float(x) for x in values], dtype=np.float64)
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: non-numeric feature value ({exc})") from exc
-            records.append(ContentRecord(key=key, features=feats, label=label))
-    if not records:
+def _lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """``(lineno, line)`` of a text file; a line that is not UTF-8 raises ParseError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield from enumerate(fh, start=1)
+    except UnicodeDecodeError as exc:
+        # the decoder reads ahead: find the first raw line that drops bytes
+        with open(path, "rb") as fh:
+            lineno = next(i for i, raw in enumerate(fh, start=1)
+                          if raw.decode("utf-8", "ignore").encode() != raw)
+        raise ParseError(f"{path}:{lineno}: not UTF-8 text ({exc.reason})") from None
+
+
+def parse_content(path: str | Path) -> tuple[list[str], np.ndarray, list[str]]:
+    """Parse a ``.content`` file into its keys, one ``(n, d)`` float64 feature
+    matrix and its labels; ``d`` is inferred from the first row."""
+    rows = sum(not line.isspace() for _, line in _lines(path))
+    keys: list[str] = []
+    labels: list[str] = []
+    seen: set[str] = set()
+    for lineno, line in _lines(path):
+        fields = line.split()
+        if not fields:
+            continue
+        if len(fields) < 3:
+            raise ParseError(f"{path}:{lineno}: expected key, features and label")
+        key, values = fields[0], fields[1:-1]
+        if not keys:
+            features = np.empty((rows, len(values)))
+        elif len(values) != features.shape[1]:
+            raise ParseError(f"{path}:{lineno}: expected {features.shape[1]} feature columns, "
+                             f"found {len(values)}")
+        if key in seen:
+            raise ParseError(f"{path}:{lineno}: duplicate node key {key!r}")
+        try:
+            features[len(keys)] = list(map(float, values))
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: non-numeric feature value ({exc})") from exc
+        seen.add(key)
+        keys.append(key)
+        labels.append(fields[-1])
+    if not keys:
         raise ParseError(f"{path}: no records found")
-    return records
+    return keys, features, labels
 
 
-def parse_cites(path: str | Path) -> tuple[list[CiteRecord], int]:
-    """Parse a ``.cites`` file.
-
-    Returns the records plus the count of skipped blank lines. Non-blank
-    lines with a field count other than two are errors.
-    """
-    records: list[CiteRecord] = []
+def parse_cites(path: str | Path) -> tuple[list[str], list[str], int]:
+    """Parse a ``.cites`` file into its cited and citing key columns plus the
+    count of blank lines; a line with other than two fields is an error."""
+    cited: list[str] = []
+    citing: list[str] = []
     blank = 0
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            fields = line.split()
-            if not fields:
-                blank += 1
-                continue
-            if len(fields) != 2:
-                raise ParseError(f"{path}:{lineno}: expected 2 keys, found {len(fields)}")
-            records.append(CiteRecord(cited=fields[0], citing=fields[1]))
-    return records, blank
+    distinct: dict[str, str] = {}  # one str object per key, not per mention
+    for lineno, line in _lines(path):
+        fields = line.split()
+        if not fields:
+            blank += 1
+            continue
+        if len(fields) != 2:
+            raise ParseError(f"{path}:{lineno}: expected 2 keys, found {len(fields)}")
+        a, b = fields
+        cited.append(distinct.setdefault(a, a))
+        citing.append(distinct.setdefault(b, b))
+    return cited, citing, blank
+
+
+def _tab_lines(path: str | Path, expected: str) -> Iterator[tuple[int, str, str]]:
+    """``(lineno, key, rest)`` of each non-blank ``key<TAB>rest`` line."""
+    for lineno, line in _lines(path):
+        line = line.rstrip("\n")
+        if not line.strip():
+            continue
+        if "\t" not in line:
+            raise ParseError(f"{path}:{lineno}: expected {expected}")
+        key, rest = line.split("\t", 1)
+        yield lineno, key, rest
 
 
 def parse_texts(path: str | Path) -> dict[str, str]:
     """Parse a ``key<TAB>text`` file."""
-    texts: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            if "\t" not in line:
-                raise ParseError(f"{path}:{lineno}: expected key<TAB>text")
-            key, text = line.split("\t", 1)
-            texts[key] = text
-    return texts
+    return {key: text for _, key, text in _tab_lines(path, "key<TAB>text")}
+
+
+def load_embeddings(path: str | Path, keys: list[str]) -> np.ndarray:
+    """The ``(len(keys), d)`` matrix of an embeddings file's vectors in the
+    order of ``keys``. The file must cover every key (others are ignored) and
+    hold one dimension throughout."""
+    row_of = {k: i for i, k in enumerate(keys)}
+    features = None
+    filled = np.zeros(len(keys), dtype=bool)
+    for lineno, key, values in _tab_lines(path, "key<TAB>comma-separated floats"):
+        try:
+            vec = list(map(float, values.split(",")))
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: bad float ({exc})") from exc
+        if features is None:
+            features = np.empty((len(keys), len(vec)))
+        elif len(vec) != features.shape[1]:
+            raise ParseError(
+                f"{path}:{lineno}: expected dimension {features.shape[1]}, found {len(vec)}")
+        row = row_of.get(key)
+        if row is not None:
+            features[row] = vec
+            filled[row] = True
+    if not filled.all():
+        missing = [keys[i] for i in np.flatnonzero(~filled)]
+        shown = ", ".join(missing[:10])
+        raise ParseError(f"{path}: missing {len(missing)} node key(s): {shown}")
+    return features
 
 
 def assemble(
-    content: list[ContentRecord],
-    cites: list[CiteRecord],
-    edge_semantics: str = CITING_TO_CITED,
-    texts: dict[str, str] | None = None,
+    keys: list[str], features: np.ndarray, labels: list[str], cited: list[str], citing: list[str],
+    edge_semantics: str = CITING_TO_CITED, texts: dict[str, str] | None = None,
 ) -> tuple[DirectedTAG, AssemblyCounters]:
-    """Assemble a directed graph from parsed records.
+    """Assemble a directed graph from the parsed columns; ``features`` is kept,
+    not copied.
 
     Under ``citing_to_cited`` an edge u -> v means "u cites v". Cite records
     naming unknown keys are counted and skipped. Self-citations and duplicate
     edges are counted here and dropped by :func:`build_graph`, so the counters
     reconcile only if its edge array holds exactly the rest.
     """
-    if not content:
-        raise ValueError("content record list is empty")
-    if edge_semantics not in (CITING_TO_CITED, CITED_TO_CITING):
+    if edge_semantics not in EDGE_SEMANTICS:
         raise ValueError(f"unknown edge semantics {edge_semantics!r}")
 
-    keys = [r.key for r in content]
     key_to_id = {k: i for i, k in enumerate(keys)}
     if len(key_to_id) != len(keys):
-        raise ValueError("duplicate node keys in content records")
+        raise ValueError("duplicate node keys")
 
-    class_names = sorted({r.label for r in content})
-    class_index = {c: i for i, c in enumerate(class_names)}
-    labels: list[int | None] = [class_index[r.label] for r in content]
-    features = np.stack([r.features for r in content])
+    class_names, label_ids = np.unique(labels, return_inverse=True)  # names sorted
 
-    lookup = key_to_id.get
-    cited = np.fromiter((lookup(r.cited, -1) for r in cites), np.int64, len(cites))
-    citing = np.fromiter((lookup(r.citing, -1) for r in cites), np.int64, len(cites))
-    known = (cited >= 0) & (citing >= 0)
-    cited, citing = cited[known], citing[known]
-    src, dst = (citing, cited) if edge_semantics == CITING_TO_CITED else (cited, citing)
+    # one (m, 2) array of (source, target) ids; -1 marks an unknown key
+    m = len(cited)
+    ends = (citing, cited) if edge_semantics == CITING_TO_CITED else (cited, citing)
+    pairs = np.empty((m, 2), dtype=np.int64)
+    for col, column in enumerate(ends):
+        pairs[:, col] = np.fromiter(map(key_to_id.get, column, repeat(-1)), np.int64, m)
+    pairs = pairs[(pairs >= 0).all(axis=1)]
+    src, dst = pairs.T
     loop = src == dst
     counters = AssemblyCounters(
-        records=len(cites),
-        unknown_key=len(cites) - len(src),
+        records=m,
+        unknown_key=m - len(pairs),
         self_loops=int(loop.sum()),
         duplicates=int((~loop).sum()) - len(np.unique((src * len(keys) + dst)[~loop])),
     )
@@ -190,44 +225,28 @@ def assemble(
     else:
         node_texts = [texts.get(k, MISSING_TEXT_MARKER) for k in keys]
 
-    pairs = np.stack([src, dst], axis=1)
-    graph = build_graph(keys, pairs, node_texts, features, labels, class_names)
+    graph = build_graph(keys, pairs, node_texts, features, label_ids.tolist(),
+                        class_names.tolist())
     counters.edges_added = graph.num_edges
     return graph, counters
 
 
-def load_embeddings(path: str | Path, graph: DirectedTAG) -> np.ndarray:
-    """Replace node features with precomputed embeddings.
-
-    The file must cover every node key; dimension uniformity is enforced.
-    Returns the new feature matrix (the graph is not mutated).
-    """
-    vectors: dict[str, np.ndarray] = {}
-    dim: int | None = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            if "\t" not in line:
-                raise ParseError(f"{path}:{lineno}: expected key<TAB>comma-separated floats")
-            key, values = line.split("\t", 1)
-            try:
-                vec = np.array([float(x) for x in values.split(",")], dtype=np.float64)
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: bad float ({exc})") from exc
-            if dim is None:
-                dim = vec.size
-            elif vec.size != dim:
-                raise ParseError(
-                    f"{path}:{lineno}: expected dimension {dim}, found {vec.size}"
-                )
-            vectors[key] = vec
-    missing = [k for k in graph.original_keys if k not in vectors]
-    if missing:
-        shown = ", ".join(missing[:10])
-        raise ValueError(f"embeddings file missing {len(missing)} node key(s): {shown}")
-    return np.stack([vectors[k] for k in graph.original_keys])
+def read_dataset(
+    content: str | Path, cites: str | Path, texts: str | Path | None = None,
+    embeddings: str | Path | None = None, edge_semantics: str = CITING_TO_CITED,
+) -> tuple[DirectedTAG, AssemblyCounters]:
+    """Read a dataset's files into its graph, with the embeddings as features
+    when given; RuntimeError if the edge counters do not reconcile."""
+    keys, features, labels = parse_content(content)
+    if embeddings:
+        del features  # the embeddings replace the .content features
+        features = load_embeddings(embeddings, keys)
+    cited, citing, _ = parse_cites(cites)
+    text_of = parse_texts(texts) if texts else None
+    graph, counters = assemble(keys, features, labels, cited, citing, edge_semantics, text_of)
+    if not counters.reconciles():
+        raise RuntimeError(f"edge counters do not reconcile: {counters}")
+    return graph, counters
 
 
 @contextmanager

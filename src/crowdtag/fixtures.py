@@ -10,7 +10,7 @@ from __future__ import annotations
 from importlib import resources
 from pathlib import Path
 
-from .dataio import assemble, parse_cites, parse_content, parse_texts
+from .dataio import read_dataset
 from .graph import DirectedTAG
 from .synthetic import synthetic_citation_graph, write_dataset_files
 
@@ -50,10 +50,6 @@ def replay_cache_path() -> Path:
 
 
 def load_fixture_graph() -> DirectedTAG:
-    """Parse the bundled fixture through the regular dataset readers."""
-    content_path, cites_path, texts_path = fixture_paths()
-    content = parse_content(content_path)
-    cites, _ = parse_cites(cites_path)
-    texts = parse_texts(texts_path)
-    graph, _ = assemble(content, cites, texts=texts)
+    """Read the bundled fixture through the regular dataset reader."""
+    graph, _ = read_dataset(*fixture_paths())
     return graph

@@ -147,6 +147,9 @@ class PipelineConfig:
             raise ConfigError(f"sweep seeds must be >= 1, got {self.sweep.seeds}")
         if self.annotator.budget_usd < 0:
             raise ConfigError("budget must be >= 0")
+        if self.dataset.edge_semantics not in dataio.EDGE_SEMANTICS:
+            raise ConfigError(f"dataset.edge_semantics must be one of {dataio.EDGE_SEMANTICS}, "
+                              f"got {self.dataset.edge_semantics!r}")
         if self.annotator.mode not in ("oracle", "llm"):
             raise ConfigError(f"unknown annotator mode {self.annotator.mode!r}")
         if self.annotator.mode == "llm" and not self.annotator.endpoint:
@@ -538,14 +541,7 @@ def _load_graph(paths: StagePaths) -> _LoadedGraph:
 @_stage("ingest", sources=_dataset_files)
 def stage_ingest(cfg: PipelineConfig, paths: StagePaths, cfg_hash: str) -> None:
     """Parse the dataset files and write the assembled graph artifact."""
-    content = dataio.parse_content(cfg.dataset.content)
-    cites, _ = dataio.parse_cites(cfg.dataset.cites)
-    texts = dataio.parse_texts(cfg.dataset.texts) if cfg.dataset.texts else None
-    graph, counters = dataio.assemble(content, cites, cfg.dataset.edge_semantics, texts)
-    if cfg.dataset.embeddings:
-        graph.features = dataio.load_embeddings(cfg.dataset.embeddings, graph)
-    if not counters.reconciles():
-        raise RuntimeError(f"edge counters do not reconcile: {counters}")
+    graph, _ = dataio.read_dataset(**asdict(cfg.dataset))
     dataio.save_graph(graph, paths.graph, cfg_hash)
 
 

@@ -394,7 +394,7 @@ def test_criterion_10_dataset_ingestion(tmp_path):
 
     rows, dim, labels = line_count_oracle(d / "cora.content")
     assert (rows, dim, len(labels)) == (2708, 1433, 7)
-    records = parse_content(d / "cora.content")
-    assert len(records) == 2708 and records[0].features.size == 1433
+    keys, features, _ = parse_content(d / "cora.content")
+    assert len(keys) == 2708 and features[0].size == 1433
     report(10, "Cora parses to 2708 nodes / 1433 features / 7 classes; "
                "malformed files produce line-numbered errors")

@@ -10,7 +10,6 @@ import pytest
 
 from crowdtag.dataio import (
     MISSING_TEXT_MARKER,
-    CiteRecord,
     ParseError,
     assemble,
     load_embeddings,
@@ -18,6 +17,7 @@ from crowdtag.dataio import (
     parse_cites,
     parse_content,
     parse_texts,
+    read_dataset,
     save_graph,
 )
 from crowdtag.synthetic import synthetic_citation_graph, write_dataset_files
@@ -35,10 +35,10 @@ def write(tmp_path: Path, name: str, text: str) -> Path:
 
 def test_parse_content_basic(tmp_path):
     p = write(tmp_path, "a.content", "p1 0 1 0 Theory\np2 1 0 0 Systems\n")
-    records = parse_content(p)
-    assert [r.key for r in records] == ["p1", "p2"]
-    assert records[0].label == "Theory"
-    np.testing.assert_array_equal(records[0].features, [0.0, 1.0, 0.0])
+    keys, features, labels = parse_content(p)
+    assert keys == ["p1", "p2"]
+    assert labels[0] == "Theory"
+    np.testing.assert_array_equal(features[0], [0.0, 1.0, 0.0])
 
 
 def test_parse_content_dimension_mismatch(tmp_path):
@@ -55,7 +55,8 @@ def test_parse_content_empty_file(tmp_path):
 
 def test_parse_content_skips_blank_lines(tmp_path):
     p = write(tmp_path, "d.content", "p1 0 1 Theory\n\np2 1 0 Theory\n")
-    assert len(parse_content(p)) == 2
+    keys, features, _ = parse_content(p)
+    assert len(keys) == 2 and features.shape == (2, 2)
 
 
 def test_parse_content_non_numeric(tmp_path):
@@ -68,15 +69,15 @@ def test_parse_content_non_numeric(tmp_path):
 
 def test_parse_cites_basic(tmp_path):
     p = write(tmp_path, "a.cites", "p2\tp1\n")
-    records, blank = parse_cites(p)
-    assert records == [CiteRecord(cited="p2", citing="p1")]
+    cited, citing, blank = parse_cites(p)
+    assert (cited, citing) == (["p2"], ["p1"])
     assert blank == 0
 
 
 def test_parse_cites_blank_lines_counted(tmp_path):
     p = write(tmp_path, "b.cites", "p2\tp1\n\n\np1\tp3\n")
-    records, blank = parse_cites(p)
-    assert len(records) == 2
+    cited, citing, blank = parse_cites(p)
+    assert len(cited) == len(citing) == 2
     assert blank == 2
 
 
@@ -95,47 +96,44 @@ def two_node_content(tmp_path):
 
 def test_assemble_edge_semantics(tmp_path):
     content = two_node_content(tmp_path)
-    cites = [CiteRecord(cited="p2", citing="p1")]
-    graph, counters = assemble(content, cites, "citing_to_cited")
+    cites = (["p2"], ["p1"])
+    graph, counters = assemble(*content, *cites, "citing_to_cited")
     # p1 cites p2: edge p1 -> p2, i.e. 0 -> 1
     assert graph.num_nodes == 2
     assert graph.edges() == [(0, 1)]
     assert counters.edges_added == 1 and counters.reconciles()
 
-    graph_rev, _ = assemble(content, cites, "cited_to_citing")
+    graph_rev, _ = assemble(*content, *cites, "cited_to_citing")
     assert graph_rev.edges() == [(1, 0)]
 
 
 def test_assemble_unknown_key_skipped(tmp_path):
     content = two_node_content(tmp_path)
-    cites = [CiteRecord(cited="p2", citing="p1"), CiteRecord(cited="nope", citing="p1")]
-    graph, counters = assemble(content, cites)
+    graph, counters = assemble(*content, ["p2", "nope"], ["p1", "p1"])
     assert graph.num_edges == 1
     assert counters.unknown_key == 1 and counters.reconciles()
 
 
 def test_assemble_self_citation_dropped(tmp_path):
     content = two_node_content(tmp_path)
-    cites = [CiteRecord(cited="p1", citing="p1")]
-    graph, counters = assemble(content, cites)
+    graph, counters = assemble(*content, ["p1"], ["p1"])
     assert graph.num_edges == 0
     assert counters.self_loops == 1 and counters.reconciles()
 
 
 def test_assemble_duplicates_deduplicated(tmp_path):
     content = two_node_content(tmp_path)
-    cites = [CiteRecord(cited="p2", citing="p1")] * 3
-    graph, counters = assemble(content, cites)
+    graph, counters = assemble(*content, ["p2"] * 3, ["p1"] * 3)
     assert graph.num_edges == 1
     assert counters.duplicates == 2 and counters.reconciles()
 
 
 def test_assemble_counts_every_kind_of_dropped_record_at_once(tmp_path):
     p = write(tmp_path, "g.content", "p1 0 A\np2 1 B\np3 0 A\n")
-    cites = [CiteRecord(cited=a, citing=b) for a, b in [
+    cited, citing = zip(*[
         ("p2", "p1"), ("p1", "p1"), ("p2", "p1"), ("p9", "p1"), ("p1", "p3"), ("p1", "p1"),
-        ("p2", "p1"), ("p1", "p2"), ("p1", "p9")]]
-    graph, counters = assemble(parse_content(p), cites)
+        ("p2", "p1"), ("p1", "p2"), ("p1", "p9")])
+    graph, counters = assemble(*parse_content(p), list(cited), list(citing))
     assert graph.edges() == [(0, 1), (1, 0), (2, 0)]
     assert (counters.edges_added, counters.unknown_key, counters.self_loops,
             counters.duplicates) == (3, 2, 2, 2)
@@ -146,40 +144,58 @@ def test_assemble_memory_per_edge(tmp_path):
     graph = synthetic_citation_graph(5000, 3, avg_out_degree=4.0, feature_dim=1, seed=3)
     content_p, cites_p, _ = write_dataset_files(graph, str(tmp_path / "g"))
     content = parse_content(content_p)
-    cites, _ = parse_cites(cites_p)
-    cites += cites[:2000]
+    cited, citing, _ = parse_cites(cites_p)
+    cited += cited[:2000]
+    citing += citing[:2000]
     tracemalloc.start()
     try:
-        assembled, counters = assemble(content, cites)
+        assembled, counters = assemble(*content, cited, citing)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert assembled.num_edges == graph.num_edges > 19_000 and counters.duplicates == 2000
     # sets and lists of edge tuples in assemble, build_graph and the graph's
     # validation took about 760 bytes per record
-    assert peak / len(cites) <= 400, f"{peak / len(cites):.0f} bytes per cite record"
+    assert peak / len(cited) <= 400, f"{peak / len(cited):.0f} bytes per cite record"
+
+
+def test_read_dataset_peak_is_within_three_feature_matrices(tmp_path):
+    # Cora's class count and citation density, 5000 nodes x 64 features
+    graph = synthetic_citation_graph(5000, 7, avg_out_degree=2.0, feature_dim=64, seed=3)
+    content_p, cites_p, _ = write_dataset_files(graph, str(tmp_path / "g"))
+    tracemalloc.start()
+    try:
+        read, counters = read_dataset(content_p, cites_p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert read.edges() == graph.edges() and counters.reconciles()
+    assert read.features.tobytes() == graph.features.tobytes()
+    # a small array per node, stacked into a second matrix, took 4.8 times
+    ratio = peak / read.features.nbytes
+    assert ratio <= 3.0, f"peak {ratio:.2f} times the feature matrix"
 
 
 def test_assemble_texts_default_and_supplied(tmp_path):
     content = two_node_content(tmp_path)
-    graph, _ = assemble(content, [])
+    graph, _ = assemble(*content, [], [])
     assert graph.texts == [MISSING_TEXT_MARKER] * 2
 
-    graph2, _ = assemble(content, [], texts={"p1": "the first paper"})
+    graph2, _ = assemble(*content, [], [], texts={"p1": "the first paper"})
     assert graph2.texts[0] == "the first paper"
     assert graph2.texts[1] == MISSING_TEXT_MARKER
 
 
 def test_assemble_zero_edges_is_not_an_error(tmp_path):
     content = two_node_content(tmp_path)
-    graph, _ = assemble(content, [])
+    graph, _ = assemble(*content, [], [])
     assert graph.num_edges == 0
     assert graph.homophily_tie(0, 0).members == (0,)
 
 
 def test_assemble_class_names_sorted(tmp_path):
     p = write(tmp_path, "h.content", "a 0 Zeta\nb 1 Alpha\nc 0 Mid\n")
-    graph, _ = assemble(parse_content(p), [])
+    graph, _ = assemble(*parse_content(p), [], [])
     assert graph.class_names == ["Alpha", "Mid", "Zeta"]
     assert graph.labels == [2, 0, 1]
 
@@ -194,28 +210,25 @@ def test_parse_texts(tmp_path):
 
 
 def test_load_embeddings_replaces_features(tmp_path):
-    content = two_node_content(tmp_path)
-    graph, _ = assemble(content, [])
+    keys, _, _ = two_node_content(tmp_path)
     p = write(tmp_path, "a.emb", "p1\t1.0,2.0,3.0,4.0\np2\t5.0,6.0,7.0,8.0\n")
-    feats = load_embeddings(p, graph)
+    feats = load_embeddings(p, keys)
     assert feats.shape == (2, 4)
     np.testing.assert_array_equal(feats[1], [5.0, 6.0, 7.0, 8.0])
 
 
 def test_load_embeddings_missing_key(tmp_path):
-    content = two_node_content(tmp_path)
-    graph, _ = assemble(content, [])
+    keys, _, _ = two_node_content(tmp_path)
     p = write(tmp_path, "b.emb", "p1\t1.0,2.0\n")
     with pytest.raises(ValueError, match="p2"):
-        load_embeddings(p, graph)
+        load_embeddings(p, keys)
 
 
 def test_load_embeddings_dim_mismatch(tmp_path):
-    content = two_node_content(tmp_path)
-    graph, _ = assemble(content, [])
+    keys, _, _ = two_node_content(tmp_path)
     p = write(tmp_path, "c.emb", "p1\t1.0,2.0\np2\t1.0,2.0,3.0\n")
     with pytest.raises(ParseError, match=":2"):
-        load_embeddings(p, graph)
+        load_embeddings(p, keys)
 
 
 # --- serialization ---------------------------------------------------------------
@@ -298,10 +311,7 @@ def test_graph_npz_refuses_pickled_member(tmp_path, fixture30):
 def test_dataset_files_roundtrip(tmp_path):
     graph = synthetic_citation_graph(n=25, num_classes=3, seed=8)
     content_p, cites_p, texts_p = write_dataset_files(graph, str(tmp_path / "toy"))
-    content = parse_content(content_p)
-    cites, _ = parse_cites(cites_p)
-    texts = parse_texts(texts_p)
-    rebuilt, counters = assemble(content, cites, texts=texts)
+    rebuilt, counters = read_dataset(content_p, cites_p, texts_p)
     assert rebuilt.num_nodes == graph.num_nodes
     assert set(rebuilt.edges()) == set(graph.edges())
     assert rebuilt.texts == graph.texts
@@ -344,11 +354,11 @@ def test_public_cora_parses_to_expected_shape():
     rows, dim, labels = line_count_oracle(d / "cora.content")
     assert (rows, dim, len(labels)) == (2708, 1433, 7)
 
-    records = parse_content(d / "cora.content")
-    assert len(records) == 2708
-    assert records[0].features.size == 1433
-    cites, _ = parse_cites(d / "cora.cites")
-    graph, counters = assemble(records, cites)
+    keys, features, labels = parse_content(d / "cora.content")
+    assert len(keys) == 2708
+    assert features[0].size == 1433
+    cited, citing, _ = parse_cites(d / "cora.cites")
+    graph, counters = assemble(keys, features, labels, cited, citing)
     assert graph.num_nodes == 2708
     assert graph.num_classes == 7
     assert counters.reconciles()

@@ -98,6 +98,7 @@ def test_cli_rejects_a_cap_or_stage_one_size_below_one(tmp_path, capsys, flags):
     ("gcn", "val_size", -1),
     ("filter", "damping", 1.5),
     ("annotator", "requests_per_second", 0),
+    ("dataset", "edge_semantics", "bogus"),
 ])
 def test_cli_rejects_a_setting_that_would_crash_a_stage(tmp_path, capsys, section, key, value):
     out_dir = tmp_path / "out"
@@ -109,6 +110,37 @@ def test_cli_rejects_a_setting_that_would_crash_a_stage(tmp_path, capsys, sectio
     assert cli.main(args) == pipeline.EXIT_VALIDATION
     assert f"config error: {section}.{key} must be" in capsys.readouterr().err
     assert not (out_dir / "graph.npz").exists()  # refused before any stage ran
+
+
+GOOD_DATASET = {
+    "content": "p1 0 1 Theory\np2 1 0 Systems\np3 1 1 Theory\n",
+    "cites": "p2\tp1\np3\tp2\n",
+    "embeddings": "p1\t1.0,2.0\np2\t3.0,4.0\np3\t5.0,6.0\n",
+}
+
+
+@pytest.mark.parametrize("command", ["ingest", "pipeline"])
+@pytest.mark.parametrize("file, text, where", [
+    ("content", "p1 0 1 Theory\np2 1 Systems\n", ":2: expected 2 feature columns"),
+    ("content", "p1 0 1 Theory\np2 1 zero Systems\n", ":2: non-numeric feature value"),
+    ("cites", "p2\tp1\np3\n", ":2: expected 2 keys"),
+    ("content", "p1 0 1 Theory\np2 1 0 Systems\np1 1 1 Theory\n", ":3: duplicate node key 'p1'"),
+    ("embeddings", "p1\t1.0,2.0\np3\t5.0,6.0\n", ": missing 1 node key(s): p2"),
+    ("content", b"p1 0 1 Theory\np2 1 0 Syst\xe8mes\n", ":2: not UTF-8 text"),
+], ids=["short-row", "non-numeric", "one-key-cite", "duplicate-key", "embedding-missing",
+        "not-utf8"])
+def test_cli_names_a_malformed_dataset_file(tmp_path, capsys, command, file, text, where):
+    paths = {name: tmp_path / f"data.{name}" for name in GOOD_DATASET}
+    for name, good in GOOD_DATASET.items():
+        data = text if name == file else good
+        paths[name].write_bytes(data if isinstance(data, bytes) else data.encode())
+    out_dir = tmp_path / "out"
+    args = [command, "--out-dir", str(out_dir), "--content", str(paths["content"]),
+            "--cites", str(paths["cites"]), "--embeddings", str(paths["embeddings"])]
+    assert cli.main(args) == pipeline.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith(f"dataset error: {paths[file]}{where}"), err
+    assert not (out_dir / "graph.npz").exists()
 
 
 def test_cli_sweep_rejects_fewer_than_one_seed(tmp_path, capsys):
