@@ -143,7 +143,7 @@ class BudgetState:
 
     def check(self) -> None:
         with self._lock:
-            if self.spent_usd >= self.limit_usd:
+            if not self.spent_usd < self.limit_usd:  # also refuses a NaN limit
                 raise BudgetExhaustedError(
                     f"budget exhausted: spent ${self.spent_usd:.4f} of ${self.limit_usd:.4f}"
                 )
@@ -171,16 +171,6 @@ _ROLE_PHRASES = {
     ROLE_SUCC_OF_PRED: "which is co-cited, by its citing paper(s), together with the paper(s) that",
     ROLE_PRED_OF_SUCC: "which shares a cited paper with the paper(s) that",
 }
-
-# Rendering order of relation groups inside the prompt body.
-_ROLE_ORDER = (
-    ROLE_PRED,
-    ROLE_SUCC,
-    ROLE_PRED_OF_PRED,
-    ROLE_SUCC_OF_SUCC,
-    ROLE_SUCC_OF_PRED,
-    ROLE_PRED_OF_SUCC,
-)
 
 
 def _clip(text: str, limit: int) -> str:
@@ -227,9 +217,9 @@ def build_prompt(
 ) -> PromptSpec:
     """Render the annotation prompt for one tie.
 
-    The center's text appears first; each relation group contributes one
-    clause listing its member texts in ascending node-id order, truncated
-    per the policy. The instruction asks for exactly ``len(class_names)``
+    The center's text appears first; each of ``tie.groups``, in order,
+    contributes one clause listing its member texts, truncated per the
+    policy. The instruction asks for exactly ``len(class_names)``
     ranked guesses with confidences meant to sum to 100. ``clipped``, a memo
     over the same ``texts``, lets the prompts of many ties clip each text once.
     """
@@ -243,14 +233,8 @@ def build_prompt(
 
     center_text = clip(tie.center, policy.center_text_chars)
 
-    groups: dict[str, list[int]] = {}
-    for member, role in zip(tie.members, tie.roles):
-        groups.setdefault(role, []).append(member)
     parts = [f"The content of the paper is {center_text}"]
-    for role in _ROLE_ORDER:
-        members = groups.get(role)
-        if not members:
-            continue
+    for role, members in tie.groups:
         members = members[: policy.max_neighbors_per_role]
         joined = " ; ".join(clip(m, policy.neighbor_text_chars) for m in members)
         parts.append(f", {_ROLE_PHRASES[role]} {joined}")
@@ -861,9 +845,9 @@ def _annotate_chunks(
         for lo in range(0, len(nodes), CHUNK_NODES):
             start = lo * NUM_TIE_CONFIGS
             specs = [
-                build_prompt(tie, graph.texts, graph.class_names, policy, model, clipped)
+                build_prompt(graph.homophily_tie(v, k), graph.texts, graph.class_names, policy, model, clipped)
                 for v in nodes[lo:lo + CHUNK_NODES]
-                for tie in graph.all_ties(v)
+                for k in range(NUM_TIE_CONFIGS)
             ]
             source = [first.setdefault(spec.prompt_hash, i) for i, spec in enumerate(specs, start)]
             fresh = [spec for i, (spec, s) in enumerate(zip(specs, source), start) if s == i]

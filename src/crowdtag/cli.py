@@ -2,8 +2,9 @@
 
 Subcommands mirror the pipeline stages plus `verify-theorem` and `sweep`.
 Exit codes: 0 success, 1 validation error (a bad setting, a malformed dataset
-file, or a response cache that another run is appending to or that is
-corrupt), 2 missing prior artifact, 3 budget refusal, 4 LLM transport failure.
+file, a response cache that another run is appending to or that is corrupt,
+or GCN training that diverged), 2 missing prior artifact, 3 budget refusal,
+4 LLM transport failure.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from pathlib import Path
 from . import fixtures, homophily, pipeline
 from .annotate import BudgetExhaustedError, CacheLockedError, CorruptCacheError, TransportError
 from .dataio import EDGE_SEMANTICS, ParseError
+from .gcn import TrainingDivergedError
 
 # Errors a command reports on stderr, not as a traceback, with the exit code of each
 _NAMED_ERRORS = (
@@ -24,6 +26,7 @@ _NAMED_ERRORS = (
     (ParseError, "dataset error", pipeline.EXIT_VALIDATION),
     (CacheLockedError, "cache locked", pipeline.EXIT_VALIDATION),
     (CorruptCacheError, "corrupt cache", pipeline.EXIT_VALIDATION),
+    (TrainingDivergedError, "training diverged", pipeline.EXIT_VALIDATION),
     (pipeline.MissingArtifactError, "missing artifact", pipeline.EXIT_MISSING_ARTIFACT),
     (BudgetExhaustedError, "budget refusal", pipeline.EXIT_BUDGET),
     (TransportError, "transport failure", pipeline.EXIT_TRANSPORT),

@@ -14,7 +14,6 @@ concurrently.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,15 +29,8 @@ ROLE_PRED_OF_SUCC = "pred_of_succ"
 ROLE_SUCC_OF_PRED = "succ_of_pred"
 ROLE_SUCC_OF_SUCC = "succ_of_succ"
 
-COMPOSITE_ROLES = (
-    ROLE_PRED_OF_SUCC,
-    ROLE_SUCC_OF_PRED,
-    ROLE_PRED_OF_PRED,
-    ROLE_SUCC_OF_SUCC,
-)
-
-
-# (one-hop roles, two-hop role) of each configuration; see homophily_tie.
+# (one-hop roles, two-hop role) of each configuration, in prompt order; see
+# homophily_tie.
 _TIE_ROLES: tuple[tuple[tuple[str, ...], str | None], ...] = (
     ((), None),
     ((ROLE_PRED,), None),
@@ -59,36 +51,18 @@ class UnknownNodeError(KeyError):
 class HomophilyTie:
     """One of the eight subgraph configurations around a center node.
 
-    ``members`` lists the center first, then the remaining members in
-    ascending node-id order. ``roles[i]`` is the relation tag of
-    ``members[i]``; a node reachable through several relations carries the
-    shorter-hop one.
+    ``groups`` holds the tie's relation groups in prompt order, each as
+    ``(role, member ids ascending)``; the center is in none of them and no
+    group is empty. ``members`` lists the center first, then every group
+    member in ascending node-id order; ``roles[i]`` is the role of
+    ``members[i]``, :data:`ROLE_SELF` for the center.
     """
 
     center: int
     config_k: int
+    groups: tuple[tuple[str, tuple[int, ...]], ...]
     members: tuple[int, ...]
     roles: tuple[str, ...]
-
-
-def _assemble_tie(v: int, k: int, groups: dict[str, Iterable[int]]) -> HomophilyTie:
-    """Tie ``k`` at ``v`` from the neighbors of ``v`` by role; ``groups`` holds
-    at least the roles configuration ``k`` uses. One-hop roles win on overlap
-    because the prompt templates phrase one-hop relations."""
-    one_hop, two_hop = _TIE_ROLES[k]
-    role_of: dict[int, str] = {}
-    if two_hop is not None:
-        role_of = dict.fromkeys(groups[two_hop], two_hop)
-    for role in one_hop:
-        role_of.update(dict.fromkeys(groups[role], role))
-    role_of.pop(v, None)
-    others = sorted(role_of)
-    return HomophilyTie(
-        center=v,
-        config_k=k,
-        members=(v, *others),
-        roles=(ROLE_SELF, *(role_of[u] for u in others)),
-    )
 
 
 def _grouped(keys: np.ndarray, values: np.ndarray, n: int) -> list[list[int]]:
@@ -188,8 +162,8 @@ class DirectedTAG:
     def composite_neighbors(self, v: int, which: str) -> set[int]:
         """Two-hop neighbor set obtained by composing pred/succ lookups.
 
-        The center is not removed from the result; tie construction unions
-        the center in anyway, so set semantics absorb it.
+        The center is not removed from the result; :meth:`homophily_tie`
+        removes it.
         """
         self._check_node(v)
         if which == ROLE_PRED_OF_SUCC:
@@ -210,36 +184,49 @@ class DirectedTAG:
     def homophily_tie(self, v: int, k: int) -> HomophilyTie:
         """Build configuration ``k`` (0..7) of the tie centered at ``v``.
 
-        Member sets per configuration:
+        Relation groups per configuration, in prompt order:
 
         ==  =============================
-        0   {v}
-        1   {v} + pred
-        2   {v} + succ
-        3   {v} + pred + succ
-        4   {v} + pred + pred_of_pred
-        5   {v} + succ + pred_of_succ
-        6   {v} + pred + succ_of_pred
-        7   {v} + succ + succ_of_succ
+        0   none
+        1   pred
+        2   succ
+        3   pred, succ
+        4   pred, pred_of_pred
+        5   succ, pred_of_succ
+        6   pred, succ_of_pred
+        7   succ, succ_of_succ
         ==  =============================
+
+        A node is shown in one group only. In configuration 3 a node that is
+        both a predecessor and a successor of ``v`` is shown as a successor;
+        in 4-7 the two-hop group leaves out ``v`` and the one-hop group,
+        because the prompt templates phrase one-hop relations.
         """
         self._check_node(v)
         if not 0 <= k < NUM_TIE_CONFIGS:
             raise ValueError(f"tie configuration must be 0..7, got {k}")
-        two_hop = _TIE_ROLES[k][1]
-        groups = {ROLE_PRED: self.predecessors[v], ROLE_SUCC: self.successors[v]}
+        one_hop, two_hop = _TIE_ROLES[k]
+        near = {ROLE_PRED: self.predecessors[v], ROLE_SUCC: self.successors[v]}
+        if k == 3:
+            succ = set(near[ROLE_SUCC])
+            near[ROLE_PRED] = [u for u in near[ROLE_PRED] if u not in succ]
+        groups: list[tuple[str, tuple[int, ...]]] = []
+        role_of: dict[int, str] = {}
+        for role in one_hop:
+            if near[role]:
+                groups.append((role, tuple(near[role])))
+                role_of.update(dict.fromkeys(near[role], role))
         if two_hop is not None:
-            groups[two_hop] = self.composite_neighbors(v, two_hop)
-        return _assemble_tie(v, k, groups)
-
-    def all_ties(self, v: int) -> list[HomophilyTie]:
-        """All eight configurations of the tie centered at ``v``; each
-        neighbor set is looked up once and shared by the ties that use it."""
-        self._check_node(v)
-        groups = {ROLE_PRED: self.predecessors[v], ROLE_SUCC: self.successors[v]}
-        for role in COMPOSITE_ROLES:
-            groups[role] = self.composite_neighbors(v, role)
-        return [_assemble_tie(v, k, groups) for k in range(NUM_TIE_CONFIGS)]
+            far = self.composite_neighbors(v, two_hop)
+            far.discard(v)
+            far.difference_update(role_of)
+            if far:
+                ids = tuple(sorted(far))
+                groups.append((two_hop, ids))
+                role_of.update(dict.fromkeys(ids, two_hop))
+        others = sorted(role_of)
+        roles = (ROLE_SELF, *map(role_of.__getitem__, others))
+        return HomophilyTie(v, k, tuple(groups), (v, *others), roles)
 
     def adjacency_matrix(self) -> np.ndarray:
         """Dense boolean adjacency; A[u, v] iff edge u -> v. For small graphs."""

@@ -135,8 +135,11 @@ class PipelineConfig:
 
     def validate(self) -> None:
         f = self.filter
-        if f.gamma < 0 or f.lam < 0 or f.gamma + f.lam > 1.0 + 1e-12:
-            raise ConfigError(f"filter weights invalid: gamma={f.gamma} lambda={f.lam}")
+        for name, weight in (("gamma", f.gamma), ("lambda", f.lam)):
+            if not weight >= 0:
+                raise ConfigError(f"filter.{name} must be >= 0, got {weight}")
+        if not f.gamma + f.lam <= 1.0 + 1e-12:
+            raise ConfigError(f"filter.gamma + filter.lambda must be <= 1, got {f.gamma} + {f.lam}")
         if not 0.0 < f.eta <= 1.0:
             raise ConfigError(f"eta must be in (0, 1], got {f.eta}")
         if f.k is not None and f.k < 1:
@@ -145,8 +148,8 @@ class PipelineConfig:
             raise ConfigError(f"node_cap must be >= 1, got {self.annotator.node_cap}")
         if self.sweep.seeds < 1:
             raise ConfigError(f"sweep seeds must be >= 1, got {self.sweep.seeds}")
-        if self.annotator.budget_usd < 0:
-            raise ConfigError("budget must be >= 0")
+        if not self.annotator.budget_usd >= 0:
+            raise ConfigError(f"annotator.budget_usd must be >= 0, got {self.annotator.budget_usd}")
         if self.dataset.edge_semantics not in dataio.EDGE_SEMANTICS:
             raise ConfigError(f"dataset.edge_semantics must be one of {dataio.EDGE_SEMANTICS}, "
                               f"got {self.dataset.edge_semantics!r}")

@@ -48,6 +48,7 @@ def random_graph(rng: np.random.Generator, max_nodes: int = 200) -> DirectedTAG:
     n = int(rng.integers(2, max_nodes + 1))
     density = rng.uniform(0.5, 3.0) / n
     mask = rng.random((n, n)) < density
+    mask |= mask.T & (rng.random((n, n)) < 0.3)  # mutual edges, so two-hop paths return to a node
     np.fill_diagonal(mask, False)
     edges = [(int(u), int(v)) for u, v in zip(*np.nonzero(mask))]
     return tiny_graph(edges, n=n)

@@ -144,7 +144,8 @@ def test_prompts_built_with_one_clip_memo_equal_unmemoised_ones():
     policy = TruncationPolicy(max_neighbors_per_role=3, neighbor_text_chars=20, center_text_chars=35)
     memo = annotate_module.ClippedTexts(texts)
     for v in range(40):
-        for tie in g.all_ties(v):
+        for k in range(NUM_TIE_CONFIGS):
+            tie = g.homophily_tie(v, k)
             plain = build_prompt(tie, texts, CLASSES, policy, model="m")
             assert build_prompt(tie, texts, CLASSES, policy, model="m", clipped=memo) == plain
 
@@ -158,7 +159,7 @@ def test_prompt_empty_class_names_rejected(chain_graph):
     ("fixture", "018d4ed7461f14a2edfc70af4c688bae8387159f54ceecab8f76eeb23ffefb27"),
     ("synthetic", "0c6be6748dec35397a414f1138f0300e55601333aff886e957aff71dbde8c9ef"),
 ])
-def test_all_ties_match_homophily_tie_and_prompt_bytes_are_pinned(which, digest):
+def test_prompt_bytes_of_every_tie_are_pinned(which, digest):
     # Response caches are keyed by the prompt bytes, so any change to them
     # re-queries (and re-pays for) every cached prompt.
     if which == "fixture":
@@ -167,10 +168,8 @@ def test_all_ties_match_homophily_tie_and_prompt_bytes_are_pinned(which, digest)
         g = synthetic_citation_graph(n=60, num_classes=3, alpha=0.9, avg_out_degree=3.0, seed=2)
     bodies = hashlib.sha256()
     for v in range(g.num_nodes):
-        ties = g.all_ties(v)
-        assert ties == [g.homophily_tie(v, k) for k in range(NUM_TIE_CONFIGS)]
-        for tie in ties:
-            bodies.update(build_prompt(tie, g.texts, g.class_names, model="m").body.encode())
+        for k in range(NUM_TIE_CONFIGS):
+            bodies.update(build_prompt(g.homophily_tie(v, k), g.texts, g.class_names, model="m").body.encode())
     assert bodies.hexdigest() == digest
 
 
@@ -255,6 +254,11 @@ def test_budget_zero_refuses_immediately():
     budget = BudgetState(limit_usd=0.0)
     with pytest.raises(BudgetExhaustedError):
         budget.check()
+
+
+def test_budget_nan_limit_refuses():
+    with pytest.raises(BudgetExhaustedError):
+        BudgetState(limit_usd=float("nan")).check()
 
 
 def test_budget_charge_accumulates():

@@ -34,21 +34,29 @@ def matrix_relation_oracle(graph: DirectedTAG) -> dict[str, np.ndarray]:
     }
 
 
-def tie_member_oracle(relations: dict[str, np.ndarray], v: int, k: int) -> set[int]:
-    def row(name: str) -> set[int]:
-        return set(np.flatnonzero(relations[name][v]).tolist())
+# Relations of each tie configuration; a member in several keeps the last one
+# listed in _WEAKEST_FIRST, and the center is always "self".
+_TIE_RELATIONS = [
+    (),
+    ("pred",),
+    ("succ",),
+    ("pred", "succ"),
+    ("pred", "pred_of_pred"),
+    ("succ", "pred_of_succ"),
+    ("pred", "succ_of_pred"),
+    ("succ", "succ_of_succ"),
+]
+_WEAKEST_FIRST = ("pred_of_pred", "pred_of_succ", "succ_of_pred", "succ_of_succ", "pred", "succ")
+_PROMPT_ORDER = ("pred", "succ", "pred_of_pred", "succ_of_succ", "succ_of_pred", "pred_of_succ")
 
-    extras = [
-        set(),
-        row("pred"),
-        row("succ"),
-        row("pred") | row("succ"),
-        row("pred") | row("pred_of_pred"),
-        row("succ") | row("pred_of_succ"),
-        row("pred") | row("succ_of_pred"),
-        row("succ") | row("succ_of_succ"),
-    ]
-    return {v} | extras[k]
+
+def tie_role_oracle(rows: dict[str, set[int]], v: int, k: int) -> dict[int, str]:
+    """Role of every member of tie ``k`` at ``v``, from ``v``'s relation rows."""
+    role_of: dict[int, str] = {}
+    for name in sorted(_TIE_RELATIONS[k], key=_WEAKEST_FIRST.index):
+        role_of.update(dict.fromkeys(rows[name], name))
+    role_of[v] = ROLE_SELF
+    return role_of
 
 
 # --- pred / succ ------------------------------------------------------------
@@ -118,6 +126,14 @@ def test_tie_config3_members_and_roles():
     assert tie.roles == (ROLE_SELF, ROLE_PRED, ROLE_SUCC)
 
 
+def test_tie_config3_shows_a_mutual_neighbor_as_a_successor():
+    g = tiny_graph([(1, 2), (2, 1), (2, 4)])
+    tie = g.homophily_tie(2, 3)
+    assert tie.members == (2, 1, 4)
+    assert tie.roles == (ROLE_SELF, ROLE_SUCC, ROLE_SUCC)
+    assert tie.groups == ((ROLE_SUCC, (1, 4)),)
+
+
 def test_tie_config7_empty_two_hop():
     g = tiny_graph([(1, 2), (2, 4)])
     tie = g.homophily_tie(2, 7)
@@ -146,16 +162,26 @@ def test_tie_one_hop_role_wins():
 
 def test_tie_members_match_matrix_oracle():
     rng = np.random.default_rng(42)
+    mutual_pairs = two_hop_cycles = 0
     for _ in range(100):
         g = random_graph(rng, max_nodes=200)
         relations = matrix_relation_oracle(g)
         for v in range(g.num_nodes):
+            rows = {name: set(np.flatnonzero(m[v]).tolist()) for name, m in relations.items()}
+            mutual_pairs += bool(rows["pred"] & rows["succ"])
+            two_hop_cycles += v in rows["pred_of_pred"]
             for k in range(NUM_TIE_CONFIGS):
                 tie = g.homophily_tie(v, k)
-                assert set(tie.members) == tie_member_oracle(relations, v, k), (
-                    f"n={g.num_nodes} v={v} k={k}"
-                )
-                assert len(set(tie.members)) == len(tie.members)
+                expected = tie_role_oracle(rows, v, k)
+                where = f"n={g.num_nodes} v={v} k={k}"
+                assert len(set(tie.members)) == len(tie.members), where
+                assert dict(zip(tie.members, tie.roles)) == expected, where
+                assert [role for role, _ in tie.groups] == [
+                    role for role in _PROMPT_ORDER if role in expected.values()
+                ], where
+                for role, ids in tie.groups:
+                    assert list(ids) == sorted(u for u, r in expected.items() if r == role), where
+    assert mutual_pairs > 0 and two_hop_cycles > 0  # the overlap rule was exercised
 
 
 def test_tie_config_monotonicity():

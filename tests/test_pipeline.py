@@ -99,17 +99,33 @@ def test_cli_rejects_a_cap_or_stage_one_size_below_one(tmp_path, capsys, flags):
     ("filter", "damping", 1.5),
     ("annotator", "requests_per_second", 0),
     ("dataset", "edge_semantics", "bogus"),
+    ("annotator", "budget_usd", float("nan")),
+    ("filter", "gamma", float("nan")),
+    ("filter", "lambda", float("nan")),
 ])
 def test_cli_rejects_a_setting_that_would_crash_a_stage(tmp_path, capsys, section, key, value):
     out_dir = tmp_path / "out"
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps({section: {key: value}}))
+    flags = {"--seed": "3", "--noise": "0.3", "--k": "20", "--eta": "0.45", "--gamma": "0.1",
+             "--lambda": "0.6"}
+    flags.pop(f"--{key}", None)  # a flag would override the config value under test
     args = ["pipeline", "--config", str(cfg_path), "--fixture", "--out-dir", str(out_dir),
-            "--seed", "3", "--noise", "0.3", "--k", "20", "--eta", "0.45", "--gamma", "0.1",
-            "--lambda", "0.6"]
+            *(word for flag in flags.items() for word in flag)]
     assert cli.main(args) == pipeline.EXIT_VALIDATION
     assert f"config error: {section}.{key} must be" in capsys.readouterr().err
     assert not (out_dir / "graph.npz").exists()  # refused before any stage ran
+
+
+def test_cli_names_training_that_diverged(tmp_path, capsys):
+    cfg_path, out_dir = fixture_config(tmp_path)
+    doc = json.loads(cfg_path.read_text())
+    doc["gcn"]["learning_rate"] = float("nan")
+    cfg_path.write_text(json.dumps(doc))
+    assert cli.main(["pipeline", "--config", str(cfg_path)]) == pipeline.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("training diverged: loss became non-finite at epoch "), err
+    assert "Traceback" not in err
 
 
 GOOD_DATASET = {
