@@ -223,6 +223,38 @@ def build_prompt(
     ranked guesses with confidences meant to sum to 100. ``clipped``, a memo
     over the same ``texts``, lets the prompts of many ties clip each text once.
     """
+    return _render(tie.center, [(tie.config_k, tie.groups)], texts, class_names, policy, model, clipped)[0]
+
+
+def node_prompts(
+    graph: DirectedTAG,
+    v: int,
+    policy: TruncationPolicy = TruncationPolicy(),
+    model: str = "",
+    clipped: ClippedTexts | None = None,
+) -> list[PromptSpec]:
+    """The eight prompts of node ``v`` in configuration order, each the one
+    :func:`build_prompt` renders for ``graph.homophily_tie(v, k)`` over the
+    graph's texts and class names, rendered in one pass from the groups of
+    :meth:`DirectedTAG.tie_groups`."""
+    ties = [(k, graph.tie_groups(v, k)) for k in range(NUM_TIE_CONFIGS)]
+    return _render(v, ties, graph.texts, graph.class_names, policy, model, clipped)
+
+
+def _render(
+    center: int,
+    ties: list[tuple[int, tuple[tuple[str, tuple[int, ...]], ...]]],
+    texts: list[str],
+    class_names: list[str],
+    policy: TruncationPolicy,
+    model: str,
+    clipped: ClippedTexts | None,
+) -> list[PromptSpec]:
+    """The prompts of ties ``(config_k, groups)`` around one ``center``. The
+    center's text, each distinct group's clause and the category list with the
+    task are rendered once, and every body is hashed on from one sha256 state
+    over ``model\\0`` and the center's text, so each hash is
+    ``prompt_hash(model, body)``."""
     if not class_names:
         raise ValueError("class_names must not be empty")
     if clipped is not None:
@@ -231,31 +263,48 @@ def build_prompt(
         def clip(m: int, limit: int) -> str:
             return _clip(texts[m], limit)
 
-    center_text = clip(tie.center, policy.center_text_chars)
+    categories = tuple(class_names)
+    tail = _prompt_tail(categories)
+    head = f"The content of the paper is {clip(center, policy.center_text_chars)}"
+    state = hashlib.sha256(f"{model}\0{head}".encode("utf-8"))
+    cap, limit = policy.max_neighbors_per_role, policy.neighbor_text_chars
+    clauses: dict[tuple[str, tuple[int, ...]], str] = {}
+    specs = []
+    for config_k, groups in ties:
+        parts = []
+        for group in groups:
+            clause = clauses.get(group)
+            if clause is None:
+                role, members = group
+                joined = " ; ".join(clip(m, limit) for m in members[:cap])
+                clause = clauses[group] = f", {_ROLE_PHRASES[role]} {joined}"
+            parts.append(clause)
+        parts.append(tail)
+        rest = "".join(parts)
+        digest = state.copy()
+        digest.update(rest.encode("utf-8"))
+        specs.append(PromptSpec(
+            center=center,
+            config_k=config_k,
+            body=head + rest,
+            category_list=categories,
+            guess_count=len(categories),
+            prompt_hash=digest.hexdigest(),
+        ))
+    return specs
 
-    parts = [f"The content of the paper is {center_text}"]
-    for role, members in tie.groups:
-        members = members[: policy.max_neighbors_per_role]
-        joined = " ; ".join(clip(m, policy.neighbor_text_chars) for m in members)
-        parts.append(f", {_ROLE_PHRASES[role]} {joined}")
+
+@functools.lru_cache(maxsize=16)
+def _prompt_tail(class_names: tuple[str, ...]) -> str:
+    """The end of every prompt: the category list and the task."""
     categories = ", ".join(class_names)
-    guess_count = len(class_names)
-    parts.append(f". There are following categories: {categories}.\n")
-    parts.append(
-        f"Task: What's the category of this paper? Provide your {guess_count} best guesses"
+    return (
+        f". There are following categories: {categories}.\n"
+        f"Task: What's the category of this paper? Provide your {len(class_names)} best guesses"
         " and a confidence number that each is correct (0 to 100) for the following"
         " question from the most probable to the least. The sum of all confidence"
         ' should be 100. For example, [{"answer": <your_first_answer>,'
         ' "confidence": <confidence_for_first_answer>}, ...]'
-    )
-    body = "".join(parts)
-    return PromptSpec(
-        center=tie.center,
-        config_k=tie.config_k,
-        body=body,
-        category_list=tuple(class_names),
-        guess_count=guess_count,
-        prompt_hash=prompt_hash(model, body),
     )
 
 
@@ -845,9 +894,9 @@ def _annotate_chunks(
         for lo in range(0, len(nodes), CHUNK_NODES):
             start = lo * NUM_TIE_CONFIGS
             specs = [
-                build_prompt(graph.homophily_tie(v, k), graph.texts, graph.class_names, policy, model, clipped)
+                spec
                 for v in nodes[lo:lo + CHUNK_NODES]
-                for k in range(NUM_TIE_CONFIGS)
+                for spec in node_prompts(graph, v, policy, model, clipped)
             ]
             source = [first.setdefault(spec.prompt_hash, i) for i, spec in enumerate(specs, start)]
             fresh = [spec for i, (spec, s) in enumerate(zip(specs, source), start) if s == i]

@@ -30,7 +30,7 @@ ROLE_SUCC_OF_PRED = "succ_of_pred"
 ROLE_SUCC_OF_SUCC = "succ_of_succ"
 
 # (one-hop roles, two-hop role) of each configuration, in prompt order; see
-# homophily_tie.
+# DirectedTAG.tie_groups.
 _TIE_ROLES: tuple[tuple[tuple[str, ...], str | None], ...] = (
     ((), None),
     ((ROLE_PRED,), None),
@@ -162,7 +162,7 @@ class DirectedTAG:
     def composite_neighbors(self, v: int, which: str) -> set[int]:
         """Two-hop neighbor set obtained by composing pred/succ lookups.
 
-        The center is not removed from the result; :meth:`homophily_tie`
+        The center is not removed from the result; :meth:`tie_groups`
         removes it.
         """
         self._check_node(v)
@@ -181,10 +181,10 @@ class DirectedTAG:
             out.update(final[u])
         return out
 
-    def homophily_tie(self, v: int, k: int) -> HomophilyTie:
-        """Build configuration ``k`` (0..7) of the tie centered at ``v``.
-
-        Relation groups per configuration, in prompt order:
+    def tie_groups(self, v: int, k: int) -> tuple[tuple[str, tuple[int, ...]], ...]:
+        """The relation groups of configuration ``k`` (0..7) of the tie
+        centered at ``v``, in prompt order, each as ``(role, member ids
+        ascending)``; no group is empty.
 
         ==  =============================
         0   none
@@ -210,23 +210,23 @@ class DirectedTAG:
         if k == 3:
             succ = set(near[ROLE_SUCC])
             near[ROLE_PRED] = [u for u in near[ROLE_PRED] if u not in succ]
-        groups: list[tuple[str, tuple[int, ...]]] = []
-        role_of: dict[int, str] = {}
-        for role in one_hop:
-            if near[role]:
-                groups.append((role, tuple(near[role])))
-                role_of.update(dict.fromkeys(near[role], role))
+        groups = [(role, tuple(near[role])) for role in one_hop if near[role]]
         if two_hop is not None:
             far = self.composite_neighbors(v, two_hop)
             far.discard(v)
-            far.difference_update(role_of)
+            far.difference_update(*(near[role] for role in one_hop))
             if far:
-                ids = tuple(sorted(far))
-                groups.append((two_hop, ids))
-                role_of.update(dict.fromkeys(ids, two_hop))
+                groups.append((two_hop, tuple(sorted(far))))
+        return tuple(groups)
+
+    def homophily_tie(self, v: int, k: int) -> HomophilyTie:
+        """Configuration ``k`` (0..7) of the tie centered at ``v``: the groups
+        of :meth:`tie_groups` with their members listed by id."""
+        groups = self.tie_groups(v, k)
+        role_of = {u: role for role, ids in groups for u in ids}
         others = sorted(role_of)
         roles = (ROLE_SELF, *map(role_of.__getitem__, others))
-        return HomophilyTie(v, k, tuple(groups), (v, *others), roles)
+        return HomophilyTie(v, k, groups, (v, *others), roles)
 
     def adjacency_matrix(self) -> np.ndarray:
         """Dense boolean adjacency; A[u, v] iff edge u -> v. For small graphs."""

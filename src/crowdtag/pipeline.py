@@ -34,7 +34,7 @@ import math
 import os
 import zipfile
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable
 
@@ -159,6 +159,16 @@ class PipelineConfig:
             raise ConfigError("llm mode requires an endpoint URL")
         if not 0.0 <= self.annotator.noise <= 1.0:
             raise ConfigError("oracle noise must be in [0, 1]")
+        truncation = self.annotator.truncation
+        if not isinstance(truncation, dict):
+            raise ConfigError(f"annotator.truncation must be an object, got {truncation!r}")
+        caps = [f_.name for f_ in fields(ann.TruncationPolicy)]
+        for key, value in truncation.items():
+            if key not in caps:
+                raise ConfigError(f"annotator.truncation.{key} is not a truncation setting; "
+                                  f"one of {', '.join(caps)}")
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ConfigError(f"annotator.truncation.{key} must be an int >= 1, got {value!r}")
         rate = self.annotator.requests_per_second
         if rate is not None and not rate > 0:
             raise ConfigError(f"annotator.requests_per_second must be unset or > 0, got {rate}")

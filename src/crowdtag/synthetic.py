@@ -109,10 +109,9 @@ def write_dataset_files(graph: DirectedTAG, prefix: str) -> tuple[str, str, str]
     cites_path = f"{prefix}.cites"
     texts_path = f"{prefix}.texts"
     with open(content_path, "w", encoding="utf-8") as fh:
-        for i in range(graph.num_nodes):
-            feats = "\t".join(repr(float(x)) for x in graph.features[i])
-            label = graph.class_names[graph.labels[i]]
-            fh.write(f"{graph.original_keys[i]}\t{feats}\t{label}\n")
+        for key, row, label in zip(graph.original_keys, graph.features, graph.labels):
+            feats = "\t".join(map(repr, row.tolist()))
+            fh.write(f"{key}\t{feats}\t{graph.class_names[label]}\n")
     with open(cites_path, "w", encoding="utf-8") as fh:
         # public convention: first key = cited, second = citing
         keys = graph.original_keys

@@ -4,6 +4,7 @@ import gc
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -36,6 +37,7 @@ from crowdtag.annotate import (
     annotate_graph,
     build_prompt,
     estimate_tokens,
+    node_prompts,
     parse_response,
     prompt_hash,
     synthetic_oracle,
@@ -44,7 +46,7 @@ from crowdtag.fixtures import load_fixture_graph
 from crowdtag.graph import NUM_TIE_CONFIGS
 from crowdtag.synthetic import synthetic_citation_graph
 
-from conftest import tiny_graph
+from conftest import random_graph, tiny_graph
 
 CLASSES = ["Theory", "Rule Learning", "Neural Networks"]
 
@@ -148,6 +150,32 @@ def test_prompts_built_with_one_clip_memo_equal_unmemoised_ones():
             tie = g.homophily_tie(v, k)
             plain = build_prompt(tie, texts, CLASSES, policy, model="m")
             assert build_prompt(tie, texts, CLASSES, policy, model="m", clipped=memo) == plain
+
+
+@pytest.mark.parametrize("policy", [
+    TruncationPolicy(),
+    TruncationPolicy(max_neighbors_per_role=2, neighbor_text_chars=12, center_text_chars=10),
+], ids=["default", "truncating"])
+@pytest.mark.parametrize("model", ["oracle", "m\u00fc"], ids=["ascii-model", "utf8-model"])
+def test_node_prompts_equal_one_build_prompt_per_tie(policy, model):
+    # random graphs with mutual edges and two-hop cycles back to the center
+    rng = np.random.default_rng(23)
+    mutual_pairs = 0
+    for _ in range(20):
+        g = random_graph(rng, max_nodes=60)
+        memo = annotate_module.ClippedTexts(g.texts)
+        for v in range(g.num_nodes):
+            mutual_pairs += bool(g.pred(v) & g.succ(v))
+            expected = [
+                build_prompt(g.homophily_tie(v, k), g.texts, g.class_names, policy, model)
+                for k in range(NUM_TIE_CONFIGS)
+            ]
+            assert node_prompts(g, v, policy, model) == expected, f"n={g.num_nodes} v={v}"
+            assert node_prompts(g, v, policy, model, memo) == expected, f"n={g.num_nodes} v={v}"
+            for spec in expected:  # each node is shown once, where its text is not clipped away
+                shown = re.findall(r"text of node (\d+)", spec.body)
+                assert len(shown) == len(set(shown)), spec.body
+    assert mutual_pairs > 0
 
 
 def test_prompt_empty_class_names_rejected(chain_graph):

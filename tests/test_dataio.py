@@ -20,6 +20,7 @@ from crowdtag.dataio import (
     read_dataset,
     save_graph,
 )
+from crowdtag.graph import build_graph
 from crowdtag.synthetic import synthetic_citation_graph, write_dataset_files
 
 from conftest import tiny_graph
@@ -138,6 +139,24 @@ def test_assemble_counts_every_kind_of_dropped_record_at_once(tmp_path):
     assert (counters.edges_added, counters.unknown_key, counters.self_loops,
             counters.duplicates) == (3, 2, 2, 2)
     assert counters.reconciles()
+
+
+def test_content_file_bytes_are_each_feature_as_python_float_repr(tmp_path):
+    features = np.array([
+        [-1.5, 1e-300, 5e-324, 0.1 + 0.2],
+        [1e300, -0.0, -2.5e-8, 123456789.125],
+        [-7.0, 1.7976931348623157e308, 3.0e-5, -0.333],
+    ])
+    graph = build_graph(["a", "b", "c"], [(0, 1), (2, 1)], ["x", "y", "z"], features, [0, 1, 0], ["A", "B"])
+    content_p, _, _ = write_dataset_files(graph, str(tmp_path / "g"))
+    expected = "".join(
+        f"{graph.original_keys[i]}\t"
+        + "\t".join(repr(float(x)) for x in graph.features[i])
+        + f"\t{graph.class_names[graph.labels[i]]}\n"
+        for i in range(graph.num_nodes)
+    )
+    assert Path(content_p).read_bytes() == expected.encode("utf-8")
+    assert parse_content(content_p)[1].tobytes() == features.tobytes()
 
 
 def test_assemble_memory_per_edge(tmp_path):

@@ -174,6 +174,7 @@ def test_tie_members_match_matrix_oracle():
                 tie = g.homophily_tie(v, k)
                 expected = tie_role_oracle(rows, v, k)
                 where = f"n={g.num_nodes} v={v} k={k}"
+                assert g.tie_groups(v, k) == tie.groups, where
                 assert len(set(tie.members)) == len(tie.members), where
                 assert dict(zip(tie.members, tie.roles)) == expected, where
                 assert [role for role, _ in tie.groups] == [

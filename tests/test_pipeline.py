@@ -102,6 +102,7 @@ def test_cli_rejects_a_cap_or_stage_one_size_below_one(tmp_path, capsys, flags):
     ("annotator", "budget_usd", float("nan")),
     ("filter", "gamma", float("nan")),
     ("filter", "lambda", float("nan")),
+    ("annotator", "truncation", 5),
 ])
 def test_cli_rejects_a_setting_that_would_crash_a_stage(tmp_path, capsys, section, key, value):
     out_dir = tmp_path / "out"
@@ -115,6 +116,35 @@ def test_cli_rejects_a_setting_that_would_crash_a_stage(tmp_path, capsys, sectio
     assert cli.main(args) == pipeline.EXIT_VALIDATION
     assert f"config error: {section}.{key} must be" in capsys.readouterr().err
     assert not (out_dir / "graph.npz").exists()  # refused before any stage ran
+
+
+@pytest.mark.parametrize("key, value", [
+    ("max_neighbors_per_role", -1),
+    ("max_neighbors_per_role", 0),
+    ("neighbor_text_chars", -5),
+    ("center_text_chars", 0),
+    ("center_text_chars", 1.5),
+    ("neighbor_text_chars", "600"),
+    ("max_neighbors_per_role", True),
+    ("max_neighbours_per_role", 5),
+])
+def test_cli_rejects_a_bad_truncation_setting(tmp_path, capsys, key, value):
+    out_dir = tmp_path / "out"
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"annotator": {"truncation": {key: value}}}))
+    args = ["pipeline", "--config", str(cfg_path), "--fixture", "--out-dir", str(out_dir)]
+    assert cli.main(args) == pipeline.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: annotator.truncation.{key} "), err
+    assert "Traceback" not in err
+    assert not (out_dir / "graph.npz").exists()  # refused before any stage ran
+
+
+def test_partial_truncation_setting_is_accepted(tmp_path):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"annotator": {"truncation": {"max_neighbors_per_role": 1}}}))
+    cfg = load_config(cfg_path)
+    assert TruncationPolicy(**cfg.annotator.truncation) == TruncationPolicy(max_neighbors_per_role=1)
 
 
 def test_cli_names_training_that_diverged(tmp_path, capsys):
@@ -599,6 +629,7 @@ def test_aggregate_builds_no_prompts(tmp_path, monkeypatch):
         raise AssertionError("aggregate rebuilt a prompt")
 
     monkeypatch.setattr(annotate, "build_prompt", refuse)
+    monkeypatch.setattr(annotate, "node_prompts", refuse)
     assert pipeline.stage_aggregate(cfg, paths)
     _, rows = read_csv_rows(paths.pseudo_labels)
     assert len(rows) == 30
