@@ -488,35 +488,39 @@ def synthetic_oracle(
     and receives confidence ``(100 - 40 * noise) * vote_share`` (rounded),
     so a unanimous tie yields the full ``100 - 40 * noise`` and a contested
     one proportionally less; the remainder is split evenly over the other
-    labels. Deterministic given (seed, node, config).
+    labels. Deterministic given (seed, node, config): the draws come from
+    ``np.random.default_rng([seed, center, config_k])``.
     """
-    if not 0.0 <= noise <= 1.0:
-        raise ValueError(f"noise must be in [0, 1], got {noise}")
-    num_classes = graph.num_classes
-    rng = np.random.default_rng([seed, tie.center, tie.config_k])
+    _check_oracle_settings(noise, seed)
+    class_names = graph.class_names
+    num_classes = len(class_names)
+    # SeedSequence turns the list [seed, center, k] into these uint32 words
+    rng = np.random.default_rng(
+        np.array([*_seed_words(seed), tie.center, tie.config_k], dtype=np.uint32)
+    )
+    draw, draw_class = rng.random, rng.integers
 
-    votes = np.zeros(num_classes)
+    # weights are 1.0 and 2.0, so every sum is exact, as in float64 arrays
+    votes = [0.0] * num_classes
+    labels = graph.labels
     for member, role in zip(tie.members, tie.roles):
-        truth = graph.labels[member]
+        truth = labels[member]
         if truth is None:
             continue
-        if rng.random() < noise:
-            vote = int(rng.integers(num_classes))
-        else:
-            vote = truth
+        vote = int(draw_class(num_classes)) if draw() < noise else truth
         votes[vote] += 2.0 if role == ROLE_SELF else 1.0
-    winner = int(votes.argmax())
-    share = votes[winner] / votes.sum() if votes.sum() > 0 else 1.0
+    top, total = max(votes), sum(votes)
+    winner = votes.index(top)  # the first maximum, as argmax picks it
+    share = top / total if total > 0 else 1.0
 
     top_conf = int(round((100 - 40 * noise) * share))
-    rest = (100 - top_conf) / (num_classes - 1) if num_classes > 1 else 0
-    guesses = [(graph.class_names[winner], top_conf)]
-    for c in range(num_classes):
-        if c != winner:
-            guesses.append((graph.class_names[c], int(round(rest))))
-    raw = json.dumps(
-        [{"answer": label, "confidence": conf} for label, conf in guesses]
-    )
+    rest = int(round((100 - top_conf) / (num_classes - 1))) if num_classes > 1 else 0
+    order = [winner, *(c for c in range(num_classes) if c != winner)]
+    confs = [top_conf] + [rest] * (num_classes - 1)
+    guesses = [(class_names[c], conf) for c, conf in zip(order, confs)]
+    # json.dumps of [{"answer": label, "confidence": conf}, ...]
+    answer = _answer_prefixes(tuple(class_names))
+    raw = "[" + ", ".join(f"{answer[c]}{conf}}}" for c, conf in zip(order, confs)) + "]"
     return WorkerAnnotation(
         center=tie.center,
         config_k=tie.config_k,
@@ -527,10 +531,36 @@ def synthetic_oracle(
     )
 
 
+def _check_oracle_settings(noise: float, seed: int) -> None:
+    if not 0.0 <= noise <= 1.0:  # also refuses NaN
+        raise ValueError(f"noise must be in [0, 1], got {noise}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+
+
+@functools.lru_cache(maxsize=16)
+def _seed_words(seed: int) -> tuple[int, ...]:
+    """``seed`` as SeedSequence reads an int: its 32-bit words, least
+    significant first, at least one."""
+    words = [seed & 0xFFFFFFFF]
+    while seed := seed >> 32:
+        words.append(seed & 0xFFFFFFFF)
+    return tuple(words)
+
+
+@functools.lru_cache(maxsize=16)
+def _answer_prefixes(class_names: tuple[str, ...]) -> tuple[str, ...]:
+    """Per class, its reply entry as ``json.dumps`` writes it, up to the
+    confidence: ``{"answer": <name>, "confidence": ``."""
+    return tuple(f'{{"answer": {json.dumps(c)}, "confidence": ' for c in class_names)
+
+
 class SyntheticOracleClient:
-    """Client facade over the synthetic oracle; zero-cost responses."""
+    """Client facade over the synthetic oracle; zero-cost responses. Raises
+    ValueError for a noise outside [0, 1] or a negative seed."""
 
     def __init__(self, graph: DirectedTAG, noise: float, seed: int) -> None:
+        _check_oracle_settings(noise, seed)
         self.graph = graph
         self.noise = noise
         self.seed = seed

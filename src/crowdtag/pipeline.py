@@ -159,6 +159,10 @@ class PipelineConfig:
             raise ConfigError("llm mode requires an endpoint URL")
         if not 0.0 <= self.annotator.noise <= 1.0:
             raise ConfigError("oracle noise must be in [0, 1]")
+        for name, seed in (("annotator.seed", self.annotator.seed), ("gcn.seed", self.gcn.seed),
+                           ("filter.kmeans_seed", f.kmeans_seed)):
+            if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+                raise ConfigError(f"{name} must be an int >= 0, got {seed!r}")
         truncation = self.annotator.truncation
         if not isinstance(truncation, dict):
             raise ConfigError(f"annotator.truncation must be an object, got {truncation!r}")

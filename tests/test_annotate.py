@@ -10,6 +10,7 @@ import sys
 import threading
 import time
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +44,7 @@ from crowdtag.annotate import (
     synthetic_oracle,
 )
 from crowdtag.fixtures import load_fixture_graph
-from crowdtag.graph import NUM_TIE_CONFIGS
+from crowdtag.graph import NUM_TIE_CONFIGS, ROLE_SELF
 from crowdtag.synthetic import synthetic_citation_graph
 
 from conftest import random_graph, tiny_graph
@@ -936,6 +937,107 @@ def test_oracle_client_matches_direct_call():
     direct = synthetic_oracle(g.homophily_tie(2, 3), g, noise=0.3, seed=5)
     assert resp.text == direct.raw_response
     assert resp.tokens_in == 0 and resp.tokens_out == 0
+
+
+def reference_oracle(tie, graph, noise, seed):
+    """The oracle as first written: a NumPy vote tally, a generator seeded from
+    the list ``[seed, center, k]`` and ``json.dumps``. Every response of
+    ``synthetic_oracle`` must match its response byte for byte."""
+    if not 0.0 <= noise <= 1.0:
+        raise ValueError(f"noise must be in [0, 1], got {noise}")
+    num_classes = graph.num_classes
+    rng = np.random.default_rng([seed, tie.center, tie.config_k])
+
+    votes = np.zeros(num_classes)
+    for member, role in zip(tie.members, tie.roles):
+        truth = graph.labels[member]
+        if truth is None:
+            continue
+        if rng.random() < noise:
+            vote = int(rng.integers(num_classes))
+        else:
+            vote = truth
+        votes[vote] += 2.0 if role == ROLE_SELF else 1.0
+    winner = int(votes.argmax())
+    share = votes[winner] / votes.sum() if votes.sum() > 0 else 1.0
+
+    top_conf = int(round((100 - 40 * noise) * share))
+    rest = (100 - top_conf) / (num_classes - 1) if num_classes > 1 else 0
+    guesses = [(graph.class_names[winner], top_conf)]
+    for c in range(num_classes):
+        if c != winner:
+            guesses.append((graph.class_names[c], int(round(rest))))
+    raw = json.dumps(
+        [{"answer": label, "confidence": conf} for label, conf in guesses]
+    )
+    return WorkerAnnotation(
+        center=tie.center,
+        config_k=tie.config_k,
+        guesses=guesses,
+        raw_response=raw,
+        tokens_in=0,
+        tokens_out=0,
+    )
+
+
+# class names that json.dumps escapes: quotes, a backslash, non-ASCII, a tab
+ODD_NAMES = ['Say "hi"', "back\\slash", "Café", "神经网络", "tab\there"]
+
+
+def relabelled(g, rng, num_classes):
+    """``g`` with ``num_classes`` odd class names and about a third of its
+    nodes unlabelled, node 0 and all its one-hop neighbours among them."""
+    blank = set(g.predecessors[0]) | set(g.successors[0]) | {0}
+    labels = [None if v in blank or rng.random() < 0.3 else int(rng.integers(num_classes))
+              for v in range(g.num_nodes)]
+    return replace(g, labels=labels, class_names=ODD_NAMES[:num_classes])
+
+
+ORACLE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**40 + 5]
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.3, 0.5, 1.0])
+def test_oracle_equals_the_reference_response_for_response(noise):
+    rng = np.random.default_rng(31)
+    all_blank_ties = 0
+    for num_classes in (1, 2, 3, 5):
+        g = relabelled(random_graph(rng, max_nodes=24), rng, num_classes)
+        client = {seed: SyntheticOracleClient(g, noise=noise, seed=seed) for seed in ORACLE_SEEDS}
+        for v in range(g.num_nodes):
+            for k in range(NUM_TIE_CONFIGS):
+                tie = g.homophily_tie(v, k)
+                all_blank_ties += len(tie.members) > 1 and all(g.labels[m] is None for m in tie.members)
+                spec = build_prompt(tie, g.texts, g.class_names)
+                for seed in ORACLE_SEEDS:
+                    want = reference_oracle(tie, g, noise, seed)
+                    got = synthetic_oracle(tie, g, noise, seed)
+                    assert (got.raw_response, got.guesses) == (want.raw_response, want.guesses), (
+                        f"classes={num_classes} v={v} k={k} seed={seed}"
+                    )
+                    assert client[seed].complete(spec).text == want.raw_response
+    assert all_blank_ties > 0
+
+
+def test_oracle_responses_of_every_tie_are_pinned():
+    # Computed with the oracle as first written (``reference_oracle``): the
+    # benchmark's and every offline run's responses, and so their
+    # pseudo-labels, depend on these bytes.
+    g = synthetic_citation_graph(n=800, num_classes=7, alpha=0.85, avg_out_degree=2.0, seed=5)
+    responses = hashlib.sha256()
+    for v in range(g.num_nodes):
+        for k in range(NUM_TIE_CONFIGS):
+            responses.update(synthetic_oracle(g.homophily_tie(v, k), g, noise=0.3, seed=17).raw_response.encode())
+            responses.update(b"\n")
+    assert responses.hexdigest() == "d3151b0c9c859ff118925930828b809a338a8edd35b6796052c644abbff7b861"
+
+
+@pytest.mark.parametrize("noise, seed", [(-0.1, 0), (1.5, 0), (float("nan"), 0), (0.3, -1)])
+def test_oracle_rejects_bad_settings_at_construction_and_per_call(noise, seed):
+    g = labeled_graph(n=4)
+    with pytest.raises(ValueError):
+        SyntheticOracleClient(g, noise=noise, seed=seed)
+    with pytest.raises(ValueError):
+        synthetic_oracle(g.homophily_tie(0, 0), g, noise=noise, seed=seed)
 
 
 # --- annotate_graph -----------------------------------------------------------------

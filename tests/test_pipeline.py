@@ -103,6 +103,13 @@ def test_cli_rejects_a_cap_or_stage_one_size_below_one(tmp_path, capsys, flags):
     ("filter", "gamma", float("nan")),
     ("filter", "lambda", float("nan")),
     ("annotator", "truncation", 5),
+    ("annotator", "seed", -1),
+    ("annotator", "seed", True),
+    ("annotator", "seed", 1.5),
+    ("gcn", "seed", -1),
+    ("gcn", "seed", "3"),
+    ("filter", "kmeans_seed", -1),
+    ("filter", "kmeans_seed", False),
 ])
 def test_cli_rejects_a_setting_that_would_crash_a_stage(tmp_path, capsys, section, key, value):
     out_dir = tmp_path / "out"
@@ -138,6 +145,22 @@ def test_cli_rejects_a_bad_truncation_setting(tmp_path, capsys, key, value):
     assert err.startswith(f"config error: annotator.truncation.{key} "), err
     assert "Traceback" not in err
     assert not (out_dir / "graph.npz").exists()  # refused before any stage ran
+
+
+def test_cli_rejects_a_negative_seed_flag(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    args = ["pipeline", "--fixture", "--out-dir", str(out_dir), "--seed", "-1"]
+    assert cli.main(args) == pipeline.EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("config error: annotator.seed ")
+    assert not (out_dir / "graph.npz").exists()
+
+
+def test_large_seeds_are_accepted(tmp_path):
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps({"annotator": {"seed": 2**40 + 5}, "gcn": {"seed": 0},
+                             "filter": {"kmeans_seed": 2**32}}))
+    cfg = load_config(p)
+    assert (cfg.annotator.seed, cfg.gcn.seed, cfg.filter.kmeans_seed) == (2**40 + 5, 0, 2**32)
 
 
 def test_partial_truncation_setting_is_accepted(tmp_path):
