@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .annotate import WorkerAnnotation, guess_rows
+from .annotate import WorkerAnnotation
 from .graph import NUM_TIE_CONFIGS
 
 
@@ -51,8 +51,12 @@ def guess_arrays(
     worker, or whose response did not parse, has top1 -1 and zero mass.
     Raises ValueError when a node lists a configuration outside 0..7 or twice.
     """
-    n, width = len(annotations), NUM_TIE_CONFIGS
-    grid: list[list[tuple[str, int]] | None] = [None] * (n * width)
+    n, width, num_classes = len(annotations), NUM_TIE_CONFIGS, len(class_names)
+    index = {c: i for i, c in enumerate(class_names)}
+    top1 = np.full(n * width, -1, dtype=np.int16)
+    # (row * C + class, confidence) of every guess; one bincount sums them
+    cells: list[int] = []
+    confs: list[int] = []
     for i, (v, workers) in enumerate(annotations.items()):
         seen: set[int] = set()
         for a in workers:
@@ -60,11 +64,18 @@ def guess_arrays(
             if not 0 <= k < width or k in seen:
                 raise ValueError(f"node {v}: configuration {k} out of range or repeated")
             seen.add(k)
-            if not a.parse_failed:
-                grid[i * width + k] = a.guesses
-    top1, mass = guess_rows(grid, class_names)
+            if a.parse_failed or not a.guesses:
+                continue
+            row = i * width + k
+            top1[row] = index[a.guesses[0][0]]
+            for label, conf in a.guesses:
+                cells.append(row * num_classes + index[label])
+                confs.append(max(0, conf))
+    mass = np.bincount(
+        np.asarray(cells, dtype=np.intp), weights=confs, minlength=n * width * num_classes
+    )
     nodes = np.fromiter(annotations, dtype=np.int64, count=n)
-    return nodes, top1.reshape(n, width), mass.reshape(n, width, len(class_names))
+    return nodes, top1.reshape(n, width), mass.astype(np.int32).reshape(n, width, num_classes)
 
 
 def _fsum(x: np.ndarray, axis: int) -> np.ndarray:

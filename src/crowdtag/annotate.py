@@ -320,62 +320,64 @@ def parse_response(raw: str, class_names: list[str]) -> list[tuple[str, int]]:
     confidences are clamped to [0, 100]. Raises ResponseParseError when
     nothing usable is found.
     """
-    labels = _label_lookup(tuple(class_names))
-    start = 0
-    while True:
-        idx = raw.find("[", start)
-        if idx < 0:
-            break
-        try:
-            value, _ = _DECODER.raw_decode(raw, idx)
-        except (json.JSONDecodeError, ValueError):
-            start = idx + 1
-            continue
-        guesses = _extract_guesses(value, labels)
-        if guesses:
-            return guesses
-        start = idx + 1
-    raise ResponseParseError("no parseable guess array in response")
+    cells: list[int] = []
+    confs: list[int] = []
+    if _scan(raw, _label_lookup(tuple(class_names)), 0, cells, confs) < 0:
+        raise ResponseParseError("no parseable guess array in response")
+    return [(class_names[c], conf) for c, conf in zip(cells, confs)]
 
 
 _DECODER = json.JSONDecoder()
 
 
 @functools.lru_cache(maxsize=16)
-def _label_lookup(class_names: tuple[str, ...]) -> dict[str, str]:
-    """Answer -> class name, for each normalised (stripped, lower-case) class
-    name and each class name as written; read-only, shared by every parse."""
-    canonical = {c.strip().lower(): c for c in class_names}
+def _label_lookup(class_names: tuple[str, ...]) -> dict[str, int]:
+    """Answer -> class index, for each normalised (stripped, lower-case) class
+    name and each class name as written; read-only, shared by every scan. A
+    name normalised like a later one maps to the later one's index."""
+    canonical = {c.strip().lower(): i for i, c in enumerate(class_names)}
     return {**canonical, **{c: canonical[c.strip().lower()] for c in class_names}}
 
 
-def _extract_guesses(
-    value: object, labels: dict[str, str]
-) -> list[tuple[str, int]]:
-    if not isinstance(value, list):
-        return []
-    guesses: list[tuple[str, int]] = []
-    for item in value:
-        if not isinstance(item, dict) or "answer" not in item:
-            continue
-        answer = item["answer"]
-        if not isinstance(answer, str):
-            continue
-        label = labels.get(answer)
-        if label is None:
-            label = labels.get(answer.strip().lower())
-            if label is None:
-                continue
-        conf_raw = item.get("confidence", 0)
-        if type(conf_raw) is int and 0 <= conf_raw <= 100:
-            guesses.append((label, conf_raw))
-            continue
+def _scan(raw: str, labels: dict[str, int], base: int, cells: list[int], confs: list[int]) -> int:
+    """Scan response ``raw`` for its first usable guess array, the one
+    :func:`parse_response` returns: for each guess, in ranked order, append
+    ``base`` plus its class index (``labels`` of its answer) to ``cells`` and
+    its confidence, clamped to [0, 100], to ``confs``. Returns the class of
+    the first guess, or -1, having appended nothing, when no array is usable.
+    """
+    start = 0
+    while (idx := raw.find("[", start)) >= 0:
+        start = idx + 1
         try:
-            conf = int(round(float(conf_raw)))  # JSON allows 9e999 -> inf
-        except (TypeError, ValueError, OverflowError):
-            conf = 0
-        guesses.append((label, max(0, min(100, conf))))
-    return guesses
+            value, _ = _DECODER.raw_decode(raw, idx)
+        except ValueError:  # JSONDecodeError
+            continue
+        first = -1
+        for item in value:  # a JSON array, as it began with "["
+            if not isinstance(item, dict):
+                continue
+            answer = item.get("answer")
+            if not isinstance(answer, str):
+                continue
+            c = labels.get(answer)
+            if c is None:
+                c = labels.get(answer.strip().lower())
+                if c is None:
+                    continue
+            conf = item.get("confidence", 0)
+            if type(conf) is not int or not 0 <= conf <= 100:
+                try:
+                    conf = max(0, min(100, int(round(float(conf)))))  # JSON allows 9e999 -> inf
+                except (TypeError, ValueError, OverflowError):
+                    conf = 0
+            cells.append(base + c)
+            confs.append(conf)
+            if first < 0:
+                first = c
+        if first >= 0:
+            return first
+    return -1
 
 
 # ---------------------------------------------------------------------------
@@ -493,17 +495,39 @@ def synthetic_oracle(
     """
     _check_oracle_settings(noise, seed)
     class_names = graph.class_names
-    num_classes = len(class_names)
+    order, confs = _oracle_vote(graph, tie.center, tie.config_k, tie.members, tie.roles, noise, seed)
+    return WorkerAnnotation(
+        center=tie.center,
+        config_k=tie.config_k,
+        guesses=[(class_names[c], conf) for c, conf in zip(order, confs)],
+        raw_response=_oracle_reply(_answer_prefixes(tuple(class_names)), order, confs),
+        tokens_in=0,
+        tokens_out=0,
+    )
+
+
+def _oracle_vote(
+    graph: DirectedTAG,
+    center: int,
+    config_k: int,
+    members: tuple[int, ...],
+    roles: tuple[str, ...],
+    noise: float,
+    seed: int,
+) -> tuple[list[int], list[int]]:
+    """The vote of :func:`synthetic_oracle` over a tie's ``members`` and
+    ``roles``: its ranked classes and their confidences."""
+    num_classes = len(graph.class_names)
     # SeedSequence turns the list [seed, center, k] into these uint32 words
     rng = np.random.default_rng(
-        np.array([*_seed_words(seed), tie.center, tie.config_k], dtype=np.uint32)
+        np.array([*_seed_words(seed), center, config_k], dtype=np.uint32)
     )
     draw, draw_class = rng.random, rng.integers
 
     # weights are 1.0 and 2.0, so every sum is exact, as in float64 arrays
     votes = [0.0] * num_classes
     labels = graph.labels
-    for member, role in zip(tie.members, tie.roles):
+    for member, role in zip(members, roles):
         truth = labels[member]
         if truth is None:
             continue
@@ -516,19 +540,13 @@ def synthetic_oracle(
     top_conf = int(round((100 - 40 * noise) * share))
     rest = int(round((100 - top_conf) / (num_classes - 1))) if num_classes > 1 else 0
     order = [winner, *(c for c in range(num_classes) if c != winner)]
-    confs = [top_conf] + [rest] * (num_classes - 1)
-    guesses = [(class_names[c], conf) for c, conf in zip(order, confs)]
-    # json.dumps of [{"answer": label, "confidence": conf}, ...]
-    answer = _answer_prefixes(tuple(class_names))
-    raw = "[" + ", ".join(f"{answer[c]}{conf}}}" for c, conf in zip(order, confs)) + "]"
-    return WorkerAnnotation(
-        center=tie.center,
-        config_k=tie.config_k,
-        guesses=guesses,
-        raw_response=raw,
-        tokens_in=0,
-        tokens_out=0,
-    )
+    return order, [top_conf] + [rest] * (num_classes - 1)
+
+
+def _oracle_reply(answer: tuple[str, ...], order: list[int], confs: list[int]) -> str:
+    """``json.dumps`` of ``[{"answer": label, "confidence": conf}, ...]``,
+    from the :func:`_answer_prefixes` ``answer`` of the class names."""
+    return "[" + ", ".join(f"{answer[c]}{conf}}}" for c, conf in zip(order, confs)) + "]"
 
 
 def _check_oracle_settings(noise: float, seed: int) -> None:
@@ -564,11 +582,14 @@ class SyntheticOracleClient:
         self.graph = graph
         self.noise = noise
         self.seed = seed
+        self._answer = _answer_prefixes(tuple(graph.class_names))
 
     def complete(self, prompt: PromptSpec) -> ClientResponse:
-        tie = self.graph.homophily_tie(prompt.center, prompt.config_k)
-        ann = synthetic_oracle(tie, self.graph, self.noise, self.seed)
-        return ClientResponse(text=ann.raw_response, tokens_in=0, tokens_out=0)
+        """The :func:`synthetic_oracle` response to ``prompt``'s tie."""
+        v, k = prompt.center, prompt.config_k
+        _, members, roles = self.graph.tie_members(v, k)
+        order, confs = _oracle_vote(self.graph, v, k, members, roles, self.noise, self.seed)
+        return ClientResponse(text=_oracle_reply(self._answer, order, confs), tokens_in=0, tokens_out=0)
 
 
 # ---------------------------------------------------------------------------
@@ -698,11 +719,12 @@ class ResponseCache:
         return record
 
     def put(self, record: dict) -> None:
+        if self.path is None:
+            with self._lock:
+                self._index[record["hash"]] = record
+            return
         line = (json.dumps(record) + "\n").encode("utf-8")
         with self._lock:
-            if self.path is None:
-                self._index[record["hash"]] = record
-                return
             self._open_append()
             self._fh.write(line)
             self._fh.flush()
@@ -986,55 +1008,37 @@ def annotate_arrays(
     its result: ``(top1 (n, 8), mass (n, 8, C), prompt hashes per node)``,
     rows in ``nodes`` order.
 
-    Each chunk's responses are parsed straight into their rows, and a
-    repeated prompt copies the row of its first occurrence, so the memory
-    held beyond one chunk is the arrays, the hashes and the first position of
-    each distinct hash.
+    Each response, fresh or cached, is scanned once straight into its row's
+    ``mass`` cells and ``top1``, and a repeated prompt copies the row of its
+    first occurrence, so the memory held beyond one chunk is the arrays, the
+    hashes and the first position of each distinct hash.
     """
-    w, class_names = NUM_TIE_CONFIGS, graph.class_names
+    w, num_classes = NUM_TIE_CONFIGS, len(graph.class_names)
+    labels = _label_lookup(tuple(graph.class_names))
     top1 = np.full(len(nodes) * w, -1, dtype=np.int16)
-    mass = np.zeros((len(nodes) * w, len(class_names)), dtype=np.int32)
+    mass = np.zeros((len(nodes) * w, num_classes), dtype=np.int32)
     hashes: list[list[str]] = []
     for chunk in _annotate_chunks(
         graph, nodes, client, cache, budget, model, policy, max_inflight,
         requests_per_second, None,
     ):
-        rows = np.arange(chunk.start, chunk.start + len(chunk.specs))
+        lo, m = chunk.start, len(chunk.specs)
+        rows = np.arange(lo, lo + m)
         source = np.asarray(chunk.source, dtype=np.intp)
         own = source == rows
-        top1[rows[own]], mass[rows[own]] = guess_rows(
-            [_guesses(record["raw_response"], class_names) for record, _ in chunk.answers],
-            class_names,
-        )
+        # cells count from the chunk's first row; one bincount sums them
+        cells: list[int] = []
+        confs: list[int] = []
+        top1[rows[own]] = [
+            _scan(record["raw_response"], labels, r * num_classes, cells, confs)
+            for r, (record, _) in zip(np.flatnonzero(own).tolist(), chunk.answers)
+        ]
+        mass[lo:lo + m] = np.bincount(
+            np.asarray(cells, dtype=np.intp), weights=confs, minlength=m * num_classes
+        ).reshape(m, num_classes)
         top1[rows[~own]], mass[rows[~own]] = top1[source[~own]], mass[source[~own]]
         specs = chunk.specs
         hashes.extend(
             [spec.prompt_hash for spec in specs[j:j + w]] for j in range(0, len(specs), w)
         )
-    return top1.reshape(-1, w), mass.reshape(-1, w, len(class_names)), hashes
-
-
-def guess_rows(
-    guesses: list[list[tuple[str, int]] | None], class_names: list[str]
-) -> tuple[np.ndarray, np.ndarray]:
-    """One row per worker's ranked guesses: ``top1`` (m,) int16, the class of
-    its first (best) guess, and ``mass`` (m, C) int32, its confidences summed
-    per class, a negative one counted as 0. ``None`` or an empty list, a
-    response that did not parse, gives -1 and zero mass."""
-    index = {c: i for i, c in enumerate(class_names)}
-    m, num_classes = len(guesses), len(class_names)
-    top1 = np.fromiter(
-        (index[g[0][0]] if g else -1 for g in guesses), dtype=np.int16, count=m
-    )
-    cells: list[int] = []
-    confs: list[int] = []
-    for r, ranked in enumerate(guesses):
-        if ranked:
-            base = r * num_classes
-            for label, conf in ranked:
-                cells.append(base + index[label])
-                confs.append(max(0, conf))
-    mass = np.bincount(
-        np.asarray(cells, dtype=np.intp), weights=confs, minlength=m * num_classes
-    )
-    return top1, mass.astype(np.int32).reshape(m, num_classes)
+    return top1.reshape(-1, w), mass.reshape(-1, w, num_classes), hashes

@@ -222,11 +222,18 @@ class DirectedTAG:
     def homophily_tie(self, v: int, k: int) -> HomophilyTie:
         """Configuration ``k`` (0..7) of the tie centered at ``v``: the groups
         of :meth:`tie_groups` with their members listed by id."""
+        return HomophilyTie(v, k, *self.tie_members(v, k))
+
+    def tie_members(
+        self, v: int, k: int
+    ) -> tuple[tuple[tuple[str, tuple[int, ...]], ...], tuple[int, ...], tuple[str, ...]]:
+        """``(groups, members, roles)`` of :meth:`homophily_tie`, without
+        building the tie: the groups of :meth:`tie_groups`, the center then
+        every group member in ascending id order, and the role of each."""
         groups = self.tie_groups(v, k)
         role_of = {u: role for role, ids in groups for u in ids}
         others = sorted(role_of)
-        roles = (ROLE_SELF, *map(role_of.__getitem__, others))
-        return HomophilyTie(v, k, groups, (v, *others), roles)
+        return groups, (v, *others), (ROLE_SELF, *map(role_of.__getitem__, others))
 
     def adjacency_matrix(self) -> np.ndarray:
         """Dense boolean adjacency; A[u, v] iff edge u -> v. For small graphs."""

@@ -157,8 +157,9 @@ class PipelineConfig:
             raise ConfigError(f"unknown annotator mode {self.annotator.mode!r}")
         if self.annotator.mode == "llm" and not self.annotator.endpoint:
             raise ConfigError("llm mode requires an endpoint URL")
-        if not 0.0 <= self.annotator.noise <= 1.0:
-            raise ConfigError("oracle noise must be in [0, 1]")
+        noise = self.annotator.noise
+        if isinstance(noise, bool) or not isinstance(noise, (int, float)) or not 0.0 <= noise <= 1.0:
+            raise ConfigError(f"annotator.noise must be in [0, 1], got {noise!r}")
         for name, seed in (("annotator.seed", self.annotator.seed), ("gcn.seed", self.gcn.seed),
                            ("filter.kmeans_seed", f.kmeans_seed)):
             if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:

@@ -277,6 +277,188 @@ def test_parse_response_fuzz_with_json_shards():
             pass
 
 
+def reference_parse(raw, class_names):
+    """The response parser as first written, which built ``(label, conf)``
+    tuples for ``guess_rows`` to walk again: the first guess array that yields
+    a guess, or None. ``parse_response`` and the rows the annotate stage
+    scans must match it and ``reference_guess_rows`` on every text."""
+    canonical = {c.strip().lower(): c for c in class_names}
+    labels = {**canonical, **{c: canonical[c.strip().lower()] for c in class_names}}
+    decoder, start = json.JSONDecoder(), 0
+    while (idx := raw.find("[", start)) >= 0:
+        start = idx + 1
+        try:
+            value, _ = decoder.raw_decode(raw, idx)
+        except ValueError:
+            continue
+        guesses = reference_extract_guesses(value, labels)
+        if guesses:
+            return guesses
+    return None
+
+
+def reference_extract_guesses(value, labels):
+    if not isinstance(value, list):
+        return []
+    guesses = []
+    for item in value:
+        if not isinstance(item, dict) or "answer" not in item:
+            continue
+        answer = item["answer"]
+        if not isinstance(answer, str):
+            continue
+        label = labels.get(answer)
+        if label is None:
+            label = labels.get(answer.strip().lower())
+            if label is None:
+                continue
+        conf_raw = item.get("confidence", 0)
+        if type(conf_raw) is int and 0 <= conf_raw <= 100:
+            guesses.append((label, conf_raw))
+            continue
+        try:
+            conf = int(round(float(conf_raw)))
+        except (TypeError, ValueError, OverflowError):
+            conf = 0
+        guesses.append((label, max(0, min(100, conf))))
+    return guesses
+
+
+def reference_guess_rows(guesses, class_names):
+    index = {c: i for i, c in enumerate(class_names)}
+    m, num_classes = len(guesses), len(class_names)
+    top1 = np.fromiter((index[g[0][0]] if g else -1 for g in guesses), dtype=np.int16, count=m)
+    cells, confs = [], []
+    for r, ranked in enumerate(guesses):
+        for label, conf in ranked or ():
+            cells.append(r * num_classes + index[label])
+            confs.append(max(0, conf))
+    mass = np.bincount(np.asarray(cells, dtype=np.intp), weights=confs, minlength=m * num_classes)
+    return top1, mass.astype(np.int32).reshape(m, num_classes)
+
+
+# " theory" normalises like "Theory", so both map to the later one
+SCAN_CLASSES = ["Theory", "Rule Learning", " theory", "Neural Networks"]
+
+
+def guess_item(answer, conf="-"):
+    item = {"answer": answer}
+    if conf != "-":
+        item["confidence"] = conf
+    return item
+
+
+ADVERSARIAL_RESPONSES = [
+    # prose and code fences
+    'Sure! Here it is:\n```json\n[{"answer": "Theory", "confidence": 60}, '
+    '{"answer": "Rule Learning", "confidence": 40}]\n```\nHope that helps.',
+    "```\n" + json.dumps([guess_item("Neural Networks", 90)]) + "\n```",
+    # an unusable first array, then a usable one
+    'noise [1, 2, 3] more [{"answer": "Rule Learning", "confidence": 70}] tail',
+    json.dumps([guess_item("Quantum", 80)]) + " or " + json.dumps([guess_item("theory", 20)]),
+    '[{"answer": "Theory", "confidence": 5} broken ' + json.dumps([guess_item("Rule Learning", 9)]),
+    # case and whitespace variants, unknown labels, a repeated label
+    json.dumps([guess_item("  THEORY  ", 30), guess_item("rule learning", 30), guess_item(" theory", 5),
+                guess_item("neural\tnetworks", 10), guess_item("Neural  Networks", 10)]),
+    json.dumps([guess_item("Quantum", 100), guess_item("Theory", 10), guess_item("Physics", 3)]),
+    json.dumps([guess_item("Theory", 30), guess_item("theory", 50), guess_item("Rule Learning", 20),
+                guess_item("Theory", 100)]),
+    json.dumps([guess_item("Quantum", 100)]),
+    # non-dict items, empty arrays, no array, nested arrays
+    json.dumps([1, "Theory", None, True, [guess_item("Theory", 1)], guess_item("Rule Learning", 40)]),
+    json.dumps([{"label": "Theory"}, {"answer": 3}, {"answer": None}, guess_item(["Theory"]),
+                {"confidence": 9}]),
+    "[]",
+    "[] [] " + json.dumps([guess_item("Neural Networks", 11)]),
+    "the category is Theory (confidence 90)",
+    "",
+    json.dumps([[guess_item("Theory", 60), guess_item("Rule Learning", 40)]]),
+    json.dumps([[[guess_item("Neural Networks", 7)]], "x"]),
+    # confidences: floats, strings, negative, above 100, overflowing, missing
+    json.dumps([guess_item("Theory", 55.5), guess_item("Rule Learning", 54.5),
+                guess_item("Neural Networks", 0.49), guess_item(" theory", 99.99)]),
+    json.dumps([guess_item("Theory", "55"), guess_item("Rule Learning", " 7 "),
+                guess_item("Neural Networks", "abc"), guess_item("Theory", "1e3")]),
+    json.dumps([guess_item("Theory", -5), guess_item("Rule Learning", -0.4),
+                guess_item("Neural Networks", "-12")]),
+    json.dumps([guess_item("Theory", 250), guess_item("Rule Learning", 100.4),
+                guess_item("Neural Networks", 10**30)]),
+    '[{"answer": "Theory", "confidence": 9e999}, {"answer": "Rule Learning", "confidence": -9e999},'
+    ' {"answer": "Neural Networks", "confidence": NaN}, {"answer": "Theory", "confidence": Infinity}]',
+    json.dumps([guess_item("Theory"), guess_item("Rule Learning", None), guess_item("Theory", True),
+                guess_item("Neural Networks", [50]), guess_item("Rule Learning", {"v": 5})]),
+]
+
+
+class CyclingClient:
+    """Answers the i-th request with ``texts[i % len(texts)]``."""
+
+    def __init__(self, texts):
+        self.texts = texts
+        self.calls = 0
+
+    def complete(self, prompt):
+        self.calls += 1
+        return ClientResponse(self.texts[(self.calls - 1) % len(self.texts)])
+
+
+def scanned_rows(texts):
+    """``top1`` and ``mass`` the annotate stage records when the responses,
+    in request order, are ``texts`` over and over; and the response each row
+    got."""
+    g = replace(labeled_graph(n=40, classes=len(SCAN_CLASSES), seed=6), class_names=SCAN_CLASSES)
+    client = CyclingClient(texts)
+    cache = ResponseCache()
+    top1, mass, hashes = annotate_arrays(g, list(range(g.num_nodes)), client, cache,
+                                         BudgetState(limit_usd=1.0))
+    raws = [cache.get(h)["raw_response"] for row in hashes for h in row]
+    assert set(raws) == set(texts)
+    return top1.reshape(-1), mass.reshape(len(raws), -1), raws
+
+
+def test_scanner_equals_the_reference_parser_on_adversarial_responses():
+    for raw in ADVERSARIAL_RESPONSES:
+        want = reference_parse(raw, SCAN_CLASSES)
+        if want is None:
+            with pytest.raises(ResponseParseError):
+                parse_response(raw, SCAN_CLASSES)
+        else:
+            assert parse_response(raw, SCAN_CLASSES) == want, raw
+    unparsed = sum(reference_parse(raw, SCAN_CLASSES) is None for raw in ADVERSARIAL_RESPONSES)
+    assert 0 < unparsed < len(ADVERSARIAL_RESPONSES)
+
+    top1, mass, raws = scanned_rows(ADVERSARIAL_RESPONSES)
+    want_top1, want_mass = reference_guess_rows(
+        [reference_parse(raw, SCAN_CLASSES) for raw in raws], SCAN_CLASSES
+    )
+    np.testing.assert_array_equal(top1, want_top1)
+    np.testing.assert_array_equal(mass, want_mass)
+    assert (top1 == -1).any()
+    assert mass.max() > 100  # a repeated label's confidences add up
+
+
+def test_scanner_equals_the_reference_parser_on_stitched_fragments():
+    shards = ['[{"answer"', ':"Theory"', ':" theory "', ',"confidence":', "9e999", "55.5", '"7"',
+              "-3", "}", "]", "}]", "[[[", "[]", "null", " ", "￿", '{"answer":1}', "Quantum",
+              '[{"answer": "rule learning", "confidence": 1e308}]', "```json", "```", ","]
+    rng = np.random.default_rng(78)
+    texts = ["".join(shards[i] for i in rng.integers(0, len(shards), size=rng.integers(1, 12)))
+             for _ in range(300)]
+    for raw in texts:
+        want = reference_parse(raw, SCAN_CLASSES)
+        try:
+            assert parse_response(raw, SCAN_CLASSES) == want, raw
+        except ResponseParseError:
+            assert want is None, raw
+    texts = list(dict.fromkeys(texts))
+    top1, mass, raws = scanned_rows(texts)
+    want_top1, want_mass = reference_guess_rows(
+        [reference_parse(raw, SCAN_CLASSES) for raw in raws], SCAN_CLASSES
+    )
+    np.testing.assert_array_equal(top1, want_top1)
+    np.testing.assert_array_equal(mass, want_mass)
+
+
 # --- budget ----------------------------------------------------------------------
 
 def test_budget_zero_refuses_immediately():

@@ -103,6 +103,11 @@ def test_cli_rejects_a_cap_or_stage_one_size_below_one(tmp_path, capsys, flags):
     ("filter", "gamma", float("nan")),
     ("filter", "lambda", float("nan")),
     ("annotator", "truncation", 5),
+    ("annotator", "noise", 1.5),
+    ("annotator", "noise", -0.1),
+    ("annotator", "noise", float("nan")),
+    ("annotator", "noise", "0.3"),
+    ("annotator", "noise", True),
     ("annotator", "seed", -1),
     ("annotator", "seed", True),
     ("annotator", "seed", 1.5),
@@ -153,6 +158,22 @@ def test_cli_rejects_a_negative_seed_flag(tmp_path, capsys):
     assert cli.main(args) == pipeline.EXIT_VALIDATION
     assert capsys.readouterr().err.startswith("config error: annotator.seed ")
     assert not (out_dir / "graph.npz").exists()
+
+
+def test_cli_rejects_a_noise_flag_above_one(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    args = ["pipeline", "--fixture", "--out-dir", str(out_dir), "--noise", "2"]
+    assert cli.main(args) == pipeline.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("config error: annotator.noise must be in [0, 1], got 2.0"), err
+    assert not (out_dir / "graph.npz").exists()
+
+
+@pytest.mark.parametrize("noise", [0, 1])
+def test_an_int_noise_is_accepted(tmp_path, noise):
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps({"annotator": {"noise": noise}}))
+    assert load_config(p).annotator.noise == noise
 
 
 def test_large_seeds_are_accepted(tmp_path):
@@ -876,11 +897,11 @@ def test_each_response_parsed_once_and_never_in_aggregate(tmp_path, monkeypatch)
     paths = StagePaths(out_dir)
     calls: list[str] = []
     stage = ["other"]
-    parse, aggregate_stage = annotate.parse_response, pipeline.stage_aggregate
+    scan, aggregate_stage = annotate._scan, pipeline.stage_aggregate
 
-    def counting_parse(*args, **kwargs):
+    def counting_scan(*args, **kwargs):
         calls.append(stage[0])
-        return parse(*args, **kwargs)
+        return scan(*args, **kwargs)
 
     def marked_aggregate(*args, **kwargs):
         stage[0] = "aggregate"
@@ -889,7 +910,7 @@ def test_each_response_parsed_once_and_never_in_aggregate(tmp_path, monkeypatch)
         finally:
             stage[0] = "other"
 
-    monkeypatch.setattr(annotate, "parse_response", counting_parse)
+    monkeypatch.setattr(annotate, "_scan", counting_scan)
     monkeypatch.setattr(pipeline, "stage_aggregate", marked_aggregate)
     assert all(run_pipeline(cfg, paths).values())
     doc = json.loads(paths.annotated_nodes.read_text())
