@@ -1,10 +1,11 @@
 """Command-line entry point.
 
 Subcommands mirror the pipeline stages plus `verify-theorem` and `sweep`.
-Exit codes: 0 success, 1 validation error (a bad setting, a malformed dataset
-file, a response cache that another run is appending to or that is corrupt,
-or GCN training that diverged), 2 missing prior artifact, 3 budget refusal,
-4 LLM transport failure.
+Exit codes: 0 success, 1 validation error (a bad setting, a command-line
+usage error, a malformed dataset file, a response cache that another run is
+appending to or that is corrupt, or GCN training that diverged), 2 missing
+prior artifact, 3 budget refusal, 4 LLM transport failure. Each flag that
+sets one config setting names it as its ``dest`` (``section.field``).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from pathlib import Path
 
 from . import fixtures, homophily, pipeline
 from .annotate import BudgetExhaustedError, CacheLockedError, CorruptCacheError, TransportError
-from .dataio import EDGE_SEMANTICS, ParseError
+from .dataio import ParseError
 from .gcn import TrainingDivergedError
 
 # Errors a command reports on stderr, not as a traceback, with the exit code of each
@@ -33,54 +34,64 @@ _NAMED_ERRORS = (
 )
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _setting(parser: argparse.ArgumentParser, flag: str, key: str, **kwargs) -> None:
+    """A flag that sets the config setting ``key`` (``section.field``); it offers
+    the setting's choices, else ``--help`` shows the flag's name as its placeholder."""
+    if isinstance(pipeline.RANGES.get(key), tuple):
+        kwargs["choices"] = pipeline.RANGES[key]
+    else:
+        kwargs.setdefault("metavar", flag[2:].replace("-", "_").upper())
+    parser.add_argument(flag, dest=key, **kwargs)
+
+
+def _grid(text: str) -> list[float] | str:
+    """A comma-separated grid; text that is not one is kept for the config check to name."""
+    try:
+        return [float(item) for item in text.split(",")]
+    except ValueError:
+        return text
+
+
+def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="pipeline config JSON file")
     parser.add_argument("--out-dir", help="artifact directory (overrides config)")
     parser.add_argument("--seed", type=int, help="base seed (annotator + GCN + splits)")
+    _setting(parser, "--content", "dataset.content", help=".content file path")
+    _setting(parser, "--cites", "dataset.cites", help=".cites file path")
+    _setting(parser, "--texts", "dataset.texts", help="optional key<TAB>text file")
+    _setting(parser, "--embeddings", "dataset.embeddings", help="optional key<TAB>floats file")
+    _setting(parser, "--edge-semantics", "dataset.edge_semantics", help="direction an edge represents")
+    parser.add_argument("--fixture", action="store_true", help="use the bundled 30-node fixture dataset")
+    _setting(parser, "--endpoint", "annotator.endpoint", help="chat-completions URL (llm mode)")
+    _setting(parser, "--model", "annotator.model", help="model name sent in requests")
+    _setting(parser, "--api-key-env", "annotator.api_key_env", help="env var holding the API key")
+    _setting(parser, "--cache", "annotator.cache", help="response cache JSONL path")
+    _setting(parser, "--budget-usd", "annotator.budget_usd", type=float, help="hard dollar limit")
+    _setting(parser, "--max-inflight", "annotator.max_inflight", type=int,
+             help="concurrent request bound")
+    _setting(parser, "--noise", "annotator.noise", type=float, help="oracle mode noise rate")
+    _setting(parser, "--node-cap", "annotator.node_cap", type=int,
+             help="annotate only the top-N stage-one nodes")
+    _setting(parser, "--annotator-mode", "annotator.mode", help="worker backend")
+    _setting(parser, "--gamma", "filter.gamma", type=float, help="stage-one PageRank weight")
+    _setting(parser, "--lambda", "filter.lambda", type=float, metavar="LAM",
+             help="stage-one density weight")
+    _setting(parser, "--eta", "filter.eta", type=float, help="stage-two keep fraction")
+    _setting(parser, "--k", "filter.k", type=int, help="stage-one selection size")
+    _setting(parser, "--kmeans-seed", "filter.kmeans_seed", type=int, help="k-means init seed")
+    _setting(parser, "--damping", "filter.damping", type=float, help="PageRank damping factor")
 
 
-def _add_dataset_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--content", help=".content file path")
-    parser.add_argument("--cites", help=".cites file path")
-    parser.add_argument("--texts", help="optional key<TAB>text file")
-    parser.add_argument("--embeddings", help="optional key<TAB>floats file")
-    parser.add_argument(
-        "--edge-semantics",
-        choices=EDGE_SEMANTICS,
-        help="direction an edge represents",
-    )
-    parser.add_argument(
-        "--fixture",
-        action="store_true",
-        help="use the bundled 30-node fixture dataset",
-    )
+class _Parser(argparse.ArgumentParser):
+    """Exits 1, not argparse's 2, on a usage error: exit code 2 means a missing prior artifact."""
 
-
-def _add_annotator_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--endpoint", help="chat-completions URL (llm mode)")
-    parser.add_argument("--model", help="model name sent in requests")
-    parser.add_argument("--api-key-env", help="env var holding the API key")
-    parser.add_argument("--cache", help="response cache JSONL path")
-    parser.add_argument("--budget-usd", type=float, help="hard dollar limit")
-    parser.add_argument("--max-inflight", type=int, help="concurrent request bound")
-    parser.add_argument("--noise", type=float, help="oracle mode noise rate")
-    parser.add_argument("--node-cap", type=int, help="annotate only the top-N stage-one nodes")
-    parser.add_argument(
-        "--annotator-mode", choices=["oracle", "llm"], help="worker backend"
-    )
-
-
-def _add_filter_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--gamma", type=float, help="stage-one PageRank weight")
-    parser.add_argument("--lambda", dest="lam", type=float, help="stage-one density weight")
-    parser.add_argument("--eta", type=float, help="stage-two keep fraction")
-    parser.add_argument("--k", type=int, help="stage-one selection size")
-    parser.add_argument("--kmeans-seed", type=int, help="k-means init seed")
-    parser.add_argument("--damping", type=float, help="PageRank damping factor")
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(pipeline.EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="crowdtag",
         description="LLM-crowdsourced annotation of directed citation graphs",
     )
@@ -93,21 +104,16 @@ def build_parser() -> argparse.ArgumentParser:
         ("filter", "two-stage training-set selection"),
         ("train", "train the GCN on the selected nodes"),
         ("pipeline", "run all stages in order"),
+        ("sweep", "filter+train over a gamma/lambda grid (cache only)"),
     ]:
         p = sub.add_parser(name, help=help_text)
-        _add_common(p)
-        _add_dataset_flags(p)
-        _add_annotator_flags(p)
-        _add_filter_flags(p)
-
-    p = sub.add_parser("sweep", help="filter+train over a gamma/lambda grid (cache only)")
-    _add_common(p)
-    _add_dataset_flags(p)
-    _add_annotator_flags(p)
-    _add_filter_flags(p)
-    p.add_argument("--gamma-values", help="comma-separated gamma grid")
-    p.add_argument("--lambda-values", help="comma-separated lambda grid")
-    p.add_argument("--sweep-seeds", type=int, help="runs per cell")
+        _add_config_flags(p)
+        if name == "sweep":
+            _setting(p, "--gamma-values", "sweep.gamma_values", type=_grid,
+                     help="comma-separated gamma grid")
+            _setting(p, "--lambda-values", "sweep.lambda_values", type=_grid,
+                     help="comma-separated lambda grid")
+            _setting(p, "--sweep-seeds", "sweep.seeds", type=int, help="runs per cell")
 
     p = sub.add_parser("verify-theorem", help="closed-form vs Monte Carlo dominance check")
     p.add_argument("--alpha", type=float, default=0.7)
@@ -123,46 +129,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _overrides_from_args(args: argparse.Namespace) -> dict:
-    get = lambda name: getattr(args, name, None)  # noqa: E731
-    dataset = {
-        "content": get("content"),
-        "cites": get("cites"),
-        "texts": get("texts"),
-        "embeddings": get("embeddings"),
-        "edge_semantics": get("edge_semantics"),
-    }
-    if get("fixture"):
-        content, cites, texts = fixtures.fixture_paths()
-        dataset.update({"content": str(content), "cites": str(cites), "texts": str(texts)})
-    annotator = {
-        "mode": get("annotator_mode"),
-        "endpoint": get("endpoint"),
-        "model": get("model"),
-        "api_key_env": get("api_key_env"),
-        "cache": get("cache"),
-        "budget_usd": get("budget_usd"),
-        "max_inflight": get("max_inflight"),
-        "noise": get("noise"),
-        "node_cap": get("node_cap"),
-        "seed": get("seed"),
-    }
-    filt = {
-        "gamma": get("gamma"),
-        "lambda": get("lam"),
-        "eta": get("eta"),
-        "k": get("k"),
-        "kmeans_seed": get("kmeans_seed"),
-        "damping": get("damping"),
-    }
-    gcn_over = {"seed": get("seed")}
-    overrides = {
-        "dataset": dataset,
-        "annotator": annotator,
-        "filter": filt,
-        "gcn": gcn_over,
-        "sweep": {"seeds": get("sweep_seeds")},
-        "out_dir": get("out_dir"),
-    }
+    """The config settings the flags set; each flag's ``dest`` is its setting's ``section.field``."""
+    overrides: dict = {"out_dir": args.out_dir}
+    for dest, value in vars(args).items():
+        section, dot, key = dest.partition(".")
+        if dot:
+            overrides.setdefault(section, {})[key] = value
+    for section in ("annotator", "gcn"):
+        overrides.setdefault(section, {})["seed"] = args.seed
+    if args.fixture:
+        fixture = map(str, fixtures.fixture_paths())
+        overrides["dataset"].update(zip(("content", "cites", "texts"), fixture))
     return overrides
 
 
@@ -266,20 +243,8 @@ def main(argv: list[str] | None = None) -> int:
                 for stage, did_run in ran.items():
                     print(f"{stage}: {'ran' if did_run else 'skipped (up to date)'}")
             elif args.command == "sweep":
-                gamma_values = (
-                    [float(x) for x in args.gamma_values.split(",")]
-                    if args.gamma_values
-                    else cfg.sweep.gamma_values
-                )
-                lambda_values = (
-                    [float(x) for x in args.lambda_values.split(",")]
-                    if args.lambda_values
-                    else cfg.sweep.lambda_values
-                )
-                if not gamma_values:
-                    raise pipeline.ConfigError("sweep requires gamma/lambda grids")
                 results = pipeline.hyperparameter_sweep(
-                    cfg, paths, gamma_values, lambda_values, cfg.sweep.seeds
+                    cfg, paths, cfg.sweep.gamma_values, cfg.sweep.lambda_values, cfg.sweep.seeds
                 )
                 sweep_path = paths.out_dir / "sweep.csv"
                 write_sweep_csv(

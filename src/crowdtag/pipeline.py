@@ -34,9 +34,9 @@ import math
 import os
 import zipfile
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
-from typing import Callable
+from typing import Callable, get_args, get_type_hints
 
 import numpy as np
 
@@ -77,7 +77,7 @@ class DatasetConfig:
 
 @dataclass
 class AnnotatorConfig:
-    mode: str = "oracle"  # "oracle" or "llm"
+    mode: str = "oracle"
     endpoint: str = ""
     model: str = "oracle"
     api_key_env: str = ""
@@ -93,13 +93,15 @@ class AnnotatorConfig:
     noise: float = 0.0
     seed: int = 0
     node_cap: int | None = None
-    truncation: dict = field(default_factory=lambda: asdict(ann.TruncationPolicy()))
+    # any subset of the caps; its keys are TruncationPolicy's fields
+    truncation: dict = field(default_factory=lambda: asdict(ann.TruncationPolicy()),
+                             metadata={"fields": ann.TruncationPolicy})
 
 
 @dataclass
 class FilterConfig:
     gamma: float = 0.02
-    lam: float = 0.78
+    lam: float = field(default=0.78, metadata={"key": "lambda"})
     eta: float = 0.15
     k: int | None = None
     kmeans_seed: int = 0
@@ -107,13 +109,7 @@ class FilterConfig:
 
 
 @dataclass
-class GCNTrainConfig:
-    hidden: int = 16
-    learning_rate: float = 0.01
-    weight_decay: float = 5e-4
-    dropout: float = 0.5
-    epochs: int = 200
-    seed: int = 0
+class GCNTrainConfig(gcn.GCNConfig):
     val_size: int = 500
 
 
@@ -134,95 +130,142 @@ class PipelineConfig:
     out_dir: str = "out"
 
     def validate(self) -> None:
+        """Check every setting's type and range, then the rules that join two settings."""
+        _settings(PipelineConfig, self)
         f = self.filter
-        for name, weight in (("gamma", f.gamma), ("lambda", f.lam)):
-            if not weight >= 0:
-                raise ConfigError(f"filter.{name} must be >= 0, got {weight}")
         if not f.gamma + f.lam <= 1.0 + 1e-12:
             raise ConfigError(f"filter.gamma + filter.lambda must be <= 1, got {f.gamma} + {f.lam}")
-        if not 0.0 < f.eta <= 1.0:
-            raise ConfigError(f"eta must be in (0, 1], got {f.eta}")
-        if f.k is not None and f.k < 1:
-            raise ConfigError(f"filter.k must be >= 1, got {f.k}")
-        if self.annotator.node_cap is not None and self.annotator.node_cap < 1:
-            raise ConfigError(f"node_cap must be >= 1, got {self.annotator.node_cap}")
-        if self.sweep.seeds < 1:
-            raise ConfigError(f"sweep seeds must be >= 1, got {self.sweep.seeds}")
-        if not self.annotator.budget_usd >= 0:
-            raise ConfigError(f"annotator.budget_usd must be >= 0, got {self.annotator.budget_usd}")
-        if self.dataset.edge_semantics not in dataio.EDGE_SEMANTICS:
-            raise ConfigError(f"dataset.edge_semantics must be one of {dataio.EDGE_SEMANTICS}, "
-                              f"got {self.dataset.edge_semantics!r}")
-        if self.annotator.mode not in ("oracle", "llm"):
-            raise ConfigError(f"unknown annotator mode {self.annotator.mode!r}")
         if self.annotator.mode == "llm" and not self.annotator.endpoint:
-            raise ConfigError("llm mode requires an endpoint URL")
-        noise = self.annotator.noise
-        if isinstance(noise, bool) or not isinstance(noise, (int, float)) or not 0.0 <= noise <= 1.0:
-            raise ConfigError(f"annotator.noise must be in [0, 1], got {noise!r}")
-        for name, seed in (("annotator.seed", self.annotator.seed), ("gcn.seed", self.gcn.seed),
-                           ("filter.kmeans_seed", f.kmeans_seed)):
-            if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-                raise ConfigError(f"{name} must be an int >= 0, got {seed!r}")
-        truncation = self.annotator.truncation
-        if not isinstance(truncation, dict):
-            raise ConfigError(f"annotator.truncation must be an object, got {truncation!r}")
-        caps = [f_.name for f_ in fields(ann.TruncationPolicy)]
-        for key, value in truncation.items():
-            if key not in caps:
-                raise ConfigError(f"annotator.truncation.{key} is not a truncation setting; "
-                                  f"one of {', '.join(caps)}")
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise ConfigError(f"annotator.truncation.{key} must be an int >= 1, got {value!r}")
-        rate = self.annotator.requests_per_second
-        if rate is not None and not rate > 0:
-            raise ConfigError(f"annotator.requests_per_second must be unset or > 0, got {rate}")
-        if not 0.0 <= f.damping < 1.0:
-            raise ConfigError(f"filter.damping must be in [0, 1), got {f.damping}")
-        g = self.gcn
-        if g.epochs < 1:
-            raise ConfigError(f"gcn.epochs must be >= 1, got {g.epochs}")
-        if not 0.0 <= g.dropout < 1.0:
-            raise ConfigError(f"gcn.dropout must be in [0, 1), got {g.dropout}")
-        if g.val_size < 0:
-            raise ConfigError(f"gcn.val_size must be >= 0, got {g.val_size}")
+            raise ConfigError("annotator.endpoint must be set when annotator.mode is llm")
 
 
-def _merge_section(cls, values: dict, aliases: dict[str, str] | None = None):
-    aliases = aliases or {}
-    known = {f_.name for f_ in cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]
+# The range of every numeric setting, and the choices of every enumerated one,
+# keyed as a config file spells the setting. In an interval "[" and "]" are
+# closed ends, "(" and ")" open ones; NaN lies in none. A grid's range holds
+# for each of its values.
+RANGES = {
+    "dataset.edge_semantics": dataio.EDGE_SEMANTICS,
+    "annotator.mode": ("oracle", "llm"),
+    "annotator.temperature": "[0, 2]",
+    "annotator.budget_usd": "[0, inf)",
+    "annotator.price_per_1k_in": "[0, inf)",
+    "annotator.price_per_1k_out": "[0, inf)",
+    "annotator.max_inflight": "[1, 64]",
+    "annotator.requests_per_second": "(0, inf)",
+    "annotator.retries": "[0, 10]",
+    "annotator.backoff_s": "[0, 60]",
+    "annotator.noise": "[0, 1]",
+    "annotator.seed": "[0, inf)",
+    "annotator.node_cap": "[1, inf)",
+    "annotator.truncation.max_neighbors_per_role": "[1, inf)",
+    "annotator.truncation.neighbor_text_chars": "[1, inf)",
+    "annotator.truncation.center_text_chars": "[1, inf)",
+    "filter.gamma": "[0, 1]",
+    "filter.lambda": "[0, 1]",
+    "filter.eta": "(0, 1]",
+    "filter.k": "[1, inf)",
+    "filter.kmeans_seed": "[0, inf)",
+    "filter.damping": "[0, 1)",
+    "gcn.hidden": "[1, inf)",
+    "gcn.learning_rate": "(0, inf)",
+    "gcn.weight_decay": "[0, inf)",
+    "gcn.dropout": "[0, 1)",
+    "gcn.epochs": "[1, inf)",
+    "gcn.seed": "[0, inf)",
+    "gcn.val_size": "[0, inf)",
+    "sweep.gamma_values": "[0, 1]",
+    "sweep.lambda_values": "[0, 1]",
+    "sweep.seeds": "[1, inf)",
+}
+
+# The types a setting may have, each as a message names it
+_TYPE_NAMES = {int: "an int", float: "a number", str: "a string", list[float]: "a list of numbers"}
+
+
+def setting_fields(cls) -> dict:
+    """``{key: (field, type hint)}`` of config class ``cls``, keyed as a config file spells it."""
+    hints = get_type_hints(cls)
+    return {f.metadata.get("key", f.name): (f, hints[f.name]) for f in fields(cls)}
+
+
+def setting_type(hint) -> tuple[object, bool]:
+    """``(type, whether it may be unset)`` of a setting's hint; the type is one of ``_TYPE_NAMES``."""
+    optional = type(None) in get_args(hint)
+    types = [t for t in get_args(hint) if t is not type(None)] if optional else [hint]
+    if len(types) != 1 or types[0] not in _TYPE_NAMES:
+        raise TypeError(f"no check for a setting of type {hint}")
+    return types[0], optional
+
+
+def _has_type(value, kind) -> bool:
+    if kind == list[float]:
+        return isinstance(value, list) and all(_has_type(v, float) for v in value)
+    # no setting is a bool, and a bool is not a number; an int is a valid float
+    return not isinstance(value, bool) and isinstance(value, (int, float) if kind is float else kind)
+
+
+def _in_range(value, bounds) -> bool:
+    if not isinstance(bounds, str):  # no range, or choices
+        return bounds is None or value in bounds
+    lo, hi = (float(end) for end in bounds[1:-1].split(","))
+    above = lo <= value if bounds[0] == "[" else lo < value
+    return above and (value <= hi if bounds[-1] == "]" else value < hi)
+
+
+def _check(key: str, hint, value) -> None:
+    kind, optional = setting_type(hint)
+    bounds = RANGES.get(key)
+    values = value if kind == list[float] else [value]
+    if value is None and optional or _has_type(value, kind) and all(_in_range(v, bounds) for v in values):
+        return
+    if isinstance(bounds, tuple):
+        want = f"one of {', '.join(bounds)}"
+    elif kind is float:
+        want = f"in {bounds}"
+    else:
+        want = _TYPE_NAMES[kind] + (f" in {bounds}" if bounds else "")
+    raise ConfigError(f"{key} must be {'unset or ' if optional else ''}{want}, got {value!r}")
+
+
+def _settings(cls, values, prefix: str = "") -> dict:
+    """Keyword arguments of config class ``cls`` from ``values`` (an instance,
+    or a JSON object of some of its settings), each setting checked."""
+    known = setting_fields(cls)
+    if isinstance(values, cls):
+        values = {key: getattr(values, f.name) for key, (f, _) in known.items()}
+    if not isinstance(values, dict):
+        raise ConfigError(f"{prefix[:-1]} must be an object, got {values!r}")
     kwargs = {}
-    for key, val in values.items():
-        name = aliases.get(key, key)
-        if name not in known:
-            raise ConfigError(f"unknown config key {key!r} in {cls.__name__}")
-        kwargs[name] = val
-    return cls(**kwargs)
+    for key, value in values.items():
+        if key not in known:
+            raise ConfigError(f"{prefix}{key} is not a setting; one of {', '.join(known)}")
+        f, hint = known[key]
+        if is_dataclass(hint):
+            value = hint(**_settings(hint, value, f"{prefix}{key}."))
+        elif "fields" in f.metadata:
+            _settings(f.metadata["fields"], value, f"{prefix}{key}.")
+        else:
+            _check(prefix + key, hint, value)
+        kwargs[f.name] = value
+    return kwargs
 
 
 def load_config(path: str | Path | None = None, overrides: dict | None = None) -> PipelineConfig:
-    """Read the JSON config file and apply CLI overrides; validates."""
+    """Read the JSON config file and apply overrides (``None`` changes nothing); validates."""
     doc: dict = {}
     if path is not None:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    if overrides:
-        for section, values in overrides.items():
-            if isinstance(values, dict):
-                doc.setdefault(section, {}).update(
-                    {k: v for k, v in values.items() if v is not None}
-                )
-            elif values is not None:
-                doc[section] = values
-
-    cfg = PipelineConfig(
-        dataset=_merge_section(DatasetConfig, doc.get("dataset", {})),
-        annotator=_merge_section(AnnotatorConfig, doc.get("annotator", {})),
-        filter=_merge_section(FilterConfig, doc.get("filter", {}), {"lambda": "lam"}),
-        gcn=_merge_section(GCNTrainConfig, doc.get("gcn", {})),
-        sweep=_merge_section(SweepConfig, doc.get("sweep", {})),
-        out_dir=doc.get("out_dir", "out"),
-    )
+        if not isinstance(doc, dict):
+            raise ConfigError(f"{path} must hold a JSON object, got {doc!r}")
+    for section, values in (overrides or {}).items():
+        if isinstance(values, dict):
+            current = doc.setdefault(section, {})
+            if isinstance(current, dict):  # else the check below names the section
+                current.update({k: v for k, v in values.items() if v is not None})
+        elif values is not None:
+            doc[section] = values
+    cfg = PipelineConfig(**_settings(PipelineConfig, doc))
     cfg.validate()
     return cfg
 
@@ -774,14 +817,6 @@ def train_once(
     report. ``a_hat`` and ``ax`` (``a_hat @ graph.features``) are computed
     when not given; every forward shares that one ``ax``.
     """
-    config = gcn.GCNConfig(
-        hidden=gcn_cfg.hidden,
-        learning_rate=gcn_cfg.learning_rate,
-        weight_decay=gcn_cfg.weight_decay,
-        dropout=gcn_cfg.dropout,
-        epochs=gcn_cfg.epochs,
-        seed=gcn_cfg.seed,
-    )
     if a_hat is None:
         a_hat = gcn.normalize_adjacency(graph)
     if ax is None:
@@ -789,7 +824,7 @@ def train_once(
     train_ids, val_ids, test_ids = gcn.split_nodes(
         graph, train_nodes, val_size=gcn_cfg.val_size, seed=gcn_cfg.seed
     )
-    model = gcn.init_model(a_hat, graph.feature_dim, graph.num_classes, config)
+    model = gcn.init_model(a_hat, graph.feature_dim, graph.num_classes, gcn_cfg)
     y_train = np.array([pseudo_labels[v] for v in train_ids], dtype=np.intp)
     y_test = np.array([graph.labels[v] for v in test_ids], dtype=np.intp)
     history = gcn.train(model, graph.features, train_ids, y_train, test_ids, y_test, ax=ax)
@@ -881,13 +916,12 @@ def hyperparameter_sweep(
     the LLM. The graph is loaded, its structural scores computed and
     ``A_hat @ X`` formed once, for every cell and seed.
     """
-    if len(gamma_values) != len(lambda_values):
-        raise ConfigError("gamma_values and lambda_values must have equal length")
-    if seeds < 1:
-        raise ConfigError(f"sweep seeds must be >= 1, got {seeds}")
+    if not gamma_values or len(gamma_values) != len(lambda_values):
+        raise ConfigError("sweep.gamma_values and sweep.lambda_values must be set, of equal length")
+    sweep = SweepConfig(list(gamma_values), list(lambda_values), seeds)
     cells = [replace(cfg.filter, gamma=g, lam=lam) for g, lam in zip(gamma_values, lambda_values)]
     for f in cells:  # every cell is valid before the first one runs
-        replace(cfg, filter=f).validate()
+        replace(cfg, filter=f, sweep=sweep).validate()
     loaded = _load_graph(paths)
     graph = loaded.graph
     labels, confidence = load_pseudo_labels(paths, graph)
@@ -899,7 +933,7 @@ def hyperparameter_sweep(
         _, final, _ = _select(loaded, labels, confidence, f)
         accs = []
         for s in range(seeds):
-            gcn_cfg = GCNTrainConfig(**{**asdict(cfg.gcn), "seed": cfg.gcn.seed + s})
+            gcn_cfg = replace(cfg.gcn, seed=cfg.gcn.seed + s)
             _, acc, _, _ = train_once(graph, final, labels, gcn_cfg, a_hat=a_hat, ax=ax)
             accs.append(acc)
         arr = np.array(accs)

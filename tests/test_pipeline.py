@@ -10,7 +10,7 @@ import sys
 import tracemalloc
 import warnings
 import zipfile
-from dataclasses import replace
+from dataclasses import is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -191,12 +191,214 @@ def test_partial_truncation_setting_is_accepted(tmp_path):
     assert TruncationPolicy(**cfg.annotator.truncation) == TruncationPolicy(max_neighbors_per_role=1)
 
 
+NAN = float("nan")
+
+# Every setting: its kind, and a value just below and just above its range
+# (None where the range has no such end).
+SETTINGS = {
+    "dataset.content": ("str", None, None),
+    "dataset.cites": ("str", None, None),
+    "dataset.texts": ("str", None, None),
+    "dataset.embeddings": ("str", None, None),
+    "dataset.edge_semantics": ("choice", None, None),
+    "annotator.mode": ("choice", None, None),
+    "annotator.endpoint": ("str", None, None),
+    "annotator.model": ("str", None, None),
+    "annotator.api_key_env": ("str", None, None),
+    "annotator.temperature": ("float", -0.1, 2.5),
+    "annotator.budget_usd": ("float", -1, None),
+    "annotator.price_per_1k_in": ("float", -1, None),
+    "annotator.price_per_1k_out": ("float", -1, None),
+    "annotator.cache": ("str", None, None),
+    "annotator.max_inflight": ("int", 0, 65),
+    "annotator.requests_per_second": ("float", 0, None),
+    "annotator.retries": ("int", -1, 11),
+    "annotator.backoff_s": ("float", -1, 61),
+    "annotator.noise": ("float", -0.1, 1.5),
+    "annotator.seed": ("int", -1, None),
+    "annotator.node_cap": ("int", 0, None),
+    "annotator.truncation": ("object", None, None),
+    "annotator.truncation.max_neighbors_per_role": ("int", 0, None),
+    "annotator.truncation.neighbor_text_chars": ("int", 0, None),
+    "annotator.truncation.center_text_chars": ("int", 0, None),
+    "filter.gamma": ("float", -0.1, 1.5),
+    "filter.lambda": ("float", -0.1, 1.5),
+    "filter.eta": ("float", 0, 1.5),
+    "filter.k": ("int", 0, None),
+    "filter.kmeans_seed": ("int", -1, None),
+    "filter.damping": ("float", -0.1, 1),
+    "gcn.hidden": ("int", 0, None),
+    "gcn.learning_rate": ("float", 0, None),
+    "gcn.weight_decay": ("float", -1, None),
+    "gcn.dropout": ("float", -0.1, 1),
+    "gcn.epochs": ("int", 0, None),
+    "gcn.seed": ("int", -1, None),
+    "gcn.val_size": ("int", -1, None),
+    "sweep.gamma_values": ("grid", -0.1, 1.5),
+    "sweep.lambda_values": ("grid", -0.1, 1.5),
+    "sweep.seeds": ("int", 0, None),
+    "out_dir": ("str", None, None),
+}
+WRONG_TYPES = {
+    "str": [5, True],
+    "choice": [5, "bogus"],
+    "int": ["5", 1.5, True, NAN],
+    "float": ["0.5", True, NAN],
+    "grid": ["0.1", 0.1, ["x"], [True], [NAN]],
+    "object": [5, [1]],
+}
+
+
+# more values no stage can take, beside those SETTINGS and WRONG_TYPES make
+MORE_BAD_SETTINGS = [("gcn.hidden", -1), ("gcn.epochs", "200"), ("annotator.node_cap", 2.5),
+                     ("sweep.seeds", "3"), ("annotator.temperature", "hot"),
+                     ("gcn.learning_rate", -1)]
+
+
+def bad_settings():
+    for key, (kind, below, above) in SETTINGS.items():
+        values = WRONG_TYPES[kind] + [v for v in (below, above) if v is not None]
+        if kind == "grid":
+            values[-2:] = [[v] for v in values[-2:]]
+        for value in values:
+            if (key, value) != ("annotator.max_inflight", 65):  # a pool of 65 threads
+                yield pytest.param(key, value, id=f"{key}={value!r}")
+    for key, value in MORE_BAD_SETTINGS:
+        yield pytest.param(key, value, id=f"{key}={value!r}")
+
+
+def config_doc(key: str, value) -> dict:
+    """A config document that sets only ``key`` (``section.field``) to ``value``."""
+    doc: dict = {}
+    *sections, name = key.split(".")
+    node = doc
+    for section in sections:
+        node = node.setdefault(section, {})
+    node[name] = value
+    return doc
+
+
+@pytest.mark.parametrize("key, value", list(bad_settings()))
+def test_cli_names_every_bad_setting_before_any_stage_runs(tmp_path, capsys, key, value):
+    out_dir = tmp_path / "out"
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config_doc(key, value)))
+    args = ["pipeline", "--config", str(cfg_path)]
+    if key != "out_dir":  # the flag would override the value under test
+        args += ["--out-dir", str(out_dir)]
+    if not key.startswith("dataset."):  # the flag sets the dataset settings
+        args.append("--fixture")
+    assert cli.main(args) == pipeline.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key} "), err
+    assert "Traceback" not in err
+    assert not (out_dir / "graph.npz").exists()  # refused before any stage ran
+
+
+@pytest.mark.parametrize("doc, named", [
+    ({"dataset": 5}, "dataset"),
+    ({"annotator": [1]}, "annotator"),
+    ({"filter": 5}, "filter"),
+    ({"gcn": "epochs"}, "gcn"),
+    ({"sweep": None}, "sweep"),
+    ([1], "{path}"),
+    ("filter", "{path}"),
+])
+def test_cli_names_a_section_or_file_that_is_not_an_object(tmp_path, capsys, doc, named):
+    out_dir = tmp_path / "out"
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(doc))
+    args = ["pipeline", "--config", str(cfg_path), "--fixture", "--out-dir", str(out_dir),
+            "--k", "20"]
+    assert cli.main(args) == pipeline.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {named.format(path=cfg_path)} must "), err
+    assert not (out_dir / "graph.npz").exists()
+
+
+@pytest.mark.parametrize("value", [65, 10**6])
+def test_validate_refuses_more_inflight_requests_than_its_range(value):
+    cfg = PipelineConfig()
+    cfg.annotator.max_inflight = value  # checked without starting a pool of threads
+    with pytest.raises(ConfigError, match=r"^annotator\.max_inflight must be an int in \[1, 64\]"):
+        cfg.validate()
+
+
+def test_llm_mode_without_an_endpoint_names_the_endpoint(tmp_path):
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps({"annotator": {"mode": "llm"}}))
+    with pytest.raises(ConfigError, match=r"^annotator\.endpoint "):
+        load_config(p)
+
+
+def test_every_setting_has_a_checked_type_and_every_number_a_range():
+    def settings(cls, prefix=""):
+        for key, (f, hint) in pipeline.setting_fields(cls).items():
+            if is_dataclass(hint) or "fields" in f.metadata:
+                yield from settings(f.metadata.get("fields", hint), f"{prefix}{key}.")
+            else:
+                yield prefix + key, hint
+
+    walked = dict(settings(PipelineConfig))
+    for key, hint in walked.items():
+        kind, _ = pipeline.setting_type(hint)  # TypeError: a type no check knows
+        assert kind is str or key in pipeline.RANGES, f"{key} has no range"
+    assert set(pipeline.RANGES) <= set(walked)
+    # the CLI test above and the README's settings table cover every setting
+    assert set(SETTINGS) == set(walked) | {"annotator.truncation"}
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert [key for key in SETTINGS if f"| `{key}` |" not in readme] == []
+
+
+@pytest.mark.parametrize("key", ["price_per_1k_in", "price_per_1k_out"])
+@pytest.mark.parametrize("price", [-0.001, NAN])
+def test_a_negative_or_nan_price_is_refused_before_any_stage_runs(tmp_path, capsys, key, price):
+    # a negative price would lower the spend on every charge, so the cap never binds
+    cfg_path, out_dir = fixture_config(tmp_path)
+    doc = json.loads(cfg_path.read_text())
+    doc["annotator"][key] = price
+    cfg_path.write_text(json.dumps(doc))
+    assert cli.main(["pipeline", "--config", str(cfg_path)]) == pipeline.EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith(f"config error: annotator.{key} must be in [0, inf)")
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["pipeline", "--k", "abc"],
+    ["pipeline", "--fixture", "--no-such-flag"],
+    ["sweep", "--sweep-seeds", "two"],
+    ["pipeline", "--edge-semantics", "sideways"],
+    [],
+])
+def test_cli_usage_error_exits_1_not_the_missing_artifact_code(capsys, args):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args)
+    assert exc.value.code == pipeline.EXIT_VALIDATION
+    assert "error: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", [
+    ["--gamma-values", "x"],
+    ["--gamma-values", "0.1,y", "--lambda-values", "0.6,0.5"],
+    ["--gamma-values", "0.1", "--lambda-values", "nan"],
+    ["--gamma-values", "-0.1", "--lambda-values", "0.6"],
+])
+def test_cli_sweep_names_a_bad_grid(tmp_path, capsys, grid):
+    cfg_path, out_dir = fixture_config(tmp_path)
+    assert cli.main(["sweep", "--config", str(cfg_path), *grid]) == pipeline.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("config error: sweep."), err
+    assert "Traceback" not in err
+    assert not out_dir.exists()
+
+
 def test_cli_names_training_that_diverged(tmp_path, capsys):
     cfg_path, out_dir = fixture_config(tmp_path)
     doc = json.loads(cfg_path.read_text())
-    doc["gcn"]["learning_rate"] = float("nan")
+    doc["gcn"]["learning_rate"] = 1e300  # in range, and the loss overflows
     cfg_path.write_text(json.dumps(doc))
-    assert cli.main(["pipeline", "--config", str(cfg_path)]) == pipeline.EXIT_VALIDATION
+    with np.errstate(all="ignore"):  # the overflow warnings are expected
+        assert cli.main(["pipeline", "--config", str(cfg_path)]) == pipeline.EXIT_VALIDATION
     err = capsys.readouterr().err
     assert err.startswith("training diverged: loss became non-finite at epoch "), err
     assert "Traceback" not in err
