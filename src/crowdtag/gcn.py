@@ -1,7 +1,8 @@
 """Two-layer graph convolutional network on numpy.
 
 logits = A_hat @ relu(A_hat @ X @ W1) @ W2, where A_hat is the symmetrically
-normalized adjacency with self-loops, held as a sparse CSR matrix. Training
+normalized adjacency with self-loops, held as a :class:`CSR` matrix whose
+product with a dense matrix is written in numpy alone. Training
 minimizes mean cross-entropy over the training nodes plus L2 weight decay,
 using adaptive-moment gradient descent with bias correction. Everything is
 seeded and single-threaded at the Python level, so fixed seeds give
@@ -16,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .graph import DirectedTAG
 
@@ -49,31 +49,84 @@ class EpochRecord:
     test_acc: float
 
 
+class CSR:
+    """A sparse matrix in compressed sparse row form, with one operation:
+    ``a @ x`` for a dense 2-D ``x``.
+
+    Row ``i`` holds ``data[indptr[i]:indptr[i + 1]]`` at the columns
+    ``indices[indptr[i]:indptr[i + 1]]``. ``a @ x`` sums each row's terms in
+    stored order, starting from 0.0, the order of a compiled row-by-row CSR
+    loop, so the two agree bit for bit.
+
+    The product runs from a plan built once per matrix: the rows sorted by
+    entry count, most first, so that the rows holding a k-th entry are a
+    prefix of that order, and for each k those entries' columns and weights.
+    Step k gathers the k-th terms of all those rows at once and adds them to
+    the running sums; one gather back into row order ends the product.
+    """
+
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, shape: tuple[int, int]):
+        self.indptr = np.asarray(indptr, dtype=np.intp)
+        self.indices = np.asarray(indices, dtype=np.intp)
+        self.data = np.asarray(data, dtype=np.float64)
+        self.shape = (int(shape[0]), int(shape[1]))
+        if len(self.indptr) != self.shape[0] + 1 or not self.indptr[-1] == len(self.indices) == len(self.data):
+            raise ValueError(f"CSR arrays do not describe a {self.shape} matrix")
+        if self.indices.size and (self.indices.min() < 0 or self.indices.max() >= self.shape[1]):
+            raise ValueError(f"CSR column index outside 0..{self.shape[1] - 1}")
+        counts = np.diff(self.indptr)
+        order = np.argsort(-counts, kind="stable")
+        starts = self.indptr[:-1][order]
+        # rows with more than k entries, for each k
+        prefix = np.searchsorted(-counts[order], -np.arange(counts.max(initial=0)), side="left")
+        self._steps = []
+        for k, rows in enumerate(prefix.tolist()):
+            at = starts[:rows] + k
+            self._steps.append((self.indices[at], self.data[at, None]))
+        self._position = np.empty(self.shape[0], dtype=np.intp)
+        self._position[order] = np.arange(self.shape[0])
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 2 or x.shape[0] != self.shape[1]:
+            raise ValueError(f"cannot multiply a {self.shape} matrix by one of shape {x.shape}")
+        sums = np.zeros((self.shape[0], x.shape[1]))
+        buf = np.empty_like(sums)
+        for cols, weights in self._steps:
+            terms = buf[: len(cols)]
+            np.take(x, cols, axis=0, out=terms, mode="clip")  # cols are in range, checked above
+            terms *= weights
+            sums[: len(cols)] += terms
+        return np.take(sums, self._position, axis=0, out=buf, mode="clip")
+
+
 @dataclass
 class GCNModel:
     w1: np.ndarray
     w2: np.ndarray
-    a_hat: sp.csr_matrix
+    a_hat: CSR
     config: GCNConfig
     _adam_state: dict = field(default_factory=dict, repr=False)
 
 
-def normalize_adjacency(graph: DirectedTAG) -> sp.csr_matrix:
+def normalize_adjacency(graph: DirectedTAG) -> CSR:
     """A_hat = D^-1/2 (A + I) D^-1/2, where ``A[u, v] = A[v, u] = 1`` for
     each edge ``u -> v`` of the graph's edge array.
 
     ``A + I`` is built from the distinct ``u * n + v`` codes of the edges,
     the reversed edges and the diagonal, so its CSR indices are sorted; that
-    order fixes the summation order of ``A_hat @ X``.
+    order fixes the summation order of ``A_hat @ X``. Entry ``(i, j)`` is
+    ``d_i^-1/2 * d_j^-1/2``, so ``A_hat`` is exactly symmetric.
     """
     n = graph.num_nodes
     src, dst = graph.edge_array.T
     diag = np.arange(n, dtype=np.int64)
     codes = np.unique(np.concatenate([src * n + dst, dst * n + src, diag * n + diag]))
-    adj = sp.csr_matrix((np.ones(codes.size), np.divmod(codes, n)), shape=(n, n))
-    deg = np.asarray(adj.sum(axis=1)).ravel()
-    inv_sqrt = 1.0 / np.sqrt(deg)
-    return sp.csr_matrix(sp.diags(inv_sqrt) @ adj @ sp.diags(inv_sqrt))
+    rows, cols = np.divmod(codes, n)
+    deg = np.bincount(rows, minlength=n)
+    inv_sqrt = 1.0 / np.sqrt(deg.astype(np.float64))
+    indptr = np.concatenate([[0], np.cumsum(deg)])
+    return CSR(indptr, cols, inv_sqrt[rows] * inv_sqrt[cols], (n, n))
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -82,7 +135,7 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
 
 
 def init_model(
-    graph_or_ahat: DirectedTAG | sp.csr_matrix,
+    graph_or_ahat: DirectedTAG | CSR,
     feature_dim: int,
     num_classes: int,
     config: GCNConfig | None = None,
@@ -182,7 +235,7 @@ def loss_and_grads(
     d_logits /= m
 
     d_w2 = cache["ah"].T @ d_logits + wd * model.w2
-    d_h = (model.a_hat.T @ d_logits) @ model.w2.T
+    d_h = (model.a_hat @ d_logits) @ model.w2.T  # A_hat is symmetric: A_hat.T @ d = A_hat @ d
     if cache["mask"] is not None:
         d_h = d_h * cache["mask"]
     d_z1 = d_h * (cache["z1"] > 0.0)

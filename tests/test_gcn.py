@@ -2,11 +2,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from crowdtag.gcn import (
+    CSR,
     GCNConfig,
     TrainingDivergedError,
+    _adam_step,
     evaluate,
     forward,
     gradient_check,
@@ -23,10 +24,45 @@ from conftest import random_graph, tiny_graph
 
 # --- independent oracle: straight-line forward recomputation -------------------
 
+def dense(a: CSR) -> np.ndarray:
+    out = np.zeros(a.shape)
+    out[np.repeat(np.arange(a.shape[0]), np.diff(a.indptr)), a.indices] = a.data
+    return out
+
+
+def csr_from_dense(m: np.ndarray) -> CSR:
+    rows, cols = np.nonzero(m)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=m.shape[0]))])
+    return CSR(indptr, cols, m[rows, cols], m.shape)
+
+
 def forward_oracle(a_hat: np.ndarray, x: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
     h = a_hat.dot(x).dot(w1)
     h = np.where(h > 0, h, 0.0)
     return a_hat.dot(h).dot(w2)
+
+
+def dense_loss_and_grads(a_hat, x, w1, w2, nodes, labels, weight_decay, mask=None):
+    """Loss, dW1 and dW2 over every row of a dense A_hat: the full-row
+    reference for the training step, which computes only the rows in reach
+    of the training nodes."""
+    ax = a_hat @ x
+    z1 = ax @ w1
+    h = np.maximum(z1, 0.0) if mask is None else np.maximum(z1, 0.0) * mask
+    ah = a_hat @ h
+    probs = softmax(ah @ w2)
+    loss = -np.log(probs[nodes, labels]).mean()
+    loss += 0.5 * weight_decay * ((w1**2).sum() + (w2**2).sum())
+    d_logits = np.zeros_like(probs)
+    d_logits[nodes] = probs[nodes]
+    d_logits[nodes, labels] -= 1.0
+    d_logits /= len(nodes)
+    d_w2 = ah.T @ d_logits + weight_decay * w2
+    d_h = (a_hat.T @ d_logits) @ w2.T
+    if mask is not None:
+        d_h = d_h * mask
+    d_w1 = ax.T @ (d_h * (z1 > 0.0)) + weight_decay * w1
+    return loss, d_w1, d_w2
 
 
 def small_model(n=6, d=4, h=5, c=3, seed=0, dropout=0.0, **kw):
@@ -41,48 +77,45 @@ def small_model(n=6, d=4, h=5, c=3, seed=0, dropout=0.0, **kw):
 def test_normalize_single_node():
     g = tiny_graph([], n=1)
     a = normalize_adjacency(g)
-    assert isinstance(a, sp.csr_matrix)
-    np.testing.assert_allclose(a.toarray(), [[1.0]])
+    assert isinstance(a, CSR)
+    np.testing.assert_allclose(dense(a), [[1.0]])
 
 
 def test_normalize_two_nodes_one_edge():
     g = tiny_graph([(0, 1)], n=2)
     a = normalize_adjacency(g)
-    assert isinstance(a, sp.csr_matrix)
-    np.testing.assert_allclose(a.toarray(), np.full((2, 2), 0.5))
+    assert isinstance(a, CSR)
+    np.testing.assert_allclose(dense(a), np.full((2, 2), 0.5))
 
 
 def test_normalize_isolated_node_row():
     g = tiny_graph([(0, 1)], n=3)
     a = normalize_adjacency(g)
-    assert isinstance(a, sp.csr_matrix)
-    np.testing.assert_allclose(a.toarray()[2], [0.0, 0.0, 1.0])
+    assert isinstance(a, CSR)
+    np.testing.assert_allclose(dense(a)[2], [0.0, 0.0, 1.0])
 
 
 def test_normalize_symmetric():
     g = synthetic_citation_graph(n=50, num_classes=3, seed=2)
     a = normalize_adjacency(g)
-    assert isinstance(a, sp.csr_matrix)
-    np.testing.assert_allclose(a.toarray(), a.T.toarray(), atol=1e-15)
+    assert isinstance(a, CSR)
+    np.testing.assert_allclose(dense(a), dense(a).T, atol=1e-15)
 
 
-def set_based_adjacency(graph) -> sp.csr_matrix:
-    """A_hat as a set of seen entries builds it, before normalize_adjacency
-    read the edge array; the reference for CSR index order."""
+def set_based_adjacency(graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A_hat's CSR arrays as a set of seen entries builds them, before
+    normalize_adjacency read the edge array; the reference for index order."""
     n = graph.num_nodes
-    rows, cols = [], []
-    seen: set[tuple[int, int]] = set()
+    seen: set[tuple[int, int]] = {(v, v) for v in range(n)}
     for u, v in graph.edges():
-        for a, b in ((u, v), (v, u)):
-            if (a, b) not in seen:
-                seen.add((a, b))
-                rows.append(a)
-                cols.append(b)
-    rows += range(n)
-    cols += range(n)
-    adj = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
-    inv_sqrt = 1.0 / np.sqrt(np.asarray(adj.sum(axis=1)).ravel())
-    return sp.csr_matrix(sp.diags(inv_sqrt) @ adj @ sp.diags(inv_sqrt))
+        seen |= {(u, v), (v, u)}
+    entries = sorted(seen)
+    deg = np.bincount([a for a, _ in entries], minlength=n)
+    inv_sqrt = 1.0 / np.sqrt(deg.astype(np.float64))
+    indptr = np.concatenate([[0], np.cumsum(deg)]).astype(np.intp)
+    indices = np.array([b for _, b in entries], dtype=np.intp)
+    data = np.array([inv_sqrt[a] * inv_sqrt[b] for a, b in entries])
+    return indptr, indices, data
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -90,13 +123,45 @@ def test_normalize_matches_dense_and_set_based_references_bit_for_bit(seed):
     g = random_graph(np.random.default_rng(seed), max_nodes=80)
     a = normalize_adjacency(g)
     adj = g.adjacency_matrix()
-    dense = (adj | adj.T | np.eye(g.num_nodes, dtype=bool)).astype(np.float64)
-    inv_sqrt = 1.0 / np.sqrt(dense.sum(axis=1))
-    assert np.array_equal(a.toarray(), inv_sqrt[:, None] * dense * inv_sqrt[None, :])
-    ref = set_based_adjacency(g)
-    for name in ("indptr", "indices", "data"):
-        got, want = getattr(a, name), getattr(ref, name)
+    ref_dense = (adj | adj.T | np.eye(g.num_nodes, dtype=bool)).astype(np.float64)
+    inv_sqrt = 1.0 / np.sqrt(ref_dense.sum(axis=1))
+    assert np.array_equal(dense(a), inv_sqrt[:, None] * ref_dense * inv_sqrt[None, :])
+    for name, want in zip(("indptr", "indices", "data"), set_based_adjacency(g)):
+        got = getattr(a, name)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_product_matches_scipy_bit_for_bit(seed):
+    # scipy's compiled CSR loop is the oracle for the summation order
+    sp = pytest.importorskip("scipy.sparse")
+    rng = np.random.default_rng(seed)
+    g = random_graph(rng, max_nodes=80)
+    a = normalize_adjacency(g)
+    ref = sp.csr_matrix((a.data, a.indices, a.indptr), shape=a.shape)
+    features = rng.normal(size=(g.num_nodes, 300))
+    hidden = rng.normal(size=(g.num_nodes, 16))
+    assert (a @ features).tobytes() == (ref @ features).tobytes()
+    assert (a @ hidden).tobytes() == (ref @ hidden).tobytes()
+    assert (a @ hidden).tobytes() == (ref.T @ hidden).tobytes()  # A_hat is symmetric
+    # rectangular, with an empty row, and each row's columns in descending order
+    m = rng.normal(size=(7, g.num_nodes + 3)) * (rng.random((7, g.num_nodes + 3)) < 0.4)
+    m[1] = 0.0
+    rows, cols = np.nonzero(m[:, ::-1])
+    cols = m.shape[1] - 1 - cols
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=7))])
+    rect = CSR(indptr, cols, m[rows, cols], m.shape)
+    x = rng.normal(size=(m.shape[1], 5))
+    want = sp.csr_matrix((rect.data, rect.indices, rect.indptr), shape=m.shape) @ x
+    assert (rect @ x).tobytes() == want.tobytes()
+
+
+def test_product_rejects_a_mismatched_operand():
+    a = normalize_adjacency(tiny_graph([(0, 1)], n=3))
+    with pytest.raises(ValueError):
+        a @ np.zeros((4, 2))
+    with pytest.raises(ValueError):
+        CSR([0, 1], [3], [1.0], (1, 3))
 
 
 # --- forward ---------------------------------------------------------------------
@@ -124,7 +189,7 @@ def test_forward_matches_duplicate_implementation():
     for _ in range(10):
         g, model = small_model(n=int(rng.integers(3, 15)), seed=int(rng.integers(1e6)))
         logits = forward(model, g.features)
-        oracle = forward_oracle(model.a_hat, g.features, model.w1, model.w2)
+        oracle = forward_oracle(dense(model.a_hat), g.features, model.w1, model.w2)
         assert np.max(np.abs(logits - oracle)) < 1e-12
 
 
@@ -157,29 +222,34 @@ def test_forward_on_another_feature_matrix_uses_its_own_product():
     train(model, g.features, nodes, np.array([g.labels[v] for v in nodes]))
     other = np.random.default_rng(6).normal(size=g.features.shape)
     for x in (other, g.features, other):
-        oracle = forward_oracle(model.a_hat, x, model.w1, model.w2)
+        oracle = forward_oracle(dense(model.a_hat), x, model.w1, model.w2)
         assert np.max(np.abs(forward(model, x) - oracle)) < 1e-12
 
 
-def test_sparse_adjacency_path_matches_dense():
-    # the model propagates over CSR; a dense copy of A_hat is the reference
+def test_csr_propagation_matches_a_dense_reference():
+    # the model propagates over CSR; a dense copy of A_hat and the full-row
+    # step, stepped by the same optimizer, are the reference
     g = synthetic_citation_graph(n=40, num_classes=3, seed=19)
     cfg = GCNConfig(hidden=6, dropout=0.0, seed=2, epochs=15)
-    model_sparse = init_model(g, g.feature_dim, 3, cfg)
-    assert isinstance(model_sparse.a_hat, sp.csr_matrix)
-    model_dense = init_model(normalize_adjacency(g).toarray(), g.feature_dim, 3, cfg)
-    assert isinstance(model_dense.a_hat, np.ndarray)
+    model = init_model(g, g.feature_dim, 3, cfg)
+    assert isinstance(model.a_hat, CSR)
+    ref = init_model(g, g.feature_dim, 3, cfg)
+    a = dense(model.a_hat)
     np.testing.assert_allclose(
-        forward(model_dense, g.features), forward(model_sparse, g.features), atol=1e-12
+        forward_oracle(a, g.features, ref.w1, ref.w2), forward(model, g.features), atol=1e-12
     )
     nodes = np.arange(15)
     labels = np.array([g.labels[v] for v in nodes])
-    hist_d = train(model_dense, g.features, nodes, labels)
-    hist_s = train(model_sparse, g.features, nodes, labels)
-    np.testing.assert_allclose(
-        [r.loss for r in hist_d], [r.loss for r in hist_s], rtol=1e-10
-    )
-    assert [r.train_acc for r in hist_d] == [r.train_acc for r in hist_s]
+    hist = train(model, g.features, nodes, labels)
+    ref_losses, ref_accs = [], []
+    for _ in range(cfg.epochs):
+        loss, d_w1, d_w2 = dense_loss_and_grads(a, g.features, ref.w1, ref.w2, nodes, labels, cfg.weight_decay)
+        _adam_step(ref, d_w1, d_w2)
+        ref_losses.append(loss)
+        logits = forward_oracle(a, g.features, ref.w1, ref.w2)
+        ref_accs.append(float((logits[nodes].argmax(axis=1) == labels).mean()))
+    np.testing.assert_allclose([r.loss for r in hist], ref_losses, rtol=1e-10)
+    assert [r.train_acc for r in hist] == ref_accs
 
 
 def test_softmax_rows_sum_to_one():
@@ -311,7 +381,7 @@ def test_evaluate_perfect_logits():
     labels = np.array([0, 1, 2, 0, 1, 2, 0, 1, 2, 0])
     onehot = np.eye(3)[labels]
     model = GCNModel(
-        w1=np.eye(3), w2=np.eye(3), a_hat=np.eye(10), config=GCNConfig(hidden=3, dropout=0.0)
+        w1=np.eye(3), w2=np.eye(3), a_hat=csr_from_dense(np.eye(10)), config=GCNConfig(hidden=3, dropout=0.0)
     )
     acc = evaluate(model, onehot, np.arange(10), labels)
     assert acc == 1.0
@@ -344,7 +414,7 @@ def test_permutation_consistency_of_forward_and_eval():
     logits = forward(model, x)
     rng = np.random.default_rng(6)
     perm = rng.permutation(15)
-    a_perm = model.a_hat[np.ix_(perm, perm)]
+    a_perm = csr_from_dense(dense(model.a_hat)[np.ix_(perm, perm)])
     model_p = init_model(a_perm, g.feature_dim, g.num_classes, model.config)
     model_p.w1 = model.w1.copy()
     model_p.w2 = model.w2.copy()

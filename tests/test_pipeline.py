@@ -15,7 +15,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from crowdtag import aggregate, annotate, cli, dataio, filtering, gcn, pipeline
 from crowdtag.annotate import BudgetState, ResponseCache, TruncationPolicy, annotate_graph
@@ -596,13 +595,14 @@ def test_sweep_scores_structure_and_propagates_features_once(tmp_path, monkeypat
     def counting_normalize(graph):
         features = graph.features
 
-        class CountingCSR(sp.csr_matrix):
+        class CountingCSR(gcn.CSR):
             def __matmul__(self, other):
                 if other is features:
                     products.append(other.shape)
                 return super().__matmul__(other)
 
-        return CountingCSR(normalize(graph))
+        a = normalize(graph)
+        return CountingCSR(a.indptr, a.indices, a.data, a.shape)
 
     monkeypatch.setattr(gcn, "normalize_adjacency", counting_normalize)
     cells = pipeline.hyperparameter_sweep(cfg, paths, [0.0, 0.1], [0.7, 0.6], seeds=2)
