@@ -3,9 +3,10 @@
 Subcommands mirror the pipeline stages plus `verify-theorem` and `sweep`.
 Exit codes: 0 success, 1 validation error (a bad setting, a command-line
 usage error, a malformed dataset file, a response cache that another run is
-appending to or that is corrupt, or GCN training that diverged), 2 missing
-prior artifact, 3 budget refusal, 4 LLM transport failure. Each flag that
-sets one config setting names it as its ``dest`` (``section.field``).
+appending to or that is corrupt, annotations of which no response parsed, or
+GCN training that diverged), 2 missing prior artifact, 3 budget refusal, 4
+LLM transport failure. Each flag that sets one config setting names it as its
+``dest`` (``section.field``).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ _NAMED_ERRORS = (
     (CacheLockedError, "cache locked", pipeline.EXIT_VALIDATION),
     (CorruptCacheError, "corrupt cache", pipeline.EXIT_VALIDATION),
     (TrainingDivergedError, "training diverged", pipeline.EXIT_VALIDATION),
+    (pipeline.NoPseudoLabelsError, "no pseudo-labels", pipeline.EXIT_VALIDATION),
     (pipeline.MissingArtifactError, "missing artifact", pipeline.EXIT_MISSING_ARTIFACT),
     (BudgetExhaustedError, "budget refusal", pipeline.EXIT_BUDGET),
     (TransportError, "transport failure", pipeline.EXIT_TRANSPORT),

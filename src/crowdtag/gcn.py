@@ -1,12 +1,15 @@
 """Two-layer graph convolutional network on numpy.
 
-logits = A_hat @ relu(A_hat @ X @ W1) @ W2, where A_hat is the symmetrically
+logits = A_hat @ (relu(A_hat @ X @ W1) @ W2), where A_hat is the symmetrically
 normalized adjacency with self-loops, held as a :class:`CSR` matrix whose
-product with a dense matrix is written in numpy alone. Training
-minimizes mean cross-entropy over the training nodes plus L2 weight decay,
-using adaptive-moment gradient descent with bias correction. Everything is
-seeded and single-threaded at the Python level, so fixed seeds give
-bit-identical histories.
+product with a dense matrix is written in numpy alone. ``A_hat @ X`` is formed
+once per training run, and the second propagation runs at class width.
+Training minimizes mean cross-entropy over the training nodes plus L2 weight
+decay, using adaptive-moment gradient descent with bias correction. The loss
+reads only the training nodes' logits, which depend only on the rows within
+one hop of them, so each step computes those rows alone
+(:class:`ReceptiveField`). Everything is seeded and single-threaded at the
+Python level, so fixed seeds give bit-identical histories.
 
 The backward pass is derived by hand and validated against central finite
 differences (``gradient_check``).
@@ -62,8 +65,13 @@ class CSR:
     entry count, most first, so that the rows holding a k-th entry are a
     prefix of that order, and for each k those entries' columns and weights.
     Step k gathers the k-th terms of all those rows at once and adds them to
-    the running sums; one gather back into row order ends the product.
+    the running sums; one gather back into row order ends the product. A
+    wide ``x`` is taken ``COLUMN_BLOCK`` columns at a time, each block copied
+    contiguous (gathering rows of a strided view is about twice as slow), so
+    the scratch stays at three ``n x COLUMN_BLOCK`` arrays besides the result.
     """
+
+    COLUMN_BLOCK = 128
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, shape: tuple[int, int]):
         self.indptr = np.asarray(indptr, dtype=np.intp)
@@ -90,6 +98,12 @@ class CSR:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[0] != self.shape[1]:
             raise ValueError(f"cannot multiply a {self.shape} matrix by one of shape {x.shape}")
+        if x.shape[1] > self.COLUMN_BLOCK:
+            out = np.empty((self.shape[0], x.shape[1]))
+            for lo in range(0, x.shape[1], self.COLUMN_BLOCK):
+                cols = slice(lo, lo + self.COLUMN_BLOCK)
+                out[:, cols] = self @ np.ascontiguousarray(x[:, cols])
+            return out
         sums = np.zeros((self.shape[0], x.shape[1]))
         buf = np.empty_like(sums)
         for cols, weights in self._steps:
@@ -98,6 +112,26 @@ class CSR:
             terms *= weights
             sums[: len(cols)] += terms
         return np.take(sums, self._position, axis=0, out=buf, mode="clip")
+
+    def entries(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(positions in ``indices``/``data`` of the entries of ``rows``, in
+        order, and each row's entry count)."""
+        counts = np.diff(self.indptr)[rows]
+        ends = np.cumsum(counts)
+        offsets = np.repeat(self.indptr[rows] - (ends - counts), counts)
+        return np.arange(ends[-1] if len(ends) else 0) + offsets, counts
+
+    def block(self, rows: np.ndarray, cols: np.ndarray) -> CSR:
+        """``A[rows][:, cols]``: each row's entries whose column is in
+        ``cols``, renumbered by position in ``cols``, in stored order."""
+        position = np.full(self.shape[1], -1, dtype=np.intp)
+        position[cols] = np.arange(len(cols))
+        at, counts = self.entries(rows)
+        new_cols = position[self.indices[at]]
+        keep = new_cols >= 0
+        kept = np.bincount(np.repeat(np.arange(len(rows)), counts)[keep], minlength=len(rows))
+        indptr = np.concatenate([[0], np.cumsum(kept)])
+        return CSR(indptr, new_cols[keep], self.data[at][keep], (len(rows), len(cols)))
 
 
 @dataclass
@@ -154,52 +188,52 @@ def init_model(
     )
 
 
-def forward(
-    model: GCNModel,
-    x: np.ndarray,
-    training: bool = False,
-    dropout_rng: np.random.Generator | None = None,
-    ax: np.ndarray | None = None,
-) -> np.ndarray:
-    """Logits for every node; dropout hits the hidden layer in training only.
-
-    ``ax`` is ``model.a_hat @ x`` when the caller already has it: the product
-    depends on neither weights nor epoch, so training forms it once.
-    """
-    logits, _ = _forward_full(model, x, training, dropout_rng, ax)
-    return logits
-
-
-def _forward_full(
-    model: GCNModel,
-    x: np.ndarray,
-    training: bool,
-    dropout_rng: np.random.Generator | None,
-    ax: np.ndarray | None = None,
-) -> tuple[np.ndarray, dict]:
+def _features_product(model: GCNModel, x: np.ndarray, ax: np.ndarray | None) -> np.ndarray:
+    """``ax`` after checking its shape against ``x`` and ``A_hat``, or ``A_hat @ x``."""
     if x.shape[1] != model.w1.shape[0]:
         raise ValueError(
             f"feature dim {x.shape[1]} does not match W1 rows {model.w1.shape[0]}"
         )
     if ax is None:
-        ax = model.a_hat @ x
-    elif ax.shape != (model.a_hat.shape[0], x.shape[1]):
+        return model.a_hat @ x
+    if ax.shape != (model.a_hat.shape[0], x.shape[1]):
         raise ValueError(f"A_hat @ X has shape {ax.shape}, expected {(model.a_hat.shape[0], x.shape[1])}")
-    z1 = ax @ model.w1
-    h = np.maximum(z1, 0.0)
-    if training and model.config.dropout > 0.0:
-        if dropout_rng is None:
-            raise ValueError("training-mode dropout requires a generator")
-        keep = 1.0 - model.config.dropout
-        mask = (dropout_rng.random(h.shape) < keep) / keep
-        h_dropped = h * mask
-    else:
-        mask = None
-        h_dropped = h
-    ah = model.a_hat @ h_dropped
-    logits = ah @ model.w2
-    cache = {"ax": ax, "z1": z1, "mask": mask, "ah": ah}
-    return logits, cache
+    return ax
+
+
+def forward(model: GCNModel, x: np.ndarray, ax: np.ndarray | None = None) -> np.ndarray:
+    """Eval-mode logits for every node.
+
+    ``ax`` is ``model.a_hat @ x`` when the caller already has it: the product
+    depends on neither weights nor epoch, so training forms it once.
+    """
+    ax = _features_product(model, x, ax)
+    h = np.maximum(ax @ model.w1, 0.0)
+    return model.a_hat @ (h @ model.w2)
+
+
+@dataclass
+class ReceptiveField:
+    """What a training step reads: the rows ``R`` within one hop of the
+    training nodes, ``A_hat[train][:, R]``, its transpose
+    ``A_hat[R][:, train]`` (A_hat is symmetric) and ``(A_hat @ X)[R]``."""
+
+    rows: np.ndarray
+    to_train: CSR
+    from_train: CSR
+    ax: np.ndarray
+
+
+def receptive_field(a_hat: CSR, ax: np.ndarray, train_nodes: np.ndarray) -> ReceptiveField:
+    """The training nodes' receptive field under ``a_hat``; ``ax`` is ``a_hat @ X``."""
+    at, _ = a_hat.entries(train_nodes)
+    rows = np.unique(a_hat.indices[at])
+    return ReceptiveField(
+        rows=rows,
+        to_train=a_hat.block(train_nodes, rows),
+        from_train=a_hat.block(rows, train_nodes),
+        ax=ax[rows],
+    )
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -210,37 +244,41 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 def loss_and_grads(
     model: GCNModel,
-    x: np.ndarray,
-    train_nodes: np.ndarray,
+    reach: ReceptiveField,
     train_labels: np.ndarray,
-    training: bool = True,
-    dropout_rng: np.random.Generator | None = None,
-    ax: np.ndarray | None = None,
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """Mean cross-entropy over the training nodes plus L2 penalty.
+    mask: np.ndarray | None = None,
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Mean cross-entropy over the training nodes plus L2 penalty, and its
+    gradients; returns (loss, dW1, dW2).
 
-    Returns (loss, dW1, dW2, logits). ``ax`` is as in :func:`forward`.
+    Only the receptive field's rows enter: ``d_logits`` is zero off the
+    training rows, so every gradient term lies on those rows. ``mask`` is
+    the dropout mask's rows of ``reach.rows``, or None for no dropout.
     """
-    logits, cache = _forward_full(model, x, training, dropout_rng, ax)
-    probs = softmax(logits)
-    m = len(train_nodes)
+    z1 = reach.ax @ model.w1
+    h = np.maximum(z1, 0.0)
+    if mask is not None:
+        h *= mask
+    probs = softmax(reach.to_train @ (h @ model.w2))
+    m = len(train_labels)
     wd = model.config.weight_decay
+    picked = (np.arange(m), train_labels)
 
-    ce = -np.log(np.maximum(probs[train_nodes, train_labels], 1e-300)).mean()
+    ce = -np.log(np.maximum(probs[picked], 1e-300)).mean()
     loss = ce + 0.5 * wd * (float((model.w1**2).sum()) + float((model.w2**2).sum()))
 
-    d_logits = np.zeros_like(logits)
-    d_logits[train_nodes] = probs[train_nodes]
-    d_logits[train_nodes, train_labels] -= 1.0
+    d_logits = probs
+    d_logits[picked] -= 1.0
     d_logits /= m
 
-    d_w2 = cache["ah"].T @ d_logits + wd * model.w2
-    d_h = (model.a_hat @ d_logits) @ model.w2.T  # A_hat is symmetric: A_hat.T @ d = A_hat @ d
-    if cache["mask"] is not None:
-        d_h = d_h * cache["mask"]
-    d_z1 = d_h * (cache["z1"] > 0.0)
-    d_w1 = cache["ax"].T @ d_z1 + wd * model.w1
-    return float(loss), d_w1, d_w2, logits
+    d_ah = reach.from_train @ d_logits  # A_hat[R][:, train] @ d_logits
+    d_w2 = h.T @ d_ah + wd * model.w2
+    d_h = d_ah @ model.w2.T
+    if mask is not None:
+        d_h *= mask
+    d_z1 = d_h * (z1 > 0.0)
+    d_w1 = reach.ax.T @ d_z1 + wd * model.w1
+    return float(loss), d_w1, d_w2
 
 
 def _adam_step(model: GCNModel, d_w1: np.ndarray, d_w2: np.ndarray) -> None:
@@ -288,39 +326,49 @@ def train(
     test_nodes: np.ndarray | None = None,
     test_labels: np.ndarray | None = None,
     ax: np.ndarray | None = None,
+    eval_each_epoch: bool = True,
 ) -> list[EpochRecord]:
     """Full training loop; one history row per epoch.
 
     Train accuracy is measured against the (pseudo-)labels being fit; test
     accuracy against the supplied ground truth, when given. Both come from
-    one eval-mode forward after each weight update. Every forward shares one
+    one eval-mode forward after each weight update; without
+    ``eval_each_epoch`` that forward is skipped and both are NaN, for a
+    caller that reads only the final weights. Every forward shares one
     ``A_hat @ x``: ``ax`` when given, else computed here once.
+
+    The dropout mask is drawn over every node, as a full forward would draw
+    it, and cut to the receptive field's rows, so the generator's stream
+    does not depend on which rows the step computes.
     """
     if len(train_nodes) == 0:
         raise ValueError("training node set is empty")
     train_nodes = np.asarray(train_nodes, dtype=np.intp)
     train_labels = np.asarray(train_labels, dtype=np.intp)
     dropout_rng = np.random.default_rng(model.config.seed + 1)
-    if ax is None:
-        ax = model.a_hat @ x
+    ax = _features_product(model, x, ax)
+    reach = receptive_field(model.a_hat, ax, train_nodes)
+    mask_shape = (ax.shape[0], model.w1.shape[1])
+    keep = 1.0 - model.config.dropout
 
     history: list[EpochRecord] = []
     for epoch in range(1, model.config.epochs + 1):
-        loss, d_w1, d_w2, _ = loss_and_grads(
-            model, x, train_nodes, train_labels, training=True, dropout_rng=dropout_rng, ax=ax
-        )
+        mask = None
+        if model.config.dropout > 0.0:
+            mask = ((dropout_rng.random(mask_shape) < keep) / keep)[reach.rows]
+        loss, d_w1, d_w2 = loss_and_grads(model, reach, train_labels, mask)
         if not np.isfinite(loss):
             raise TrainingDivergedError(epoch)
         _adam_step(model, d_w1, d_w2)
         if not (np.isfinite(model.w1).all() and np.isfinite(model.w2).all()):
             raise TrainingDivergedError(epoch)
 
-        logits = forward(model, x, ax=ax)
-        train_acc = _accuracy(logits, train_nodes, train_labels)
-        if test_nodes is not None and len(test_nodes) > 0:
-            test_acc = _accuracy(logits, np.asarray(test_nodes), np.asarray(test_labels))
-        else:
-            test_acc = float("nan")
+        train_acc = test_acc = float("nan")
+        if eval_each_epoch:
+            logits = forward(model, x, ax=ax)
+            train_acc = _accuracy(logits, train_nodes, train_labels)
+            if test_nodes is not None and len(test_nodes) > 0:
+                test_acc = _accuracy(logits, np.asarray(test_nodes), np.asarray(test_labels))
         history.append(EpochRecord(epoch=epoch, loss=loss, train_acc=train_acc, test_acc=test_acc))
     return history
 
@@ -340,10 +388,11 @@ def gradient_check(
         raise ValueError("gradient check requires dropout = 0")
     train_nodes = np.asarray(train_nodes, dtype=np.intp)
     train_labels = np.asarray(train_labels, dtype=np.intp)
-    _, d_w1, d_w2, _ = loss_and_grads(model, x, train_nodes, train_labels, training=False)
+    reach = receptive_field(model.a_hat, _features_product(model, x, None), train_nodes)
+    _, d_w1, d_w2 = loss_and_grads(model, reach, train_labels)
 
     def loss_only() -> float:
-        loss, _, _, _ = loss_and_grads(model, x, train_nodes, train_labels, training=False)
+        loss, _, _ = loss_and_grads(model, reach, train_labels)
         return loss
 
     max_rel = 0.0

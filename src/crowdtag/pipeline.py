@@ -62,6 +62,11 @@ class MissingArtifactError(RuntimeError):
     """A required prior-stage artifact is absent; maps to exit code 2."""
 
 
+class NoPseudoLabelsError(ValueError):
+    """No annotated node has a parseable worker response, so there is nothing
+    to filter or train on; maps to exit code 1."""
+
+
 # ---------------------------------------------------------------------------
 # Configuration
 # ---------------------------------------------------------------------------
@@ -698,6 +703,13 @@ def stage_aggregate(cfg: PipelineConfig, paths: StagePaths, cfg_hash: str) -> No
     node_list = nodes.tolist()
     truth = np.array([-1 if graph.labels[v] is None else graph.labels[v] for v in node_list])
     fused = agg.fuse(top1, mass, truth)
+    if not (fused.label >= 0).any():
+        per_config = ", ".join(f"{k}: {n}" for k, n in enumerate((top1 < 0).sum(axis=0).tolist()))
+        raise NoPseudoLabelsError(
+            f"none of the {len(node_list)} annotated node(s) has a parseable worker response "
+            f"(unparseable responses by config_k: {per_config}); the answers do not name "
+            f"any of the classes {', '.join(graph.class_names)}"
+        )
 
     rows = [
         [graph.original_keys[v], graph.class_names[label], f"{conf:.6f}", top1.shape[1] - usable]
@@ -719,8 +731,15 @@ def stage_aggregate(cfg: PipelineConfig, paths: StagePaths, cfg_hash: str) -> No
 
 
 def load_pseudo_labels(paths: StagePaths, graph: DirectedTAG) -> tuple[dict[int, int], dict[int, float]]:
-    """Pseudo-label table -> (label by node id, confidence by node id)."""
-    _, rows = read_csv_rows(_require(paths, "pseudo_labels"))
+    """Pseudo-label table -> (label by node id, confidence by node id). A
+    table without rows raises NoPseudoLabelsError: there is nothing to
+    filter or train on."""
+    path = _require(paths, "pseudo_labels")
+    _, rows = read_csv_rows(path)
+    if not rows:
+        raise NoPseudoLabelsError(
+            f"{path} holds no pseudo-labeled node: no annotated node had a parseable worker response"
+        )
     class_index = {c: i for i, c in enumerate(graph.class_names)}
     labels: dict[int, int] = {}
     confidence: dict[int, float] = {}
@@ -807,15 +826,17 @@ def train_once(
     train_nodes: list[int],
     pseudo_labels: dict[int, int],
     gcn_cfg: GCNTrainConfig,
-    a_hat=None,
+    a_hat: gcn.CSR | None = None,
     ax: np.ndarray | None = None,
+    eval_each_epoch: bool = True,
 ) -> tuple[list[gcn.EpochRecord], float, gcn.GCNModel, float | None]:
     """Train a GCN on pseudo-labeled nodes.
 
     Returns (history, test accuracy, model, validation accuracy). The seeded
     validation sample is held out of the test set and used only for the
     report. ``a_hat`` and ``ax`` (``a_hat @ graph.features``) are computed
-    when not given; every forward shares that one ``ax``.
+    when not given; every forward shares that one ``ax``. Without
+    ``eval_each_epoch`` the history holds losses only (see ``gcn.train``).
     """
     if a_hat is None:
         a_hat = gcn.normalize_adjacency(graph)
@@ -827,7 +848,9 @@ def train_once(
     model = gcn.init_model(a_hat, graph.feature_dim, graph.num_classes, gcn_cfg)
     y_train = np.array([pseudo_labels[v] for v in train_ids], dtype=np.intp)
     y_test = np.array([graph.labels[v] for v in test_ids], dtype=np.intp)
-    history = gcn.train(model, graph.features, train_ids, y_train, test_ids, y_test, ax=ax)
+    history = gcn.train(
+        model, graph.features, train_ids, y_train, test_ids, y_test, ax=ax, eval_each_epoch=eval_each_epoch
+    )
     if len(test_ids) == 0:
         raise ValueError("evaluation node set is empty")
     logits = gcn.forward(model, graph.features, ax=ax)  # one eval-mode forward for both accuracies
@@ -914,7 +937,8 @@ def hyperparameter_sweep(
 
     Requires cached annotations (the pseudo-label artifact); never queries
     the LLM. The graph is loaded, its structural scores computed and
-    ``A_hat @ X`` formed once, for every cell and seed.
+    ``A_hat @ X`` formed once, for every cell and seed. Each run reads only
+    its final test accuracy, so it trains without the per-epoch eval.
     """
     if not gamma_values or len(gamma_values) != len(lambda_values):
         raise ConfigError("sweep.gamma_values and sweep.lambda_values must be set, of equal length")
@@ -934,7 +958,7 @@ def hyperparameter_sweep(
         accs = []
         for s in range(seeds):
             gcn_cfg = replace(cfg.gcn, seed=cfg.gcn.seed + s)
-            _, acc, _, _ = train_once(graph, final, labels, gcn_cfg, a_hat=a_hat, ax=ax)
+            _, acc, _, _ = train_once(graph, final, labels, gcn_cfg, a_hat=a_hat, ax=ax, eval_each_epoch=False)
             accs.append(acc)
         arr = np.array(accs)
         results.append(

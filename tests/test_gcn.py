@@ -12,7 +12,9 @@ from crowdtag.gcn import (
     forward,
     gradient_check,
     init_model,
+    loss_and_grads,
     normalize_adjacency,
+    receptive_field,
     softmax,
     split_nodes,
     train,
@@ -226,11 +228,13 @@ def test_forward_on_another_feature_matrix_uses_its_own_product():
         assert np.max(np.abs(forward(model, x) - oracle)) < 1e-12
 
 
-def test_csr_propagation_matches_a_dense_reference():
+@pytest.mark.parametrize("dropout", [0.0, 0.5])
+def test_csr_propagation_matches_a_dense_reference(dropout):
     # the model propagates over CSR; a dense copy of A_hat and the full-row
-    # step, stepped by the same optimizer, are the reference
+    # step, stepped by the same optimizer, are the reference. The reference
+    # draws each epoch's dropout mask over every node from the same generator.
     g = synthetic_citation_graph(n=40, num_classes=3, seed=19)
-    cfg = GCNConfig(hidden=6, dropout=0.0, seed=2, epochs=15)
+    cfg = GCNConfig(hidden=6, dropout=dropout, seed=2, epochs=15)
     model = init_model(g, g.feature_dim, 3, cfg)
     assert isinstance(model.a_hat, CSR)
     ref = init_model(g, g.feature_dim, 3, cfg)
@@ -241,15 +245,74 @@ def test_csr_propagation_matches_a_dense_reference():
     nodes = np.arange(15)
     labels = np.array([g.labels[v] for v in nodes])
     hist = train(model, g.features, nodes, labels)
+    rng = np.random.default_rng(cfg.seed + 1)
     ref_losses, ref_accs = [], []
     for _ in range(cfg.epochs):
-        loss, d_w1, d_w2 = dense_loss_and_grads(a, g.features, ref.w1, ref.w2, nodes, labels, cfg.weight_decay)
+        mask = None
+        if dropout:
+            mask = (rng.random((g.num_nodes, cfg.hidden)) < 1 - dropout) / (1 - dropout)
+        loss, d_w1, d_w2 = dense_loss_and_grads(
+            a, g.features, ref.w1, ref.w2, nodes, labels, cfg.weight_decay, mask
+        )
         _adam_step(ref, d_w1, d_w2)
         ref_losses.append(loss)
         logits = forward_oracle(a, g.features, ref.w1, ref.w2)
         ref_accs.append(float((logits[nodes].argmax(axis=1) == labels).mean()))
     np.testing.assert_allclose([r.loss for r in hist], ref_losses, rtol=1e-10)
     assert [r.train_acc for r in hist] == ref_accs
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_receptive_field_gradients_match_the_full_row_reference(seed):
+    rng = np.random.default_rng(seed)
+    g = random_graph(rng, max_nodes=120)
+    g.features = rng.normal(size=(g.num_nodes, 9))
+    cfg = GCNConfig(hidden=5, dropout=0.5, seed=seed)
+    model = init_model(g, 9, 4, cfg)
+    nodes = rng.choice(g.num_nodes, size=max(1, g.num_nodes // 6), replace=False)
+    labels = rng.integers(0, 4, size=len(nodes))
+    mask = (rng.random((g.num_nodes, 5)) < 0.5) / 0.5
+    a = dense(model.a_hat)
+    reach = receptive_field(model.a_hat, model.a_hat @ g.features, nodes)
+    assert reach.rows.tolist() == np.flatnonzero(a[nodes].any(axis=0)).tolist()
+    for m in (None, mask):
+        loss, d_w1, d_w2 = loss_and_grads(model, reach, labels, None if m is None else m[reach.rows])
+        want = dense_loss_and_grads(a, g.features, model.w1, model.w2, nodes, labels, cfg.weight_decay, m)
+        assert loss == pytest.approx(want[0], rel=1e-12)
+        np.testing.assert_allclose(d_w1, want[1], rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(d_w2, want[2], rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_block_equals_the_dense_slice(seed):
+    rng = np.random.default_rng(seed)
+    g = random_graph(rng, max_nodes=60)
+    a = normalize_adjacency(g)
+    for rows, cols in (
+        (rng.permutation(g.num_nodes), rng.permutation(g.num_nodes)),
+        (np.sort(rng.choice(g.num_nodes, size=3, replace=False)), np.arange(g.num_nodes)),
+        (np.arange(g.num_nodes), rng.choice(g.num_nodes, size=1)),
+        (np.array([], dtype=np.intp), np.arange(2)),
+    ):
+        b = a.block(rows, cols)
+        assert b.shape == (len(rows), len(cols))
+        assert np.array_equal(dense(b), dense(a)[np.ix_(rows, cols)])
+
+
+def test_training_without_the_per_epoch_eval_fits_the_same_weights():
+    def run(eval_each_epoch: bool):
+        g, model = small_model(n=20, seed=9, dropout=0.5, epochs=30)
+        nodes = np.arange(10)
+        labels = np.array([g.labels[v] for v in nodes])
+        history = train(model, g.features, nodes, labels, nodes, labels, eval_each_epoch=eval_each_epoch)
+        return history, model
+
+    (h1, m1), (h2, m2) = run(True), run(False)
+    assert [r.loss for r in h1] == [r.loss for r in h2]
+    assert [r.epoch for r in h2] == list(range(1, 31))
+    assert all(np.isnan(r.train_acc) and np.isnan(r.test_acc) for r in h2)
+    np.testing.assert_array_equal(m1.w1, m2.w1)
+    np.testing.assert_array_equal(m1.w2, m2.w2)
 
 
 def test_softmax_rows_sum_to_one():

@@ -391,6 +391,50 @@ def test_cli_sweep_names_a_bad_grid(tmp_path, capsys, grid):
     assert not out_dir.exists()
 
 
+def test_quick_start_and_its_rerun_run_without_scipy(tmp_path):
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None  # from here on, importing scipy raises ImportError\n"
+        "from crowdtag import cli\n"
+        "args = ['pipeline', '--fixture', '--out-dir', sys.argv[1], '--seed', '3', '--noise', '0.3',\n"
+        "        '--k', '20', '--eta', '0.45', '--gamma', '0.1', '--lambda', '0.6']\n"
+        "assert cli.main(args) == 0 and cli.main(args) == 0\n"
+        "assert not [m for m in sys.modules if m.startswith('scipy.')]\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "out")], capture_output=True, text=True, timeout=300
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.count(": ran") == 5 and result.stdout.count("skipped (up to date)") == 5
+
+
+def test_cli_names_annotations_of_which_no_response_parsed(tmp_path, capsys, monkeypatch):
+    class OffListClient:  # every answer names a class outside the fixture's list
+        def complete(self, prompt):
+            return annotate.ClientResponse('[{"answer": "Theory", "confidence": 90}]', 10, 5)
+
+    monkeypatch.setattr(pipeline, "_make_client", lambda cfg, graph: OffListClient())
+    out_dir = tmp_path / "out"
+    args = ["--fixture", "--out-dir", str(out_dir), "--seed", "3", "--k", "20"]
+    for _ in range(2):  # the first run, and a re-run from the recorded guesses
+        assert cli.main(["pipeline", *args]) == pipeline.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("no pseudo-labels: none of the 30 annotated node(s) has a parseable "), err
+        per_config = ", ".join(f"{k}: 30" for k in range(NUM_TIE_CONFIGS))
+        assert f"(unparseable responses by config_k: {per_config})" in err
+        assert "Traceback" not in err
+        assert not (out_dir / "pseudo_labels.csv").exists()
+
+    # an empty pseudo-label table, as an earlier aggregate left it, stops filter and sweep alike
+    paths = StagePaths(out_dir)
+    pipeline._write_csv(paths.pseudo_labels, "x", ["node_key", "label", "confidence", "unparseable_count"], [])
+    for command in (["filter"], ["sweep", "--gamma-values", "0.1", "--lambda-values", "0.6"]):
+        assert cli.main([*command, *args]) == pipeline.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith(f"no pseudo-labels: {paths.pseudo_labels} holds no pseudo-labeled node"), err
+        assert "Traceback" not in err
+
+
 def test_cli_names_training_that_diverged(tmp_path, capsys):
     cfg_path, out_dir = fixture_config(tmp_path)
     doc = json.loads(cfg_path.read_text())
@@ -490,10 +534,13 @@ def test_pipeline_fixture_end_to_end(tmp_path):
 # Digests of the quick start's outputs, recorded before the per-run constants
 # (graph, structural scores, A_hat @ X) were shared; sharing changes no byte.
 # model.json holds the weights at full precision, so a BLAS that rounds the
-# GCN's products differently on another CPU changes it.
+# GCN's products differently on another CPU changes it. Its digest was
+# recorded again when the training step moved to the receptive field and the
+# second propagation to class width: A_hat @ (H @ W2) rounds otherwise than
+# (A_hat @ H) @ W2, and the weights moved by at most 4.4e-16.
 QUICK_START_DIGESTS = {
     "history.csv": "2e993f254b8190883218be79b16ec4ea272f997651465d5bbd3f251979eafbd8",
-    "model.json": "f60a209e93a0047869f0b93d723bc1f9faac057ff9a26051d1566c53496eac4b",
+    "model.json": "eb6d40cebd3d1fab72c93ef253887a196781fac5dfc7f7c1d5ff31797f846f3a",
     "scores.csv": "b6fe7d1acfc49d87572d76f838c47f5641d3a7c6ba09349f018459a90db706f8",
     "selected.json": "23eea1f1ce520e892ee179786be11c3d332bb83032f07e303b6d8300abeddc15",
     "pseudo_labels.csv": "6118d9ed13430a59208f76088f278439dd5ce32faa47403e706698bdf2120ce0",
@@ -605,9 +652,11 @@ def test_sweep_scores_structure_and_propagates_features_once(tmp_path, monkeypat
         return CountingCSR(a.indptr, a.indices, a.data, a.shape)
 
     monkeypatch.setattr(gcn, "normalize_adjacency", counting_normalize)
+    forwards = counting(monkeypatch, gcn, "forward")
     cells = pipeline.hyperparameter_sweep(cfg, paths, [0.0, 0.1], [0.7, 0.6], seeds=2)
     assert len(cells) == 2
     assert (len(loads), len(pageranks), len(kmeans_fits), len(products)) == (1, 1, 1, 1)
+    assert len(forwards) == 4  # one per training, after its last epoch: no per-epoch eval
     monkeypatch.undo()
     assert pipeline.hyperparameter_sweep(cfg, paths, [0.0, 0.1], [0.7, 0.6], seeds=2) == cells
 
