@@ -68,7 +68,8 @@ class CSR:
     the running sums; one gather back into row order ends the product. A
     wide ``x`` is taken ``COLUMN_BLOCK`` columns at a time, each block copied
     contiguous (gathering rows of a strided view is about twice as slow), so
-    the scratch stays at three ``n x COLUMN_BLOCK`` arrays besides the result.
+    its working memory stays at three ``n x COLUMN_BLOCK`` arrays besides the
+    result.
     """
 
     COLUMN_BLOCK = 128

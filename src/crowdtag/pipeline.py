@@ -707,8 +707,8 @@ def stage_aggregate(cfg: PipelineConfig, paths: StagePaths, cfg_hash: str) -> No
         per_config = ", ".join(f"{k}: {n}" for k, n in enumerate((top1 < 0).sum(axis=0).tolist()))
         raise NoPseudoLabelsError(
             f"none of the {len(node_list)} annotated node(s) has a parseable worker response "
-            f"(unparseable responses by config_k: {per_config}); the answers do not name "
-            f"any of the classes {', '.join(graph.class_names)}"
+            f"(unparseable responses by config_k: {per_config}); a response parses when it "
+            f"names one of the classes {', '.join(graph.class_names)}"
         )
 
     rows = [
