@@ -109,7 +109,7 @@ class CSR:
         buf = np.empty_like(sums)
         for cols, weights in self._steps:
             terms = buf[: len(cols)]
-            np.take(x, cols, axis=0, out=terms, mode="clip")  # cols are in range, checked above
+            np.take(x, cols, axis=0, out=terms, mode="clip")  # cols are in range, checked at construction
             terms *= weights
             sums[: len(cols)] += terms
         return np.take(sums, self._position, axis=0, out=buf, mode="clip")
