@@ -10,17 +10,16 @@ propagation, both in closed form and by simulation.
 # NB: the `annotate` / `aggregate` submodules keep their names; their main
 # entry points are re-exported under package-level names that do not shadow
 # the modules themselves.
-from .aggregate import PseudoLabel, aggregate_all, worker_accuracy
+from .aggregate import PseudoLabel, aggregate_all
 from .annotate import (
     BudgetState,
+    Guesses,
     PromptSpec,
     ResponseCache,
     TruncationPolicy,
-    WorkerAnnotation,
     annotate_graph,
     build_prompt,
     parse_response,
-    synthetic_oracle,
 )
 from .dataio import load_graph, read_dataset, save_graph
 from .filtering import c_density, coe, kmeans, pagerank, stage1_scores, stage2_select
@@ -44,17 +43,15 @@ __all__ = [
     "save_graph",
     "load_graph",
     "PromptSpec",
-    "WorkerAnnotation",
+    "Guesses",
     "BudgetState",
     "ResponseCache",
     "TruncationPolicy",
     "build_prompt",
     "annotate_graph",
     "parse_response",
-    "synthetic_oracle",
     "PseudoLabel",
     "aggregate_all",
-    "worker_accuracy",
     "pagerank",
     "kmeans",
     "c_density",

@@ -6,7 +6,7 @@ per-class masses are summed across workers, and the heaviest class wins with
 confidence equal to its share of the total mass. Ties break toward the lower
 class index, and sums are taken in sorted order, so the result is independent
 of worker order. :func:`fuse` does this for all nodes at once on the guess
-arrays annotate records; the other entry points adapt WorkerAnnotation lists.
+arrays annotate records; :func:`aggregate_all` keys its result by node.
 """
 
 from __future__ import annotations
@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .annotate import WorkerAnnotation
-from .graph import NUM_TIE_CONFIGS
+from .annotate import Guesses
 
 
 @dataclass
@@ -25,10 +24,6 @@ class PseudoLabel:
     label: int
     confidence: float
     unparseable_count: int
-
-
-class NoUsableWorkersError(ValueError):
-    """Every worker for the node was unparseable."""
 
 
 @dataclass
@@ -40,42 +35,6 @@ class Fusion:
     usable: np.ndarray  # (n,) workers that parsed
     # per worker column k: (k, top-1 accuracy, nodes evaluated); [] without truth
     accuracy: list[tuple[int, float, int]]
-
-
-def guess_arrays(
-    annotations: dict[int, list[WorkerAnnotation]], class_names: list[str]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(nodes, top1, mass)`` of ``annotations``, in its key order.
-
-    Column k holds the worker of configuration k; a configuration with no
-    worker, or whose response did not parse, has top1 -1 and zero mass.
-    Raises ValueError when a node lists a configuration outside 0..7 or twice.
-    """
-    n, width, num_classes = len(annotations), NUM_TIE_CONFIGS, len(class_names)
-    index = {c: i for i, c in enumerate(class_names)}
-    top1 = np.full(n * width, -1, dtype=np.int16)
-    # (row * C + class, confidence) of every guess; one bincount sums them
-    cells: list[int] = []
-    confs: list[int] = []
-    for i, (v, workers) in enumerate(annotations.items()):
-        seen: set[int] = set()
-        for a in workers:
-            k = a.config_k
-            if not 0 <= k < width or k in seen:
-                raise ValueError(f"node {v}: configuration {k} out of range or repeated")
-            seen.add(k)
-            if a.parse_failed or not a.guesses:
-                continue
-            row = i * width + k
-            top1[row] = index[a.guesses[0][0]]
-            for label, conf in a.guesses:
-                cells.append(row * num_classes + index[label])
-                confs.append(max(0, conf))
-    mass = np.bincount(
-        np.asarray(cells, dtype=np.intp), weights=confs, minlength=n * width * num_classes
-    )
-    nodes = np.fromiter(annotations, dtype=np.int64, count=n)
-    return nodes, top1.reshape(n, width), mass.astype(np.int32).reshape(n, width, num_classes)
 
 
 def _fsum(x: np.ndarray, axis: int) -> np.ndarray:
@@ -121,63 +80,26 @@ def fuse(top1: np.ndarray, mass: np.ndarray, truth: np.ndarray | None = None) ->
     return Fusion(np.where(kept, label, -1), confidence, n_usable, accuracy)
 
 
-def aggregate(
-    node: int,
-    workers: list[WorkerAnnotation],
-    class_names: list[str],
-) -> PseudoLabel:
-    """Fuse 1..8 worker annotations, one per configuration, into a pseudo-label."""
-    if not workers:
-        raise ValueError(f"node {node}: no worker annotations")
-    pseudo, dropped = aggregate_all({node: workers}, class_names)
-    if dropped:
-        raise NoUsableWorkersError(f"node {node}: all {len(workers)} workers unparseable")
-    return pseudo[node]
-
-
 def aggregate_all(
-    annotations: dict[int, list[WorkerAnnotation]],
-    class_names: list[str],
+    guesses: Guesses, class_names: list[str]
 ) -> tuple[dict[int, PseudoLabel], list[int]]:
-    """Aggregate every annotated node; returns pseudo-labels plus the node ids
-    that were dropped because no worker parsed."""
-    _, top1, mass = guess_arrays(annotations, class_names)
-    fused = fuse(top1, mass)
+    """Fuse the guesses of every node that :func:`annotate.annotate_graph`
+    recorded; returns pseudo-labels plus the node ids that were dropped
+    because no worker parsed. Raises ValueError when ``mass`` does not have
+    one class column per class name."""
+    if guesses.mass.shape[2:] != (len(class_names),):
+        raise ValueError(
+            f"guess mass of shape {guesses.mass.shape} does not fit {len(class_names)} classes"
+        )
+    fused = fuse(guesses.top1, guesses.mass)
+    workers = guesses.top1.shape[1]
     pseudo: dict[int, PseudoLabel] = {}
     dropped: list[int] = []
-    for (node, workers), label, confidence, usable in zip(
-        annotations.items(), fused.label.tolist(), fused.confidence.tolist(), fused.usable.tolist()
+    for node, label, confidence, usable in zip(
+        guesses.nodes.tolist(), fused.label.tolist(), fused.confidence.tolist(), fused.usable.tolist()
     ):
         if label < 0:
             dropped.append(node)
         else:
-            pseudo[node] = PseudoLabel(node, label, confidence, len(workers) - usable)
+            pseudo[node] = PseudoLabel(node, label, confidence, workers - usable)
     return pseudo, dropped
-
-
-def worker_accuracy(
-    annotations: dict[int, list[WorkerAnnotation]],
-    ground_truth: dict[int, int],
-    class_names: list[str],
-) -> list[tuple[int, float, int]]:
-    """Per-configuration top-1 accuracy against ground truth.
-
-    Returns (config_k, accuracy, evaluated_count) rows; a worker whose every
-    response was unparseable scores 0 over 0 evaluated nodes.
-    """
-    nodes = [v for v in annotations if v in ground_truth]
-    if not nodes:
-        raise ValueError("no nodes with ground truth to evaluate")
-    _, top1, mass = guess_arrays({v: annotations[v] for v in nodes}, class_names)
-    truth = np.array([ground_truth[v] for v in nodes], dtype=np.int64)
-    return fuse(top1, mass, truth).accuracy
-
-
-def aggregation_accuracy(
-    pseudo: dict[int, PseudoLabel], ground_truth: dict[int, int]
-) -> float:
-    nodes = [v for v in pseudo if v in ground_truth]
-    if not nodes:
-        raise ValueError("no overlap between pseudo-labels and ground truth")
-    hits = sum(1 for v in nodes if pseudo[v].label == ground_truth[v])
-    return hits / len(nodes)

@@ -26,12 +26,11 @@ import sys
 import threading
 import time
 import weakref
-from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Protocol
+from typing import Protocol
 
 import numpy as np
 
@@ -53,9 +52,6 @@ CACHE_SCHEMA_VERSION = 1
 # How every line that ``ResponseCache.put`` writes begins: ``json.dumps`` of a
 # record whose first key is ``hash``, a 64-digit lowercase hex prompt hash.
 _PUT_PREFIX = re.compile(rb'\{"hash": "([0-9a-f]{64})", ')
-
-# Sentinel guess recorded when a response cannot be parsed after retries.
-UNPARSEABLE = "UNPARSEABLE"
 
 # Longest wait, in seconds, that a 429 response's Retry-After can impose.
 RETRY_AFTER_CAP_S = 120.0
@@ -113,19 +109,17 @@ class PromptSpec:
     prompt_hash: str
 
 
-@dataclass
-class WorkerAnnotation:
-    """One worker's ranked (label, confidence) guesses for one node."""
+@dataclass(frozen=True)
+class Guesses:
+    """The eight workers' guesses for ``n`` nodes, as :func:`annotate_graph`
+    records them, rows in the order the nodes were given."""
 
-    center: int
-    config_k: int
-    guesses: list[tuple[str, int]]
-    raw_response: str
-    tokens_in: int = 0
-    tokens_out: int = 0
-    from_cache: bool = False
-    parse_failed: bool = False
-    prompt_hash: str = ""
+    nodes: np.ndarray  # (n,) int64 node ids
+    # (n, 8) int16: each worker's first-ranked class, -1 where its response
+    # did not parse; column k is configuration k
+    top1: np.ndarray
+    mass: np.ndarray  # (n, 8, C) int32: each worker's confidences summed per class
+    prompt_hashes: list[list[str]]  # per node, its eight prompts' hashes
 
 
 @dataclass
@@ -476,36 +470,6 @@ class HttpChatClient:
         ) from last_error
 
 
-def synthetic_oracle(
-    tie: HomophilyTie,
-    graph: DirectedTAG,
-    noise: float,
-    seed: int,
-) -> WorkerAnnotation:
-    """Ground-truth-backed stand-in for a remote worker.
-
-    Every tie member casts a vote: its true label with probability
-    ``1 - noise``, otherwise a uniformly random label. The center's vote
-    counts twice. The plurality vote wins (ties to the lower class index)
-    and receives confidence ``(100 - 40 * noise) * vote_share`` (rounded),
-    so a unanimous tie yields the full ``100 - 40 * noise`` and a contested
-    one proportionally less; the remainder is split evenly over the other
-    labels. Deterministic given (seed, node, config): the draws come from
-    ``np.random.default_rng([seed, center, config_k])``.
-    """
-    _check_oracle_settings(noise, seed)
-    class_names = graph.class_names
-    order, confs = _oracle_vote(graph, tie.center, tie.config_k, tie.members, tie.roles, noise, seed)
-    return WorkerAnnotation(
-        center=tie.center,
-        config_k=tie.config_k,
-        guesses=[(class_names[c], conf) for c, conf in zip(order, confs)],
-        raw_response=_oracle_reply(_answer_prefixes(tuple(class_names)), order, confs),
-        tokens_in=0,
-        tokens_out=0,
-    )
-
-
 def _oracle_vote(
     graph: DirectedTAG,
     center: int,
@@ -515,8 +479,8 @@ def _oracle_vote(
     noise: float,
     seed: int,
 ) -> tuple[list[int], list[int]]:
-    """The vote of :func:`synthetic_oracle` over a tie's ``members`` and
-    ``roles``: its ranked classes and their confidences."""
+    """The vote of :class:`SyntheticOracleClient` over a tie's ``members``
+    and ``roles``: its ranked classes and their confidences."""
     num_classes = len(graph.class_names)
     # SeedSequence turns the list [seed, center, k] into these uint32 words
     rng = np.random.default_rng(
@@ -574,8 +538,20 @@ def _answer_prefixes(class_names: tuple[str, ...]) -> tuple[str, ...]:
 
 
 class SyntheticOracleClient:
-    """Client facade over the synthetic oracle; zero-cost responses. Raises
-    ValueError for a noise outside [0, 1] or a negative seed."""
+    """Ground-truth-backed stand-in for a remote model; zero-cost responses.
+
+    For the prompt of tie (center, config_k), every tie member casts a vote:
+    its true label with probability ``1 - noise``, otherwise a uniformly
+    random label. The center's vote counts twice. The plurality vote wins
+    (ties to the lower class index) and receives confidence
+    ``(100 - 40 * noise) * vote_share`` (rounded), so a unanimous tie yields
+    the full ``100 - 40 * noise`` and a contested one proportionally less;
+    the remainder is split evenly over the other labels. The response is the
+    JSON guess array the prompt asks for. Deterministic given (seed, node,
+    config): the draws come from ``np.random.default_rng([seed, center,
+    config_k])``. Raises ValueError for a noise outside [0, 1] or a negative
+    seed.
+    """
 
     def __init__(self, graph: DirectedTAG, noise: float, seed: int) -> None:
         _check_oracle_settings(noise, seed)
@@ -585,7 +561,7 @@ class SyntheticOracleClient:
         self._answer = _answer_prefixes(tuple(graph.class_names))
 
     def complete(self, prompt: PromptSpec) -> ClientResponse:
-        """The :func:`synthetic_oracle` response to ``prompt``'s tie."""
+        """The oracle's response to ``prompt``'s tie."""
         v, k = prompt.center, prompt.config_k
         _, members, roles = self.graph.tie_members(v, k)
         order, confs = _oracle_vote(self.graph, v, k, members, roles, self.noise, self.seed)
@@ -599,10 +575,11 @@ class SyntheticOracleClient:
 class ResponseCache:
     """Append-only JSONL response store, indexed by prompt hash.
 
-    Each record: {hash, model, prompt, raw_response, tokens_in, tokens_out,
-    timestamp}. The file doubles as the replay fixture format for tests.
-    Records lacking a ``hash`` key (e.g. the metadata header) are ignored on
-    load.
+    Each record: {hash, model, prompt, raw_response, tokens_in, tokens_out};
+    a record that also holds a ``timestamp``, as earlier versions wrote,
+    loads and replays the same. The file doubles as the replay fixture format
+    for tests. Records lacking a ``hash`` key (e.g. the metadata header) are
+    ignored on load.
 
     A file-backed cache holds no records in memory, only where each one's
     line lies in the file. Opening it decodes no line that ``put`` wrote: such
@@ -615,10 +592,10 @@ class ResponseCache:
 
     Appending takes an exclusive ``flock`` on the file, held until ``close``,
     so one process at a time appends to it; a second one gets
-    ``CacheLockedError`` from :meth:`open_for_append`, which ``annotate``
-    calls before it sends a request. Every ``put`` flushes its line before
-    returning, so a record is on disk for a fresh reader (or another process)
-    as soon as ``put`` returns. ``close`` (or leaving a ``with`` block)
+    ``CacheLockedError`` from :meth:`open_for_append`, which
+    :func:`annotate_graph` calls before it sends a request. Every ``put``
+    flushes its line before returning, so a record is on disk for a fresh
+    reader (or another process) as soon as ``put`` returns. ``close`` (or leaving a ``with`` block)
     releases both handles and the lock.
     """
 
@@ -816,27 +793,6 @@ class RateLimiter:
 # Annotation driver
 # ---------------------------------------------------------------------------
 
-def annotate(
-    prompt: PromptSpec,
-    client: Client,
-    cache: ResponseCache,
-    budget: BudgetState,
-    model: str = "",
-    limiter: RateLimiter | None = None,
-) -> WorkerAnnotation:
-    """Annotate one prompt: cache first, then one budgeted request.
-
-    Unparseable responses produce a flagged sentinel annotation rather than
-    an exception; budget exhaustion and transport failure raise their own
-    error types, and a cache file that another process appends to raises
-    CacheLockedError before the request is sent.
-    """
-    record, from_cache = _answer(prompt, client, cache, budget, model, limiter)
-    return _annotation_from_record(
-        prompt.center, prompt.config_k, prompt.category_list, record, from_cache
-    )
-
-
 def _answer(
     prompt: PromptSpec,
     client: Client,
@@ -844,12 +800,15 @@ def _answer(
     budget: BudgetState,
     model: str,
     limiter: RateLimiter | None,
-) -> tuple[dict, bool]:
-    """The cache record that answers ``prompt``, and whether it was already
-    cached; otherwise one budgeted request, whose record is cached first."""
+) -> dict:
+    """The cache record that answers ``prompt``: the cached one, or else one
+    budgeted request, whose record is cached first. Budget exhaustion and
+    transport failure raise their own error types, and a cache file that
+    another process appends to raises CacheLockedError before the request is
+    sent."""
     cached = cache.get(prompt.prompt_hash)
     if cached is not None:
-        return cached, True
+        return cached
 
     budget.check()
     cache.open_for_append()
@@ -864,97 +823,9 @@ def _answer(
         "raw_response": response.text,
         "tokens_in": response.tokens_in,
         "tokens_out": response.tokens_out,
-        "timestamp": time.time(),
     }
     cache.put(record)
-    return record, False
-
-
-def _guesses(raw: str, class_names: list[str]) -> list[tuple[str, int]] | None:
-    """The ranked guesses of response ``raw``, or None when it does not parse."""
-    try:
-        return parse_response(raw, class_names)
-    except ResponseParseError:
-        return None
-
-
-def _annotation_from_record(
-    center: int, config_k: int, class_names: tuple[str, ...] | list[str], record: dict,
-    from_cache: bool,
-) -> WorkerAnnotation:
-    raw = record["raw_response"]
-    guesses = _guesses(raw, list(class_names))
-    return WorkerAnnotation(
-        center=center,
-        config_k=config_k,
-        guesses=guesses or [(UNPARSEABLE, 0)],
-        raw_response=raw,
-        tokens_in=int(record.get("tokens_in", 0)),
-        tokens_out=int(record.get("tokens_out", 0)),
-        from_cache=from_cache,
-        parse_failed=guesses is None,
-        prompt_hash=record["hash"],
-    )
-
-
-@dataclass
-class _Chunk:
-    """The prompts of consecutive nodes, eight per node in configuration order,
-    with the cache records that answered those that were sent (or looked up)."""
-
-    start: int  # position of specs[0] in the run's prompt sequence
-    specs: list[PromptSpec]
-    # position of the first prompt with each spec's hash: its own position
-    # when it is that first one, an earlier one when it repeats a prompt
-    source: list[int]
-    # (record, from_cache), one per spec whose source is its own position, in
-    # order
-    answers: list[tuple[dict, bool]]
-
-
-def _annotate_chunks(
-    graph: DirectedTAG,
-    nodes: list[int],
-    client: Client,
-    cache: ResponseCache,
-    budget: BudgetState,
-    model: str,
-    policy: TruncationPolicy,
-    max_inflight: int,
-    requests_per_second: float | None,
-    progress: Callable[[int, int], None] | None,
-) -> Iterator[_Chunk]:
-    """The dispatch loop of :func:`annotate_graph` and :func:`annotate_arrays`.
-
-    Ties with identical member sets share a prompt hash. Each distinct hash
-    is dispatched once, in first-occurrence order; a later occurrence names
-    its first one in ``source``, so concurrent runs neither pay for a prompt
-    twice nor differ from the serial path, and no response is parsed twice.
-    The pool gets one chunk's prompts at a time. Across chunks only the first
-    position of each hash is kept.
-    """
-    limiter = RateLimiter(requests_per_second, burst=max_inflight)
-    clipped = ClippedTexts(graph.texts)
-    first: dict[str, int] = {}
-    total = len(nodes) * NUM_TIE_CONFIGS
-
-    def work(spec: PromptSpec) -> tuple[dict, bool]:
-        return _answer(spec, client, cache, budget, model, limiter)
-
-    with ThreadPoolExecutor(max_workers=max_inflight) if max_inflight > 1 else nullcontext() as pool:
-        dispatch = pool.map if pool is not None else map
-        for lo in range(0, len(nodes), CHUNK_NODES):
-            start = lo * NUM_TIE_CONFIGS
-            specs = [
-                spec
-                for v in nodes[lo:lo + CHUNK_NODES]
-                for spec in node_prompts(graph, v, policy, model, clipped)
-            ]
-            source = [first.setdefault(spec.prompt_hash, i) for i, spec in enumerate(specs, start)]
-            fresh = [spec for i, (spec, s) in enumerate(zip(specs, source), start) if s == i]
-            yield _Chunk(start, specs, source, list(dispatch(work, fresh)))
-            if progress is not None:
-                progress(start + len(specs), total)
+    return record
 
 
 def annotate_graph(
@@ -967,78 +838,67 @@ def annotate_graph(
     policy: TruncationPolicy = TruncationPolicy(),
     max_inflight: int = 1,
     requests_per_second: float | None = None,
-    progress: Callable[[int, int], None] | None = None,
-) -> dict[int, list[WorkerAnnotation]]:
-    """Run all eight workers for every requested node.
+) -> Guesses:
+    """Run all eight workers for every node of ``nodes`` and record their
+    guesses.
 
-    Requests may run concurrently up to ``max_inflight``; cache and budget
-    updates are lock-protected. Results are keyed by node id with workers
-    ordered by configuration index; a repeated prompt reuses its first
-    annotation as a cache hit. ``progress(done, total)`` follows each chunk
-    of prompts.
-    """
-    flat: list[WorkerAnnotation] = []
-    for chunk in _annotate_chunks(
-        graph, nodes, client, cache, budget, model, policy, max_inflight,
-        requests_per_second, progress,
-    ):
-        answers = iter(chunk.answers)
-        for i, (spec, s) in enumerate(zip(chunk.specs, chunk.source), chunk.start):
-            flat.append(_annotation_from_record(
-                spec.center, spec.config_k, spec.category_list, *next(answers)
-            ) if s == i else replace(
-                flat[s], center=spec.center, config_k=spec.config_k, from_cache=True
-            ))
-    w = NUM_TIE_CONFIGS
-    return {v: flat[j * w:(j + 1) * w] for j, v in enumerate(nodes)}
-
-
-def annotate_arrays(
-    graph: DirectedTAG,
-    nodes: list[int],
-    client: Client,
-    cache: ResponseCache,
-    budget: BudgetState,
-    model: str = "",
-    policy: TruncationPolicy = TruncationPolicy(),
-    max_inflight: int = 1,
-    requests_per_second: float | None = None,
-) -> tuple[np.ndarray, np.ndarray, list[list[str]]]:
-    """:func:`annotate_graph`, recorded as ``aggregate.guess_arrays`` records
-    its result: ``(top1 (n, 8), mass (n, 8, C), prompt hashes per node)``,
-    rows in ``nodes`` order.
+    Ties with identical member sets share a prompt hash. Each distinct hash
+    is dispatched once, in first-occurrence order, so concurrent runs neither
+    pay for a prompt twice nor differ from the serial path. Requests run
+    concurrently up to ``max_inflight``; cache and budget updates are
+    lock-protected. The pool gets the prompts of ``CHUNK_NODES`` nodes at a
+    time.
 
     Each response, fresh or cached, is scanned once straight into its row's
     ``mass`` cells and ``top1``, and a repeated prompt copies the row of its
     first occurrence, so the memory held beyond one chunk is the arrays, the
-    hashes and the first position of each distinct hash.
+    hashes and the first position of each distinct hash. A response that
+    does not parse leaves top1 -1 and zero mass.
     """
     w, num_classes = NUM_TIE_CONFIGS, len(graph.class_names)
     labels = _label_lookup(tuple(graph.class_names))
+    limiter = RateLimiter(requests_per_second, burst=max_inflight)
+    clipped = ClippedTexts(graph.texts)
     top1 = np.full(len(nodes) * w, -1, dtype=np.int16)
     mass = np.zeros((len(nodes) * w, num_classes), dtype=np.int32)
     hashes: list[list[str]] = []
-    for chunk in _annotate_chunks(
-        graph, nodes, client, cache, budget, model, policy, max_inflight,
-        requests_per_second, None,
-    ):
-        lo, m = chunk.start, len(chunk.specs)
-        rows = np.arange(lo, lo + m)
-        source = np.asarray(chunk.source, dtype=np.intp)
-        own = source == rows
-        # cells count from the chunk's first row; one bincount sums them
-        cells: list[int] = []
-        confs: list[int] = []
-        top1[rows[own]] = [
-            _scan(record["raw_response"], labels, r * num_classes, cells, confs)
-            for r, (record, _) in zip(np.flatnonzero(own).tolist(), chunk.answers)
-        ]
-        mass[lo:lo + m] = np.bincount(
-            np.asarray(cells, dtype=np.intp), weights=confs, minlength=m * num_classes
-        ).reshape(m, num_classes)
-        top1[rows[~own]], mass[rows[~own]] = top1[source[~own]], mass[source[~own]]
-        specs = chunk.specs
-        hashes.extend(
-            [spec.prompt_hash for spec in specs[j:j + w]] for j in range(0, len(specs), w)
-        )
-    return top1.reshape(-1, w), mass.reshape(-1, w, num_classes), hashes
+    # position of the first prompt with each hash
+    first: dict[str, int] = {}
+
+    def work(spec: PromptSpec) -> dict:
+        return _answer(spec, client, cache, budget, model, limiter)
+
+    with ThreadPoolExecutor(max_workers=max_inflight) if max_inflight > 1 else nullcontext() as pool:
+        dispatch = pool.map if pool is not None else map
+        for lo in range(0, len(nodes), CHUNK_NODES):
+            specs = [
+                spec
+                for v in nodes[lo:lo + CHUNK_NODES]
+                for spec in node_prompts(graph, v, policy, model, clipped)
+            ]
+            start, m = lo * w, len(specs)
+            rows = np.arange(start, start + m)
+            source = np.array(
+                [first.setdefault(spec.prompt_hash, i) for i, spec in enumerate(specs, start)],
+                dtype=np.intp,
+            )
+            own = source == rows
+            fresh = [spec for spec, o in zip(specs, own.tolist()) if o]
+            records = list(dispatch(work, fresh))
+            # cells count from the chunk's first row; one bincount sums them
+            cells: list[int] = []
+            confs: list[int] = []
+            top1[rows[own]] = [
+                _scan(record["raw_response"], labels, r * num_classes, cells, confs)
+                for r, record in zip(np.flatnonzero(own).tolist(), records)
+            ]
+            mass[start:start + m] = np.bincount(
+                np.asarray(cells, dtype=np.intp), weights=confs, minlength=m * num_classes
+            ).reshape(m, num_classes)
+            top1[rows[~own]], mass[rows[~own]] = top1[source[~own]], mass[source[~own]]
+            hashes.extend(
+                [spec.prompt_hash for spec in specs[j:j + w]] for j in range(0, m, w)
+            )
+    return Guesses(
+        np.array(nodes, dtype=np.int64), top1.reshape(-1, w), mass.reshape(-1, w, num_classes), hashes
+    )

@@ -303,8 +303,8 @@ def load_graph(path: str | Path) -> DirectedTAG:
 
 
 def save_guesses(path: str | Path, nodes: np.ndarray, top1: np.ndarray, mass: np.ndarray) -> None:
-    """Write guess arrays, as ``annotate.annotate_arrays`` and
-    ``aggregate.guess_arrays`` give them, as an uncompressed ``.npz``,
+    """Write guess arrays, the ``nodes``, ``top1`` and ``mass`` that
+    ``annotate.annotate_graph`` records, as an uncompressed ``.npz``,
     atomically."""
     with atomic_write(path, "wb") as fh:
         np.savez(fh, nodes=nodes, top1=top1, mass=mass)

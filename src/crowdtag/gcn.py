@@ -226,7 +226,12 @@ class ReceptiveField:
 
 
 def receptive_field(a_hat: CSR, ax: np.ndarray, train_nodes: np.ndarray) -> ReceptiveField:
-    """The training nodes' receptive field under ``a_hat``; ``ax`` is ``a_hat @ X``."""
+    """The training nodes' receptive field under ``a_hat``; ``ax`` is ``a_hat @ X``.
+    Raises ValueError for a training node listed twice, which the loss would
+    count twice and the gradient once."""
+    seen, counts = np.unique(train_nodes, return_counts=True)
+    if len(seen) < len(train_nodes):
+        raise ValueError(f"training node {int(seen[counts > 1][0])} is listed more than once")
     at, _ = a_hat.entries(train_nodes)
     rows = np.unique(a_hat.indices[at])
     return ReceptiveField(

@@ -665,7 +665,7 @@ def stage_annotate(
     except json.JSONDecodeError as exc:
         raise ann.CorruptCacheError(f"{cache_path}: a line before the last is not JSON ({exc})") from exc
     with cache:
-        top1, mass, prompt_hashes = ann.annotate_arrays(
+        guesses = ann.annotate_graph(
             graph,
             nodes,
             client,
@@ -676,15 +676,15 @@ def stage_annotate(
             max_inflight=cfg.annotator.max_inflight,
             requests_per_second=cfg.annotator.requests_per_second,
         )
-    dataio.save_guesses(paths.guesses, np.array(nodes, dtype=np.int64), top1, mass)
+    dataio.save_guesses(paths.guesses, guesses.nodes, guesses.top1, guesses.mass)
     doc = {
         "schema_version": ARTIFACT_SCHEMA_VERSION,
         "config_hash": cfg_hash,
         "nodes": nodes,
-        "prompt_hashes": prompt_hashes,
+        "prompt_hashes": guesses.prompt_hashes,
         "spent_usd": budget.spent_usd,
         "workers_per_node": NUM_TIE_CONFIGS,
-        "unparseable": int((top1 < 0).sum()),
+        "unparseable": int((guesses.top1 < 0).sum()),
     }
     _write_json(paths.annotated_nodes, doc)
 

@@ -13,15 +13,13 @@ import time
 import numpy as np
 import pytest
 
-from crowdtag.aggregate import aggregate_all, aggregation_accuracy, worker_accuracy
+from crowdtag.aggregate import aggregate_all, fuse
 from crowdtag.annotate import (
     BudgetState,
     ResponseCache,
     SyntheticOracleClient,
     ResponseParseError,
-    annotate,
     annotate_graph,
-    build_prompt,
     parse_response,
 )
 from crowdtag.dataio import ParseError, parse_cites, parse_content
@@ -147,8 +145,9 @@ def _pipeline_vs_random(graph, k, eta, ann_seed, n_seeds=5):
         _, acc_r, _, _ = train_once(graph, random_nodes, labels, cfg)
         random_accs.append(acc_r)
 
-    agg_acc = aggregation_accuracy(pseudo, truth)
-    acc_rows = worker_accuracy(annotations, truth, graph.class_names)
+    agg_acc = np.mean([pseudo[v].label == truth[v] for v in pseudo])
+    truth_rows = np.array([graph.labels[v] for v in annotations.nodes.tolist()])
+    acc_rows = fuse(annotations.top1, annotations.mass, truth_rows).accuracy
     config0_acc = acc_rows[0][1]
     margin = (np.mean(csa_accs) - np.mean(random_accs)) * 100
     return margin, agg_acc, config0_acc
@@ -328,9 +327,6 @@ def test_criterion_9_annotator_robustness(tmp_path):
         # any other exception propagates and fails the test
 
     fixture = load_fixture_graph()
-    spec = build_prompt(
-        fixture.homophily_tie(0, 3), fixture.texts, fixture.class_names, model="m"
-    )
 
     class CountingClient:
         calls = 0
@@ -343,9 +339,10 @@ def test_criterion_9_annotator_robustness(tmp_path):
 
     budget = BudgetState(limit_usd=1.0)
     with ResponseCache(tmp_path / "cache.jsonl") as cache:
-        annotate(spec, CountingClient(), cache, budget, model="m")
-        annotate(spec, CountingClient(), cache, budget, model="m")
-    assert CountingClient.calls == 1
+        first = annotate_graph(fixture, [0], CountingClient(), cache, budget, model="m")
+        sent = CountingClient.calls
+        annotate_graph(fixture, [0], CountingClient(), cache, budget, model="m")
+    assert CountingClient.calls == sent == len({h for row in first.prompt_hashes for h in row})
 
     from crowdtag import cli, pipeline
     from crowdtag.fixtures import fixture_paths

@@ -17,10 +17,8 @@ import numpy as np
 import pytest
 
 import crowdtag.annotate as annotate_module
-from crowdtag.aggregate import guess_arrays
 from crowdtag.annotate import (
     CHUNK_NODES,
-    UNPARSEABLE,
     BudgetExhaustedError,
     BudgetState,
     CacheIndexError,
@@ -32,16 +30,12 @@ from crowdtag.annotate import (
     SyntheticOracleClient,
     TransportError,
     TruncationPolicy,
-    WorkerAnnotation,
-    annotate,
-    annotate_arrays,
     annotate_graph,
     build_prompt,
     estimate_tokens,
     node_prompts,
     parse_response,
     prompt_hash,
-    synthetic_oracle,
 )
 from crowdtag.fixtures import load_fixture_graph
 from crowdtag.graph import NUM_TIE_CONFIGS, ROLE_SELF
@@ -409,11 +403,10 @@ def scanned_rows(texts):
     g = replace(labeled_graph(n=40, classes=len(SCAN_CLASSES), seed=6), class_names=SCAN_CLASSES)
     client = CyclingClient(texts)
     cache = ResponseCache()
-    top1, mass, hashes = annotate_arrays(g, list(range(g.num_nodes)), client, cache,
-                                         BudgetState(limit_usd=1.0))
-    raws = [cache.get(h)["raw_response"] for row in hashes for h in row]
+    guesses = annotate_graph(g, list(range(g.num_nodes)), client, cache, BudgetState(limit_usd=1.0))
+    raws = [cache.get(h)["raw_response"] for row in guesses.prompt_hashes for h in row]
     assert set(raws) == set(texts)
-    return top1.reshape(-1), mass.reshape(len(raws), -1), raws
+    return guesses.top1.reshape(-1), guesses.mass.reshape(len(raws), -1), raws
 
 
 def test_scanner_equals_the_reference_parser_on_adversarial_responses():
@@ -505,40 +498,58 @@ def make_prompt(graph, v=2, k=1, model="m"):
     return build_prompt(graph.homophily_tie(v, k), graph.texts, CLASSES, model=model)
 
 
-def test_annotate_parses_and_accounts_tokens(chain_graph):
-    spec = make_prompt(chain_graph)
+def lone_nodes(n: int = 2):
+    """``n`` nodes without edges, classes ``CLASSES``: each node's eight ties
+    hold the node alone, so its eight prompts are one prompt, and annotating
+    the node sends one request."""
+    return replace(tiny_graph([], n=n), class_names=CLASSES)
+
+
+def lone_hash(graph, v: int, model: str = "") -> str:
+    """The hash of the one prompt of node ``v`` of :func:`lone_nodes`."""
+    return node_prompts(graph, v, model=model)[0].prompt_hash
+
+
+def test_annotate_parses_and_accounts_tokens():
+    g = lone_nodes()
     client = StubClient(fixture_response(("Theory", 60), ("Rule Learning", 40)))
     budget = BudgetState(limit_usd=1.0)
-    ann = annotate(spec, client, ResponseCache(), budget, model="m")
-    assert ann.guesses == [("Theory", 60), ("Rule Learning", 40)]
-    assert (ann.tokens_in, ann.tokens_out) == (100, 20)
-    assert not ann.from_cache and not ann.parse_failed
+    cache = ResponseCache()
+    guesses = annotate_graph(g, [0], client, cache, budget, model="m")
+    assert guesses.top1.tolist() == [[0] * NUM_TIE_CONFIGS]
+    assert guesses.mass.tolist() == [[[60, 40, 0]] * NUM_TIE_CONFIGS]
+    record = cache.get(lone_hash(g, 0, "m"))
+    assert (record["tokens_in"], record["tokens_out"]) == (100, 20)
+    assert client.calls == 1
     assert budget.spent_usd > 0
 
 
-def test_annotate_cache_idempotent(tmp_path, chain_graph):
-    spec = make_prompt(chain_graph)
+def test_annotate_cache_idempotent(tmp_path):
+    g = lone_nodes()
     client = StubClient(fixture_response(("Theory", 100)))
     budget = BudgetState(limit_usd=1.0)
 
     with ResponseCache(tmp_path / "cache.jsonl") as cache:
-        first = annotate(spec, client, cache, budget, model="m")
+        first = annotate_graph(g, [0], client, cache, budget, model="m")
         spent = budget.spent_usd
-        second = annotate(spec, client, cache, budget, model="m")
+        second = annotate_graph(g, [0], client, cache, budget, model="m")
     assert client.calls == 1
-    assert not first.from_cache and second.from_cache
+    assert second.prompt_hashes == first.prompt_hashes
+    np.testing.assert_array_equal(second.mass, first.mass)
     assert budget.spent_usd == spent
 
     # a fresh cache instance reads the same file: still zero extra requests
     cache2 = ResponseCache(tmp_path / "cache.jsonl")
-    third = annotate(spec, StubClient("never called"), cache2, budget, model="m")
-    assert third.from_cache and third.guesses == [("Theory", 100)]
+    never = StubClient("never called")
+    third = annotate_graph(g, [0], never, cache2, budget, model="m")
+    assert never.calls == 0
+    assert third.top1[0, 0] == 0 and third.mass[0, 0].tolist() == [100, 0, 0]
 
 
-def test_annotate_budget_refusal_distinct_from_transport(chain_graph):
-    spec = make_prompt(chain_graph)
+def test_annotate_budget_refusal_distinct_from_transport():
+    g = lone_nodes()
     with pytest.raises(BudgetExhaustedError):
-        annotate(spec, StubClient("x"), ResponseCache(), BudgetState(limit_usd=0.0))
+        annotate_graph(g, [0], StubClient("x"), ResponseCache(), BudgetState(limit_usd=0.0))
 
     class FailingSession:
         def post(self, *a, **kw):
@@ -547,51 +558,65 @@ def test_annotate_budget_refusal_distinct_from_transport(chain_graph):
     client = HttpChatClient("http://localhost:1/v1", "m", retries=1, backoff_s=0.0,
                             session=FailingSession())
     with pytest.raises(TransportError):
-        annotate(spec, client, ResponseCache(), BudgetState(limit_usd=1.0))
+        annotate_graph(g, [0], client, ResponseCache(), BudgetState(limit_usd=1.0))
 
 
-def test_annotate_unparseable_fallback_flagged(chain_graph):
-    spec = make_prompt(chain_graph)
-    ann = annotate(spec, StubClient("no json here"), ResponseCache(), BudgetState(limit_usd=1.0))
-    assert ann.parse_failed
-    assert ann.guesses == [(UNPARSEABLE, 0)]
+def test_annotate_unparseable_fallback_flagged():
+    g = lone_nodes()
+    guesses = annotate_graph(g, [0], StubClient("no json here"), ResponseCache(), BudgetState(limit_usd=1.0))
+    assert guesses.top1.tolist() == [[-1] * NUM_TIE_CONFIGS]
+    assert not guesses.mass.any()
 
 
-def test_cache_file_format_and_header(tmp_path, chain_graph):
+def test_cache_file_format_and_header(tmp_path):
     path = tmp_path / "cache.jsonl"
     ResponseCache.write_header(path, "abc123")
-    spec = make_prompt(chain_graph)
+    g = lone_nodes()
     with ResponseCache(path) as cache:
-        annotate(spec, StubClient(fixture_response(("Theory", 90))), cache, BudgetState(limit_usd=1.0), model="m")
+        annotate_graph(g, [0], StubClient(fixture_response(("Theory", 90))), cache,
+                       BudgetState(limit_usd=1.0), model="m")
 
     lines = [json.loads(l) for l in path.read_text().splitlines()]
     assert lines[0]["meta"]["schema_version"] == 1
     record = lines[1]
-    assert set(record) == {
-        "hash", "model", "prompt", "raw_response", "tokens_in", "tokens_out", "timestamp"
-    }
-    assert record["hash"] == spec.prompt_hash
+    assert set(record) == {"hash", "model", "prompt", "raw_response", "tokens_in", "tokens_out"}
+    assert record["hash"] == lone_hash(g, 0, "m")
 
 
-def test_cache_skips_and_reports_torn_final_line(tmp_path, chain_graph, capsys):
+def test_cache_replays_a_record_that_holds_a_timestamp(tmp_path):
+    # earlier versions wrote each record's wall-clock time as ``timestamp``
+    path = tmp_path / "cache.jsonl"
+    g = lone_nodes()
+    record = {"hash": lone_hash(g, 0, "m"), "model": "m", "prompt": "p",
+              "raw_response": fixture_response(("Rule Learning", 70)), "tokens_in": 3,
+              "tokens_out": 2, "timestamp": 1760000000.25}
+    path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    client = StubClient("never called")
+    with ResponseCache(path) as cache:
+        assert cache.get(record["hash"]) == record
+        guesses = annotate_graph(g, [0], client, cache, BudgetState(limit_usd=0.0), model="m")
+    assert client.calls == 0
+    assert guesses.top1.tolist() == [[1] * NUM_TIE_CONFIGS]
+
+
+def test_cache_skips_and_reports_torn_final_line(tmp_path, capsys):
     path = tmp_path / "cache.jsonl"
     ResponseCache.write_header(path, "h")
-    spec = make_prompt(chain_graph)
+    g = lone_nodes()
     budget = BudgetState(limit_usd=1.0)
     with ResponseCache(path) as cache:
-        annotate(spec, StubClient(fixture_response(("Theory", 90))), cache, budget)
+        annotate_graph(g, [0], StubClient(fixture_response(("Theory", 90))), cache, budget)
     with open(path, "a", encoding="utf-8") as fh:
         fh.write('{"hash": "b", "raw_')  # crash mid-append
 
     with ResponseCache(path) as cache:
-        assert len(cache) == 1 and cache.get(spec.prompt_hash) is not None
+        assert len(cache) == 1 and cache.get(lone_hash(g, 0)) is not None
         assert "torn final record" in capsys.readouterr().err
 
         # the next append replaces the torn tail, leaving a clean file
-        other = make_prompt(chain_graph, k=0)
-        annotate(other, StubClient(fixture_response(("Theory", 80))), cache, budget)
+        annotate_graph(g, [1], StubClient(fixture_response(("Theory", 80))), cache, budget)
     lines = path.read_text(encoding="utf-8").splitlines()
-    assert [json.loads(l).get("hash") for l in lines] == [None, spec.prompt_hash, other.prompt_hash]
+    assert [json.loads(l).get("hash") for l in lines] == [None, lone_hash(g, 0), lone_hash(g, 1)]
     assert len(ResponseCache(path)) == 2
     assert capsys.readouterr().err == ""
 
@@ -692,7 +717,7 @@ def test_cache_get_raises_when_a_line_is_rewritten_under_the_index(tmp_path):
         cache.get("aa")
 
 
-def test_cache_second_appender_refused_before_sending(tmp_path, chain_graph, capsys):
+def test_cache_second_appender_refused_before_sending(tmp_path, capsys):
     path = tmp_path / "cache.jsonl"
     ResponseCache.write_header(path, "h")
     holder = subprocess.Popen(
@@ -712,14 +737,14 @@ def test_cache_second_appender_refused_before_sending(tmp_path, chain_graph, cap
         text=True,
         env={**os.environ, "PYTHONPATH": str(Path(annotate_module.__file__).parents[1])},
     )
-    spec = make_prompt(chain_graph)
+    g = lone_nodes()
     client = StubClient(fixture_response(("Theory", 90)))
     try:
         assert holder.stdout.readline().strip() == "appending"
         with ResponseCache(path) as cache:
             assert cache.get("first") is not None  # reading needs no lock
             with pytest.raises(CacheLockedError, match="another run"):
-                annotate(spec, client, cache, BudgetState(limit_usd=1.0))
+                annotate_graph(g, [0], client, cache, BudgetState(limit_usd=1.0))
         assert client.calls == 0
         holder.stdin.write("go\n")
         holder.stdin.flush()
@@ -734,13 +759,13 @@ def test_cache_second_appender_refused_before_sending(tmp_path, chain_graph, cap
     lines = path.read_text(encoding="utf-8").splitlines()
     assert [json.loads(line).get("hash") for line in lines] == [None, "first", "second"]
     with ResponseCache(path) as cache:
-        annotate(spec, client, cache, BudgetState(limit_usd=1.0))
-        assert cache.get("second") is not None and cache.get(spec.prompt_hash) is not None
+        annotate_graph(g, [0], client, cache, BudgetState(limit_usd=1.0))
+        assert cache.get("second") is not None and cache.get(lone_hash(g, 0)) is not None
     assert client.calls == 1
     assert "torn" not in capsys.readouterr().err
 
 
-def test_cache_lock_reindexes_a_file_appended_since_load(tmp_path, chain_graph):
+def test_cache_lock_reindexes_a_file_appended_since_load(tmp_path):
     path = tmp_path / "cache.jsonl"
     ResponseCache.write_header(path, "h")
     with open(path, "a", encoding="utf-8") as fh:
@@ -748,12 +773,12 @@ def test_cache_lock_reindexes_a_file_appended_since_load(tmp_path, chain_graph):
     stale = ResponseCache(path)  # indexes the file as it is now
     with ResponseCache(path) as other:  # another run cuts the tail and appends
         other.put({"hash": "other", "raw_response": "[]"})
-    spec = make_prompt(chain_graph)
+    g = lone_nodes()
     with stale:
-        annotate(spec, StubClient(fixture_response(("Theory", 90))), stale, BudgetState(limit_usd=1.0))
+        annotate_graph(g, [0], StubClient(fixture_response(("Theory", 90))), stale, BudgetState(limit_usd=1.0))
         assert stale.get("other") == {"hash": "other", "raw_response": "[]"}
     hashes = [json.loads(line).get("hash") for line in path.read_text().splitlines()]
-    assert hashes == [None, "other", spec.prompt_hash]
+    assert hashes == [None, "other", lone_hash(g, 0)]
 
 
 def test_cache_skips_a_torn_final_line_that_keeps_a_full_hash_prefix(tmp_path, capsys):
@@ -1071,23 +1096,29 @@ def labeled_graph(n=60, classes=3, seed=0, alpha=0.9):
     return synthetic_citation_graph(n=n, num_classes=classes, alpha=alpha, seed=seed)
 
 
+def oracle_reply(graph, v, k, noise, seed):
+    """The synthetic oracle's response to the prompt of tie ``(v, k)``: its
+    text and its parsed guesses."""
+    spec = build_prompt(graph.homophily_tie(v, k), graph.texts, graph.class_names)
+    text = SyntheticOracleClient(graph, noise=noise, seed=seed).complete(spec).text
+    return text, parse_response(text, graph.class_names)
+
+
 def test_oracle_noise_zero_singleton_tie():
     g = labeled_graph()
     for v in (0, 5, 17):
-        tie = g.homophily_tie(v, 0)
-        ann = synthetic_oracle(tie, g, noise=0.0, seed=1)
-        assert ann.guesses[0] == (g.class_names[g.labels[v]], 100)
-        assert sum(c for _, c in ann.guesses) == 100
+        _, guesses = oracle_reply(g, v, 0, noise=0.0, seed=1)
+        assert guesses[0] == (g.class_names[g.labels[v]], 100)
+        assert sum(c for _, c in guesses) == 100
 
 
 def test_oracle_deterministic_given_seed():
     g = labeled_graph()
-    tie = g.homophily_tie(3, 4)
-    a = synthetic_oracle(tie, g, noise=0.5, seed=42)
-    b = synthetic_oracle(tie, g, noise=0.5, seed=42)
-    assert a.guesses == b.guesses
-    c = synthetic_oracle(tie, g, noise=0.5, seed=43)
-    assert a.guesses != c.guesses or a.raw_response == b.raw_response
+    a = oracle_reply(g, 3, 4, noise=0.5, seed=42)
+    b = oracle_reply(g, 3, 4, noise=0.5, seed=42)
+    assert a[1] == b[1]
+    c = oracle_reply(g, 3, 4, noise=0.5, seed=43)
+    assert a[1] != c[1] or a[0] == b[0]
 
 
 def test_oracle_noise_one_accuracy_near_chance():
@@ -1098,16 +1129,16 @@ def test_oracle_noise_one_accuracy_near_chance():
     for i in range(draws):
         v = int(rng.integers(g.num_nodes))
         k = int(rng.integers(NUM_TIE_CONFIGS))
-        ann = synthetic_oracle(g.homophily_tie(v, k), g, noise=1.0, seed=i)
-        hits += ann.guesses[0][0] == g.class_names[g.labels[v]]
+        _, guesses = oracle_reply(g, v, k, noise=1.0, seed=i)
+        hits += guesses[0][0] == g.class_names[g.labels[v]]
     assert hits / draws == pytest.approx(0.25, abs=0.02)
 
 
 def test_oracle_confidence_formula():
     g = labeled_graph()
-    ann = synthetic_oracle(g.homophily_tie(0, 0), g, noise=0.5, seed=0)
-    assert ann.guesses[0][1] == 80  # 100 - 40 * 0.5
-    others = [c for _, c in ann.guesses[1:]]
+    _, guesses = oracle_reply(g, 0, 0, noise=0.5, seed=0)
+    assert guesses[0][1] == 80  # 100 - 40 * 0.5
+    others = [c for _, c in guesses[1:]]
     assert all(c == 10 for c in others)
 
 
@@ -1116,15 +1147,16 @@ def test_oracle_client_matches_direct_call():
     client = SyntheticOracleClient(g, noise=0.3, seed=5)
     spec = build_prompt(g.homophily_tie(2, 3), g.texts, g.class_names, model="oracle")
     resp = client.complete(spec)
-    direct = synthetic_oracle(g.homophily_tie(2, 3), g, noise=0.3, seed=5)
-    assert resp.text == direct.raw_response
+    direct, _ = reference_oracle(g.homophily_tie(2, 3), g, noise=0.3, seed=5)
+    assert resp.text == direct
     assert resp.tokens_in == 0 and resp.tokens_out == 0
 
 
 def reference_oracle(tie, graph, noise, seed):
     """The oracle as first written: a NumPy vote tally, a generator seeded from
-    the list ``[seed, center, k]`` and ``json.dumps``. Every response of
-    ``synthetic_oracle`` must match its response byte for byte."""
+    the list ``[seed, center, k]`` and ``json.dumps``; returns the response
+    and its guesses. Every response of ``SyntheticOracleClient`` must match
+    it byte for byte."""
     if not 0.0 <= noise <= 1.0:
         raise ValueError(f"noise must be in [0, 1], got {noise}")
     num_classes = graph.num_classes
@@ -1152,14 +1184,7 @@ def reference_oracle(tie, graph, noise, seed):
     raw = json.dumps(
         [{"answer": label, "confidence": conf} for label, conf in guesses]
     )
-    return WorkerAnnotation(
-        center=tie.center,
-        config_k=tie.config_k,
-        guesses=guesses,
-        raw_response=raw,
-        tokens_in=0,
-        tokens_out=0,
-    )
+    return raw, guesses
 
 
 # class names that json.dumps escapes: quotes, a backslash, non-ASCII, a tab
@@ -1192,11 +1217,10 @@ def test_oracle_equals_the_reference_response_for_response(noise):
                 spec = build_prompt(tie, g.texts, g.class_names)
                 for seed in ORACLE_SEEDS:
                     want = reference_oracle(tie, g, noise, seed)
-                    got = synthetic_oracle(tie, g, noise, seed)
-                    assert (got.raw_response, got.guesses) == (want.raw_response, want.guesses), (
+                    text = client[seed].complete(spec).text
+                    assert (text, parse_response(text, g.class_names)) == want, (
                         f"classes={num_classes} v={v} k={k} seed={seed}"
                     )
-                    assert client[seed].complete(spec).text == want.raw_response
     assert all_blank_ties > 0
 
 
@@ -1205,21 +1229,20 @@ def test_oracle_responses_of_every_tie_are_pinned():
     # benchmark's and every offline run's responses, and so their
     # pseudo-labels, depend on these bytes.
     g = synthetic_citation_graph(n=800, num_classes=7, alpha=0.85, avg_out_degree=2.0, seed=5)
+    client = SyntheticOracleClient(g, noise=0.3, seed=17)
     responses = hashlib.sha256()
     for v in range(g.num_nodes):
-        for k in range(NUM_TIE_CONFIGS):
-            responses.update(synthetic_oracle(g.homophily_tie(v, k), g, noise=0.3, seed=17).raw_response.encode())
+        for spec in node_prompts(g, v):  # configuration order
+            responses.update(client.complete(spec).text.encode())
             responses.update(b"\n")
     assert responses.hexdigest() == "d3151b0c9c859ff118925930828b809a338a8edd35b6796052c644abbff7b861"
 
 
 @pytest.mark.parametrize("noise, seed", [(-0.1, 0), (1.5, 0), (float("nan"), 0), (0.3, -1)])
-def test_oracle_rejects_bad_settings_at_construction_and_per_call(noise, seed):
+def test_oracle_rejects_bad_settings_at_construction(noise, seed):
     g = labeled_graph(n=4)
     with pytest.raises(ValueError):
         SyntheticOracleClient(g, noise=noise, seed=seed)
-    with pytest.raises(ValueError):
-        synthetic_oracle(g.homophily_tie(0, 0), g, noise=noise, seed=seed)
 
 
 # --- annotate_graph -----------------------------------------------------------------
@@ -1230,10 +1253,12 @@ def test_annotate_graph_eight_workers_per_node():
     budget = BudgetState(limit_usd=1.0)
     client = SyntheticOracleClient(g, noise=0.2, seed=0)
     results = annotate_graph(g, [0, 1, 2], client, cache, budget, model="oracle")
-    assert set(results) == {0, 1, 2}
-    for v, anns in results.items():
-        assert [a.config_k for a in anns] == list(range(NUM_TIE_CONFIGS))
-        assert all(a.center == v for a in anns)
+    assert results.nodes.tolist() == [0, 1, 2]
+    assert results.top1.shape == (3, NUM_TIE_CONFIGS)
+    assert results.mass.shape == (3, NUM_TIE_CONFIGS, g.num_classes)
+    for v, row in zip([0, 1, 2], results.prompt_hashes):
+        # configuration order, each the prompt of the node's own tie
+        assert row == [spec.prompt_hash for spec in node_prompts(g, v, model="oracle")]
 
 
 def test_annotate_graph_concurrent_matches_serial(tmp_path):
@@ -1245,8 +1270,8 @@ def test_annotate_graph_concurrent_matches_serial(tmp_path):
         g, list(range(10)), client, ResponseCache(), BudgetState(limit_usd=1.0),
         model="o", max_inflight=4,
     )
-    for v in range(10):
-        assert [a.guesses for a in serial[v]] == [a.guesses for a in parallel[v]]
+    np.testing.assert_array_equal(serial.top1, parallel.top1)
+    np.testing.assert_array_equal(serial.mass, parallel.mass)
 
 
 class SleepingOracle:
@@ -1280,20 +1305,21 @@ def test_annotate_graph_concurrent_dispatches_each_prompt_once():
     # some ties share a member set, hence a prompt
     assert len(set(serial_sent)) == len(serial_sent) < 10 * NUM_TIE_CONFIGS
     assert sorted(parallel_sent) == sorted(serial_sent)
-    for v in range(10):
-        assert [a.guesses for a in parallel[v]] == [a.guesses for a in serial[v]]
-        assert [a.from_cache for a in parallel[v]] == [a.from_cache for a in serial[v]]
+    np.testing.assert_array_equal(parallel.top1, serial.top1)
+    np.testing.assert_array_equal(parallel.mass, serial.mass)
+    assert parallel.prompt_hashes == serial.prompt_hashes
 
 
 def test_annotate_graph_parses_each_distinct_prompt_once(monkeypatch):
     g = labeled_graph(n=10)
     calls = []
+    scan = annotate_module._scan
 
-    def counting_parse(raw, class_names):
+    def counting_scan(raw, *args):
         calls.append(raw)
-        return parse_response(raw, class_names)
+        return scan(raw, *args)
 
-    monkeypatch.setattr(annotate_module, "parse_response", counting_parse)
+    monkeypatch.setattr(annotate_module, "_scan", counting_scan)
     for inflight in (1, 4):
         calls.clear()
         client = SyntheticOracleClient(g, noise=0.4, seed=9)
@@ -1301,15 +1327,15 @@ def test_annotate_graph_parses_each_distinct_prompt_once(monkeypatch):
             g, list(range(10)), client, ResponseCache(), BudgetState(limit_usd=1.0),
             model="o", max_inflight=inflight,
         )
-        first: dict[str, WorkerAnnotation] = {}
+        first: dict[str, tuple[int, int]] = {}
         for v in range(10):
-            for k, a in enumerate(results[v]):
-                assert (a.center, a.config_k) == (v, k)
-                if a.prompt_hash in first:
-                    assert a.from_cache
-                    assert a.guesses == first[a.prompt_hash].guesses
+            for k, h in enumerate(results.prompt_hashes[v]):
+                if h in first:
+                    u, j = first[h]
+                    assert results.top1[v, k] == results.top1[u, j]
+                    np.testing.assert_array_equal(results.mass[v, k], results.mass[u, j])
                 else:
-                    first[a.prompt_hash] = a
+                    first[h] = v, k
         assert len(first) < 10 * NUM_TIE_CONFIGS
         assert len(calls) == len(first)
 
@@ -1322,7 +1348,7 @@ def test_annotate_graph_respects_rate_limit_quickly():
         g, [0, 1], client, ResponseCache(), BudgetState(limit_usd=1.0),
         model="o", requests_per_second=10000.0,
     )
-    assert len(results) == 2
+    assert len(results.nodes) == 2
 
 
 def test_distinct_prompts_per_config():
@@ -1342,8 +1368,8 @@ def test_worker_vote_distribution_uses_center_double_weight():
     g.labels[1] = 1
     wins = Counter()
     for seed in range(300):
-        ann = synthetic_oracle(g.homophily_tie(0, 1), g, noise=0.0, seed=seed)
-        wins[ann.guesses[0][0]] += 1
+        _, guesses = oracle_reply(g, 0, 1, noise=0.0, seed=seed)
+        wins[guesses[0][0]] += 1
     assert wins["Class_0"] == 300
 
 
@@ -1362,79 +1388,61 @@ class MeteredStub:
         return ClientResponse(text, estimate_tokens(prompt.body), estimate_tokens(text))
 
 
-def test_annotate_arrays_equals_annotate_graph_across_chunks_serial_and_concurrent(tmp_path):
+def test_annotate_graph_serial_and_concurrent_agree_across_chunks(tmp_path):
     g = labeled_graph(n=2 * CHUNK_NODES + 37, seed=4)
     nodes = list(range(g.num_nodes))
     runs = {}
     for inflight in (1, 8):
-        for kind in ("graph", "arrays"):
-            client, budget = MeteredStub(g), BudgetState(limit_usd=100.0)
-            cache_path = tmp_path / f"{kind}-{inflight}.jsonl"
-            with ResponseCache(cache_path) as cache:
-                if kind == "graph":
-                    results = annotate_graph(g, nodes, client, cache, budget, model="o",
-                                             max_inflight=inflight)
-                    _, top1, mass = guess_arrays(results, g.class_names)
-                    hashes = [[a.prompt_hash for a in results[v]] for v in nodes]
-                    flags = [[a.from_cache for a in results[v]] for v in nodes]
-                else:
-                    top1, mass, hashes = annotate_arrays(g, nodes, client, cache, budget,
-                                                         model="o", max_inflight=inflight)
-                    flags = None
-            runs[kind, inflight] = (top1, mass, hashes, flags, client.sent, budget.spent_usd,
-                                    cache_path.read_text().count("\n"))
-    top1, mass, hashes, flags, sent, spent, lines = runs["graph", 1]
+        client, budget = MeteredStub(g), BudgetState(limit_usd=100.0)
+        cache_path = tmp_path / f"{inflight}.jsonl"
+        with ResponseCache(cache_path) as cache:
+            results = annotate_graph(g, nodes, client, cache, budget, model="o", max_inflight=inflight)
+        runs[inflight] = (results.top1, results.mass, results.prompt_hashes, client.sent,
+                          budget.spent_usd, cache_path.read_text().count("\n"))
+    top1, mass, hashes, sent, spent, lines = runs[1]
+    assert top1.shape == (len(nodes), NUM_TIE_CONFIGS) and top1.dtype == np.int16
+    assert mass.shape == (len(nodes), NUM_TIE_CONFIGS, g.num_classes) and mass.dtype == np.int32
     first_occurrences = list(dict.fromkeys(h for row in hashes for h in row))
     assert sent == first_occurrences
     assert len(sent) == lines < len(nodes) * NUM_TIE_CONFIGS
-    assert sum(f for row in flags for f in row) == len(nodes) * NUM_TIE_CONFIGS - len(sent)
-    for key, (t, m, h, f, s, spend, n) in runs.items():
+    for inflight, (t, m, h, s, spend, n) in runs.items():
         np.testing.assert_array_equal(t, top1)
         np.testing.assert_array_equal(m, mass)
         assert t.dtype == top1.dtype and m.dtype == mass.dtype
         assert h == hashes and n == lines
-        assert f is None or f == flags
         # serial sends in first-occurrence order; concurrent sends the same set
-        assert (s if key[1] == 1 else sorted(s)) == (sent if key[1] == 1 else sorted(sent))
+        assert (s if inflight == 1 else sorted(s)) == (sent if inflight == 1 else sorted(sent))
         assert spend == pytest.approx(spent, rel=1e-12)
 
 
-def test_annotate_arrays_repeats_the_first_row_of_a_repeated_prompt_across_chunks():
+def test_annotate_graph_repeats_the_first_row_of_a_repeated_prompt_across_chunks():
     g = labeled_graph(n=CHUNK_NODES + 1, seed=2)
     nodes = [0, *range(2, CHUNK_NODES + 1), 0]  # node 0 again, in the second chunk
     client = SleepingOracle(g, delay_s=0.0)
-    top1, mass, hashes = annotate_arrays(g, nodes, client, ResponseCache(), BudgetState(limit_usd=1.0))
+    results = annotate_graph(g, nodes, client, ResponseCache(), BudgetState(limit_usd=1.0))
+    top1, mass, hashes = results.top1, results.mass, results.prompt_hashes
     assert hashes[-1] == hashes[0]
     np.testing.assert_array_equal(top1[-1], top1[0])
     np.testing.assert_array_equal(mass[-1], mass[0])
     assert len(client.sent) == len({h for row in hashes for h in row})
 
 
-def test_fully_cached_annotate_arrays_decodes_each_record_once(tmp_path, monkeypatch):
+def test_fully_cached_annotate_graph_decodes_each_record_once(tmp_path, monkeypatch):
     g = labeled_graph(n=2 * CHUNK_NODES + 37, seed=4)
     nodes = list(range(g.num_nodes))
     path = tmp_path / "cache.jsonl"
     with ResponseCache(path) as cache:
-        first = annotate_arrays(g, nodes, MeteredStub(g), cache, BudgetState(limit_usd=100.0),
-                                model="o")
+        first = annotate_graph(g, nodes, MeteredStub(g), cache, BudgetState(limit_usd=100.0),
+                               model="o")
     records = path.read_text(encoding="utf-8").count("\n")
 
     decodes = _count_json_decodes(monkeypatch)
-    built = []
-    real_annotation = WorkerAnnotation
-
-    def counting_annotation(*args, **kwargs):
-        built.append(args)
-        return real_annotation(*args, **kwargs)
-
-    monkeypatch.setattr(annotate_module, "WorkerAnnotation", counting_annotation)
     client = MeteredStub(g)
     with ResponseCache(path) as cache:
-        again = annotate_arrays(g, nodes, client, cache, BudgetState(limit_usd=100.0), model="o")
+        again = annotate_graph(g, nodes, client, cache, BudgetState(limit_usd=100.0), model="o")
     assert client.sent == []
     assert 0 < len(decodes) <= records
-    assert built == []
-    for a, b in zip(first, again):
+    for a, b in zip(vars(first).values(), vars(again).values()):
         if isinstance(a, np.ndarray):
             np.testing.assert_array_equal(a, b)
             assert a.dtype == b.dtype

@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -16,12 +17,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from crowdtag import aggregate, annotate, cli, dataio, filtering, gcn, pipeline
+from crowdtag import annotate, cli, dataio, filtering, gcn, pipeline
+from crowdtag.aggregate import aggregate_all
 from crowdtag.annotate import BudgetState, ResponseCache, TruncationPolicy, annotate_graph
 from crowdtag.cli import verify_theorem
 from crowdtag.dataio import load_graph
 from crowdtag.fixtures import fixture_paths, load_fixture_graph, replay_cache_path
-from crowdtag.graph import NUM_TIE_CONFIGS
+from crowdtag.graph import NUM_TIE_CONFIGS, build_graph
 from crowdtag.pipeline import (
     ARTIFACT_SCHEMA_VERSION,
     ConfigError,
@@ -565,6 +567,18 @@ def test_quick_start_outputs_keep_their_bytes(tmp_path):
     assert hashlib.sha256(edges).hexdigest() == QUICK_START_EDGES_DIGEST
 
 
+def test_two_quick_starts_write_the_same_cache_bytes(tmp_path):
+    caches = []
+    for name in ("first", "second"):
+        out_dir = tmp_path / name
+        args = ["pipeline", "--fixture", "--out-dir", str(out_dir), "--seed", "3", "--noise", "0.3",
+                "--k", "20", "--eta", "0.45", "--gamma", "0.1", "--lambda", "0.6"]
+        assert cli.main(args) == 0
+        caches.append((out_dir / "annotations.jsonl").read_bytes())
+    assert caches[0] == caches[1]
+    assert b'"timestamp"' not in caches[0]
+
+
 def counting(monkeypatch, module, name: str) -> list:
     """Replace ``module.name`` with a wrapper that records each call's arguments."""
     calls: list = []
@@ -907,10 +921,61 @@ def test_replay_from_bundled_cache_without_network():
         g, [0, 1, 2, 3, 4], RefusingClient(), cache, BudgetState(limit_usd=0.0),
         model="oracle", policy=TruncationPolicy(),
     )
-    assert set(annotations) == {0, 1, 2, 3, 4}
-    for anns in annotations.values():
-        assert all(a.from_cache for a in anns)
-        assert all(cache.get(a.prompt_hash) is not None for a in anns)
+    assert set(annotations.nodes.tolist()) == {0, 1, 2, 3, 4}
+    for hashes in annotations.prompt_hashes:
+        assert len(hashes) == NUM_TIE_CONFIGS
+        assert all(cache.get(h) is not None for h in hashes)
+    assert (annotations.top1 >= 0).all()  # every replayed response parses
+
+
+def test_the_in_memory_reference_path_gives_the_stage_outputs(tmp_path):
+    # annotate_graph and aggregate_all over a path-less cache, then run_filter,
+    # must give the pseudo-labels and the selection the stages write
+    graph = synthetic_citation_graph(n=160, num_classes=5, alpha=0.85, avg_out_degree=2.0,
+                                     feature_dim=16, feature_noise=0.6, seed=17)
+    files = write_dataset_files(graph, str(tmp_path / "data"))
+    cfg = load_config(None, {
+        "dataset": dict(zip(("content", "cites", "texts"), files)),
+        "annotator": {"mode": "oracle", "noise": 0.3, "seed": 17, "node_cap": 80},
+        "filter": {"k": 40},
+        "gcn": {"epochs": 2},
+        "out_dir": str(tmp_path / "out"),
+    })
+    paths = StagePaths(cfg.out_dir)
+    assert all(run_pipeline(cfg, paths).values())
+
+    # the graph as ingest assembles it: class names sorted, labels renumbered
+    names = sorted(graph.class_names)
+    labels = [names.index(graph.class_names[y]) for y in graph.labels]
+    g = build_graph(graph.original_keys, graph.edges(), graph.texts, graph.features, labels, names)
+    a, f = cfg.annotator, cfg.filter
+    pr = filtering.pagerank(g, damping=f.damping)
+    dens = filtering.c_density(g.features, filtering.kmeans(g.features, k=g.num_classes, seed=f.kmeans_seed))
+    deg = np.array([g.degree(v) for v in range(g.num_nodes)], dtype=np.float64)
+    s1 = filtering.stage1_scores(pr, dens, deg, f.gamma, f.lam)
+    nodes = sorted(filtering.select_top_k(np.arange(g.num_nodes), s1, a.node_cap))
+
+    guesses = annotate_graph(
+        g, nodes, annotate.SyntheticOracleClient(g, noise=a.noise, seed=a.seed), ResponseCache(),
+        BudgetState(limit_usd=math.inf), model=a.model, policy=TruncationPolicy(**a.truncation),
+    )
+    pseudo, _ = aggregate_all(guesses, g.class_names)
+    conf = {v: f"{p.confidence:.6f}" for v, p in pseudo.items()}
+    final, _ = filtering.run_filter(
+        g, g.features,
+        annotated_nodes=sorted(pseudo),
+        confidences={v: float(c) for v, c in conf.items()},
+        pseudo_label_of={v: p.label for v, p in pseudo.items()},
+        gamma=f.gamma, lam=f.lam, eta=f.eta, k=f.k,
+        kmeans_seed=f.kmeans_seed, damping=f.damping,
+    )
+
+    assert json.loads(paths.annotated_nodes.read_text())["nodes"] == nodes
+    _, rows = read_csv_rows(paths.pseudo_labels)
+    assert {key: [label, c] for key, label, c, _ in rows} == {
+        g.original_keys[v]: [g.class_names[p.label], conf[v]] for v, p in pseudo.items()
+    }
+    assert json.loads(paths.selected.read_text())["final_nodes"] == final
 
 
 def test_aggregate_builds_no_prompts(tmp_path, monkeypatch):
@@ -1007,7 +1072,7 @@ def test_guesses_round_trip_through_the_npz_artifact(tmp_path):
         annotate.SyntheticOracleClient(graph, noise=0.3, seed=5), ResponseCache(),
         BudgetState(limit_usd=1.0), model="oracle",
     )
-    arrays = aggregate.guess_arrays(results, graph.class_names)
+    arrays = results.nodes, results.top1, results.mass
     dataio.save_guesses(paths.guesses, *arrays)
     loaded = dataio.load_guesses(paths.guesses, graph.num_nodes, graph.num_classes)
     for want, got in zip(arrays, loaded):
