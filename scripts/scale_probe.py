@@ -10,7 +10,9 @@ directory and calls the five stages one by one with the oracle annotator at
 noise 0.3 and the default GCN settings (200 epochs), then times a re-run of
 all five, which must skip every stage, and a re-run after ``os.utime`` on
 every dataset file, which hashes those files again and must skip every stage
-too. Last it times a resumed annotate with
+too. Then it opens the response cache twice: once timed, and once under
+``tracemalloc``, which reports the memory the opened cache's index holds.
+Last it times a resumed annotate with
 every response cached (its manifest removed, so the stage runs again), whose
 ``guesses.npz`` must equal the first one. It prints each stage's wall time,
 the process's peak RSS after it (so the stage that set the peak shows), and
@@ -25,10 +27,12 @@ import os
 import resource
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 
+from crowdtag import annotate as ann
 from crowdtag import pipeline as pl
 from crowdtag import synthetic
 
@@ -80,6 +84,15 @@ def main(argv: list[str] | None = None) -> int:
         if any(ran.values()):
             print(f"{label} ran stages: {ran}", file=sys.stderr)
             return 1
+
+    start = time.perf_counter()
+    with ann.ResponseCache(paths.cache):
+        opened_s = time.perf_counter() - start
+    tracemalloc.start()
+    with ann.ResponseCache(paths.cache):
+        index_mib = tracemalloc.get_traced_memory()[0] / 2**20
+    tracemalloc.stop()
+    print(f"{'open cache':<14} {opened_s:9.2f} s {index_mib:9.1f} MiB held by its index")
 
     first = guess_arrays(paths.guesses)
     paths.manifest("annotate").unlink()

@@ -49,9 +49,9 @@ from .graph import (
 
 CACHE_SCHEMA_VERSION = 1
 
-# How every line that ``ResponseCache.put`` writes begins: ``json.dumps`` of a
-# record whose first key is ``hash``, a 64-digit lowercase hex prompt hash.
-_PUT_PREFIX = re.compile(rb'\{"hash": "([0-9a-f]{64})", ')
+# A prompt hash as ``prompt_hash`` writes it: a SHA-256 digest in 64 lowercase
+# hex digits. The cache index holds such hashes as 32-byte digests.
+_HEX_HASH = re.compile("[0-9a-f]{64}")
 
 # Longest wait, in seconds, that a 429 response's Retry-After can impose.
 RETRY_AFTER_CAP_S = 120.0
@@ -572,42 +572,154 @@ class SyntheticOracleClient:
 # Cache
 # ---------------------------------------------------------------------------
 
+# How a line that ``ResponseCache.put`` writes begins: ``{"hash": "<64 hex
+# digits>", "raw_response": "``. Earlier versions put ``hash`` first too, then
+# the other fields, so opening a cache reads the hash of any line that begins
+# ``{"hash": "<64 hex digits>", `` and ends in ``}\n`` from those bytes alone.
+_HASH_OPEN = np.frombuffer(b'{"hash": "', dtype=np.uint8)
+_HASH_CLOSE = np.frombuffer(b'", ', dtype=np.uint8)
+_HASH_PREFIX_LEN = len(_HASH_OPEN) + 64 + len(_HASH_CLOSE)
+# per byte value, its value as a lowercase hex digit, or 255
+_HEX_VALUE = np.full(256, 255, dtype=np.uint8)
+_HEX_VALUE[np.frombuffer(b"0123456789abcdef", dtype=np.uint8)] = np.arange(16)
+# Bytes read at a time while a cache file is indexed.
+_LOAD_BLOCK = 1 << 18
+_LINE_MAX = 0xFFFFFFFF  # the longest line the index records (uint32 lengths)
+
+_escape = json.encoder.encode_basestring_ascii
+_scanstring = json.decoder.scanstring
+# The C encoder that ``json.dumps`` builds on each call, built once: the same
+# separators, string escaper and handling of floats, so the same bytes.
+_encode = json.encoder.c_make_encoder(
+    None, json.JSONEncoder().default, _escape, None, ": ", ", ", False, False, True
+)
+
+
+def _record_line(record: dict) -> bytes:
+    """The line ``ResponseCache.put`` writes for ``record``: ``json.dumps`` of
+    it with ``hash`` first, ``raw_response`` (if any) second and the other
+    fields in their order, then a newline."""
+    ordered = {"hash": record["hash"]}
+    if "raw_response" in record:
+        ordered["raw_response"] = record["raw_response"]
+    ordered.update(record)  # keeps the two keys where they are
+    return "".join(_encode(ordered, 0)).encode("utf-8") + b"\n"
+
+
+def _hash_prefixed_lines(
+    data: np.ndarray, starts: np.ndarray, ends: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Of the lines ``data[starts[i]:ends[i]]``, each ending in a newline, the
+    ones that begin ``{"hash": "<64 lowercase hex digits>", `` and end in
+    ``}\\n``: their positions in ``starts``, and their hashes as (m, 32)
+    uint8 digests."""
+    lengths = ends - starts
+    long = np.flatnonzero((lengths >= _HASH_PREFIX_LEN + 2) & (lengths <= _LINE_MAX))
+    head = data[starts[long][:, None] + np.arange(_HASH_PREFIX_LEN)]
+    nibbles = _HEX_VALUE[head[:, len(_HASH_OPEN):-len(_HASH_CLOSE)]]
+    ok = (
+        (head[:, :len(_HASH_OPEN)] == _HASH_OPEN).all(axis=1)
+        & (head[:, -len(_HASH_CLOSE):] == _HASH_CLOSE).all(axis=1)
+        & (nibbles < 16).all(axis=1)
+        & (data[ends[long] - 2] == ord("}"))
+    )
+    nibbles = nibbles[ok]
+    return long[ok], nibbles[:, 0::2] << 4 | nibbles[:, 1::2]
+
+
+class _DigestIndex:
+    """Where the lines of records keyed by 64-hex prompt hashes lie: the
+    hashes as sorted 32-byte digests, each with its line's byte offset
+    (int64) and length (uint32), 44 bytes per record."""
+
+    def __init__(self, digests: np.ndarray, offsets: np.ndarray, lengths: np.ndarray) -> None:
+        """``digests`` is (n, 32) uint8, in any order. Of a digest given more
+        than once, the entry with the largest offset (the latest line) is
+        kept."""
+        keys = np.ascontiguousarray(digests, dtype=np.uint8).view("S32").ravel()
+        offsets = np.asarray(offsets, dtype=np.int64)
+        order = np.lexsort((offsets, keys))
+        keys = keys[order]
+        last = np.ones(len(keys), dtype=bool)
+        last[:-1] = keys[1:] != keys[:-1]
+        order = order[last]
+        self.digests = keys[last]
+        self.offsets = offsets[order]
+        self.lengths = np.asarray(lengths, dtype=np.uint32)[order]
+
+    def __len__(self) -> int:
+        return len(self.digests)
+
+    def find(self, keys: list[str]) -> list[tuple[int, int] | None]:
+        """The (offset, length) of each key's line, or None where the index
+        holds no such key; each key is 64 lowercase hex digits. One
+        ``searchsorted`` serves all the keys."""
+        n = len(self.digests)
+        if not n or not keys:
+            return [None] * len(keys)
+        wanted = np.frombuffer(bytes.fromhex("".join(keys)), dtype="S32")
+        at = np.minimum(np.searchsorted(self.digests, wanted), n - 1)
+        hit = (self.digests[at] == wanted).tolist()
+        return [
+            (offset, length) if h else None
+            for h, offset, length in zip(hit, self.offsets[at].tolist(), self.lengths[at].tolist())
+        ]
+
+
+_EMPTY_INDEX = _DigestIndex(
+    np.empty((0, 32), dtype=np.uint8), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint32)
+)
+
+
 class ResponseCache:
     """Append-only JSONL response store, indexed by prompt hash.
 
-    Each record: {hash, model, prompt, raw_response, tokens_in, tokens_out};
-    a record that also holds a ``timestamp``, as earlier versions wrote,
-    loads and replays the same. The file doubles as the replay fixture format
-    for tests. Records lacking a ``hash`` key (e.g. the metadata header) are
-    ignored on load.
+    Each record: {hash, raw_response, model, prompt, tokens_in, tokens_out},
+    which ``put`` writes in that key order: the line is ``json.dumps`` of the
+    record so ordered. A record in another key order, as earlier versions
+    wrote (``hash, model, prompt, raw_response, …``), or one that also holds a
+    ``timestamp``, loads and replays the same. The file doubles as the replay
+    fixture format for tests. Records lacking a ``hash`` key (e.g. the
+    metadata header) are ignored on load.
 
     A file-backed cache holds no records in memory, only where each one's
-    line lies in the file. Opening it decodes no line that ``put`` wrote: such
-    a line is indexed from its fixed ``{"hash": "<64 hex digits>", `` prefix.
-    ``get`` reads the line back through one read descriptor, held until
-    ``close``, decodes it and checks that it still holds the record asked for
+    line lies in the file: a :class:`_DigestIndex` for the records keyed by
+    64-hex hashes, a dict for other keys, and a dict for the records this
+    cache appended since it indexed the file. Opening it decodes no line that
+    begins ``{"hash": "<64 hex digits>", `` and ends in ``}``: such a line is
+    indexed from that prefix. It reads the file in blocks of ``_LOAD_BLOCK``
+    bytes. Lookups read a line back through one read descriptor, held until
+    ``close``, and check that it still holds the record asked for
     (``CacheIndexError`` if not, which is also how a corrupt line before the
-    last one surfaces). Without a path the cache keeps whole records in
-    memory.
+    last one surfaces). :meth:`get` decodes the whole record;
+    :meth:`responses` decodes only the response string of a line in ``put``'s
+    layout, and decodes any other line whole. Without a path the cache keeps
+    whole records in memory.
 
     Appending takes an exclusive ``flock`` on the file, held until ``close``,
     so one process at a time appends to it; a second one gets
     ``CacheLockedError`` from :meth:`open_for_append`, which
     :func:`annotate_graph` calls before it sends a request. Every ``put``
-    flushes its line before returning, so a record is on disk for a fresh
-    reader (or another process) as soon as ``put`` returns. ``close`` (or leaving a ``with`` block)
+    flushes its line to the operating system before returning, so a record
+    is on disk for a fresh reader (or another process) as soon as ``put``
+    returns; nothing calls ``fsync``. ``close`` (or leaving a ``with`` block)
     releases both handles and the lock.
     """
 
     def __init__(self, path: str | Path | None = None) -> None:
         self.path = Path(path) if path is not None else None
-        # hash -> the record itself without a path; with one, the offset of
-        # its line << 32 | the line's length in bytes
-        self._index: dict[str, dict | int] = {}
+        # the file's records keyed by 64-hex hashes, and by any other key
+        # (hash -> (offset of its line, the line's length in bytes))
+        self._index = _EMPTY_INDEX
+        self._foreign: dict = {}
+        # records put since the file was indexed: hash -> the record itself
+        # without a path, with one the offset of its line << 32 | the line's
+        # length (a Python int, which does not overflow)
+        self._recent: dict[str, dict | int] = {}
         self._lock = threading.Lock()
         self._fh = None
         # the read descriptor and the finalizer that closes it, also when the
-        # cache is dropped without close(); opened by the first get
+        # cache is dropped without close(); opened by the first lookup
         self._read_fd: int | None = None
         self._read_closer: weakref.finalize | None = None
         # bytes of the file indexed, and appended by this cache, so far
@@ -628,40 +740,84 @@ class ResponseCache:
         self.close()
 
     def _load(self) -> None:
-        """Index the file's records. A line that ``put`` wrote, whole, is
-        indexed from its prefix; any other line is decoded. A malformed
-        *final* line is skipped and reported; a whole final record that only
-        lacks its newline is kept, and the next append ends its line first. A
-        malformed line before the last raises JSONDecodeError, unless it keeps
-        ``put``'s prefix and ending, in which case ``get`` raises
-        CacheIndexError for its hash."""
-        index: dict[str, int] = {}
-        torn: json.JSONDecodeError | None = None
-        torn_at = offset = 0
-        line = b""
-        match = _PUT_PREFIX.match
+        """Index the file's records. A line that begins with a 64-hex hash
+        and ends in ``}`` is indexed from its prefix; any other line is
+        decoded. A malformed *final* line is skipped and reported; a whole
+        final record that only lacks its newline is kept, and the next append
+        ends its line first. A malformed line before the last raises
+        JSONDecodeError (UnicodeDecodeError for bytes that are not UTF-8),
+        unless it keeps the prefix and ending, in which case a lookup of its
+        hash raises CacheIndexError."""
+        digests: list[np.ndarray] = []
+        offsets: list[np.ndarray] = []
+        lengths: list[np.ndarray] = []
+        # the digest, offset and length of each decoded line keyed by a 64-hex hash
+        decoded_digests: list[bytes] = []
+        decoded_offsets: list[int] = []
+        decoded_lengths: list[int] = []
+        foreign: dict = {}
+        torn: ValueError | None = None  # JSONDecodeError, or bytes that are not UTF-8
+        torn_at = 0
+
+        def decode(at: int, line: bytes) -> None:
+            nonlocal torn, torn_at
+            if torn is not None:
+                if line.strip():
+                    raise torn
+                return
+            if not line.strip():
+                return
+            try:
+                record = json.loads(line)
+            except ValueError as exc:
+                torn, torn_at = exc, at
+                return
+            if not isinstance(record, dict) or "hash" not in record:
+                return
+            key = record["hash"]
+            if type(key) is not str or not _HEX_HASH.fullmatch(key):
+                foreign[key] = (at, len(line))
+                return
+            if len(line) > _LINE_MAX:
+                raise CorruptCacheError(f"{self.path}: the line at byte {at} is longer than 4 GiB")
+            decoded_digests.append(bytes.fromhex(key))
+            decoded_offsets.append(at)
+            decoded_lengths.append(len(line))
+
+        base = 0  # the file offset of the first byte not yet indexed
+        pending: list[bytes] = []  # the bytes read from there on
         with open(self.path, "rb") as fh:
-            for line in fh:
-                at, offset = offset, offset + len(line)
-                if torn is not None:
-                    if line.strip():
-                        raise torn
+            while block := fh.read(_LOAD_BLOCK):
+                pending.append(block)
+                if b"\n" not in block:
                     continue
-                prefix = match(line)
-                if prefix is not None and line.endswith(b"}\n"):
-                    index[prefix[1].decode("ascii")] = at << 32 | len(line)
-                    continue
-                if not line.strip():
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    torn, torn_at = exc, at
-                    continue
-                if "hash" in record:
-                    index[record["hash"]] = at << 32 | len(line)
-        self._index, self._end, self.torn_tail_at = index, offset, None
-        self._unterminated = torn is None and not line.endswith(b"\n") and offset > 0
+                buf = b"".join(pending)
+                data = np.frombuffer(buf, dtype=np.uint8)
+                ends = np.flatnonzero(data == ord("\n")) + 1
+                starts = np.concatenate(([0], ends[:-1]))
+                put, digest = _hash_prefixed_lines(data, starts, ends)
+                rest = np.ones(len(starts), dtype=bool)
+                rest[put] = False
+                for i in np.flatnonzero(rest).tolist():
+                    decode(base + int(starts[i]), buf[starts[i]:ends[i]])
+                if torn is not None and len(put) and base + int(starts[put[-1]]) > torn_at:
+                    raise torn
+                digests.append(digest)
+                offsets.append(base + starts[put])
+                lengths.append(ends[put] - starts[put])
+                pending, base = [buf[ends[-1]:]], base + int(ends[-1])
+        tail = b"".join(pending)  # a final line without its newline
+        if tail:
+            decode(base, tail)
+        digests.append(np.frombuffer(b"".join(decoded_digests), dtype=np.uint8).reshape(-1, 32))
+        offsets.append(np.array(decoded_offsets, dtype=np.int64))
+        lengths.append(np.array(decoded_lengths, dtype=np.int64))
+        self._index = _DigestIndex(
+            np.concatenate(digests), np.concatenate(offsets), np.concatenate(lengths)
+        )
+        self._foreign, self._recent = foreign, {}
+        self._end, self.torn_tail_at = base + len(tail), None
+        self._unterminated = torn is None and bool(tail)
         # the index describes the file now at the path: read from that one
         self._close_reader()
         if torn is not None:
@@ -672,40 +828,121 @@ class ResponseCache:
             )
 
     def __len__(self) -> int:
-        return len(self._index)
-
-    def get(self, key: str) -> dict | None:
         with self._lock:
-            entry = self._index.get(key)
-            if entry is None or self.path is None:
-                return entry
-            if self._read_fd is None:
-                self._read_fd = fd = os.open(self.path, os.O_RDONLY)
-                self._read_closer = weakref.finalize(self, os.close, fd)
-            offset = entry >> 32
-            line = os.pread(self._read_fd, entry & 0xFFFFFFFF, offset)
+            keys = list(self._recent)
+            return len(self._index) + len(self._foreign) + self._find(keys, recent=False).count(None)
+
+    def _find(self, keys: list[str], recent: bool = True) -> list[dict | tuple[int, int] | None]:
+        """Each key's entry: a record without a path, (offset, length) of its
+        line with one, or None; ``recent=False`` leaves out the records put
+        since the file was indexed. Call with ``_lock`` held."""
+        entries = []
+        indexed = []  # positions of the keys left to look up in the digest index
+        for key in keys:
+            entry = self._recent.get(key) if recent else None
+            if type(entry) is int:
+                entry = entry >> 32, entry & 0xFFFFFFFF
+            elif entry is None:
+                entry = self._foreign.get(key)
+                if entry is None and len(self._index) and type(key) is str and _HEX_HASH.fullmatch(key):
+                    indexed.append(len(entries))
+            entries.append(entry)
+        if indexed:
+            for i, entry in zip(indexed, self._index.find([keys[i] for i in indexed])):
+                entries[i] = entry
+        return entries
+
+    def _read(self, entry: tuple[int, int]) -> bytes:
+        """The line at ``entry``'s (offset, length). Call with ``_lock`` held."""
+        if self._read_fd is None:
+            self._read_fd = fd = os.open(self.path, os.O_RDONLY)
+            self._read_closer = weakref.finalize(self, os.close, fd)
+        offset, length = entry
+        return os.pread(self._read_fd, length, offset)
+
+    def _lines(self, keys: list[str]) -> list[tuple[int, bytes] | dict | None]:
+        """Each key's record without a path; with one, the offset and bytes
+        of its line; None where the cache holds no record of the key."""
+        with self._lock:
+            entries = self._find(keys)
+            if self.path is None:
+                return entries
+            return [None if entry is None else (entry[0], self._read(entry)) for entry in entries]
+
+    def _moved(self, key: str, offset: int) -> CacheIndexError:
+        return CacheIndexError(
+            f"{self.path}: the line at byte {offset} no longer holds the record of "
+            f"prompt {key}; the file was changed by something other than an append"
+        )
+
+    def _record(self, key: str, offset: int, line: bytes) -> dict:
+        """The record that ``line`` holds, decoded whole; CacheIndexError
+        unless it is a JSON object whose ``hash`` is ``key``."""
         try:
             record = json.loads(line.decode("utf-8"))
         except ValueError:  # JSONDecodeError, or bytes that are not UTF-8
             record = None
         if not isinstance(record, dict) or record.get("hash") != key:
-            raise CacheIndexError(
-                f"{self.path}: the line at byte {offset} no longer holds the record of "
-                f"prompt {key}; the file was changed by something other than an append"
-            )
+            raise self._moved(key, offset)
         return record
+
+    def get(self, key: str) -> dict | None:
+        """The whole record of prompt ``key``, or None."""
+        if self.path is None:
+            with self._lock:
+                return self._recent.get(key)
+        (found,) = self._lines([key])
+        return None if found is None else self._record(key, *found)
+
+    def responses(self, keys: list[str]) -> list[str | None]:
+        """The ``raw_response`` of each key's record, or None where the cache
+        holds no record of the key. A line in ``put``'s layout is checked to
+        begin with its key's prefix and to end in ``}``, and only its
+        response string is decoded; CacheIndexError when the string or what
+        follows it is damaged. Any other line is decoded whole, as by
+        :meth:`get`. CorruptCacheError when a record holds no response
+        string."""
+        found = self._lines(keys)
+        texts = []
+        for key, item in zip(keys, found):
+            if item is None:
+                texts.append(None)
+                continue
+            if self.path is None:
+                record = item
+            else:
+                offset, line = item
+                head = f'{{"hash": {_escape(key)}, "raw_response": "'.encode("ascii")
+                if line.startswith(head) and line.endswith(b"}\n"):
+                    try:
+                        text = line.decode("utf-8")
+                        raw, end = _scanstring(text, len(head))
+                    except ValueError:  # an unended string, a bad escape, bytes not UTF-8
+                        raise self._moved(key, offset) from None
+                    if not (text.startswith(', "', end) or end == len(text) - 2):
+                        raise self._moved(key, offset)
+                    texts.append(raw)
+                    continue
+                record = self._record(key, offset, line)
+            raw = record.get("raw_response")
+            if type(raw) is not str:
+                raise CorruptCacheError(f"{self.path}: the record of prompt {key} holds no response text")
+            texts.append(raw)
+        return texts
 
     def put(self, record: dict) -> None:
         if self.path is None:
             with self._lock:
-                self._index[record["hash"]] = record
+                self._recent[record["hash"]] = record
             return
-        line = (json.dumps(record) + "\n").encode("utf-8")
+        line = _record_line(record)
+        if len(line) > _LINE_MAX:
+            raise ValueError(f"a cache record must be shorter than 4 GiB, got {len(line)} bytes")
         with self._lock:
             self._open_append()
             self._fh.write(line)
             self._fh.flush()
-            self._index[record["hash"]] = self._end << 32 | len(line)
+            self._recent[record["hash"]] = self._end << 32 | len(line)
             self._end += len(line)
 
     def open_for_append(self) -> None:
@@ -800,32 +1037,26 @@ def _answer(
     budget: BudgetState,
     model: str,
     limiter: RateLimiter | None,
-) -> dict:
-    """The cache record that answers ``prompt``: the cached one, or else one
-    budgeted request, whose record is cached first. Budget exhaustion and
-    transport failure raise their own error types, and a cache file that
-    another process appends to raises CacheLockedError before the request is
-    sent."""
-    cached = cache.get(prompt.prompt_hash)
-    if cached is not None:
-        return cached
-
+) -> str:
+    """The response text of one budgeted request for ``prompt``, whose record
+    is cached before it is returned. Budget exhaustion and transport failure
+    raise their own error types, and a cache file that another process
+    appends to raises CacheLockedError before the request is sent."""
     budget.check()
     cache.open_for_append()
     if limiter is not None:
         limiter.acquire()
     response = client.complete(prompt)
     budget.charge(response.tokens_in, response.tokens_out)
-    record = {
+    cache.put({
         "hash": prompt.prompt_hash,
+        "raw_response": response.text,
         "model": model,
         "prompt": prompt.body,
-        "raw_response": response.text,
         "tokens_in": response.tokens_in,
         "tokens_out": response.tokens_out,
-    }
-    cache.put(record)
-    return record
+    })
+    return response.text
 
 
 def annotate_graph(
@@ -842,12 +1073,13 @@ def annotate_graph(
     """Run all eight workers for every node of ``nodes`` and record their
     guesses.
 
-    Ties with identical member sets share a prompt hash. Each distinct hash
-    is dispatched once, in first-occurrence order, so concurrent runs neither
-    pay for a prompt twice nor differ from the serial path. Requests run
-    concurrently up to ``max_inflight``; cache and budget updates are
-    lock-protected. The pool gets the prompts of ``CHUNK_NODES`` nodes at a
-    time.
+    Ties with identical member sets share a prompt hash. The cache is asked
+    for a chunk's distinct hashes in one :meth:`ResponseCache.responses`
+    call, and each hash it lacks is dispatched once, in first-occurrence
+    order, so concurrent runs neither pay for a prompt twice nor differ from
+    the serial path. Requests run concurrently up to ``max_inflight``; cache
+    and budget updates are lock-protected. The pool gets the prompts of
+    ``CHUNK_NODES`` nodes at a time.
 
     Each response, fresh or cached, is scanned once straight into its row's
     ``mass`` cells and ``top1``, and a repeated prompt copies the row of its
@@ -865,7 +1097,7 @@ def annotate_graph(
     # position of the first prompt with each hash
     first: dict[str, int] = {}
 
-    def work(spec: PromptSpec) -> dict:
+    def work(spec: PromptSpec) -> str:
         return _answer(spec, client, cache, budget, model, limiter)
 
     with ThreadPoolExecutor(max_workers=max_inflight) if max_inflight > 1 else nullcontext() as pool:
@@ -884,13 +1116,14 @@ def annotate_graph(
             )
             own = source == rows
             fresh = [spec for spec, o in zip(specs, own.tolist()) if o]
-            records = list(dispatch(work, fresh))
+            texts = cache.responses([spec.prompt_hash for spec in fresh])
+            sent = iter(list(dispatch(work, [s for s, t in zip(fresh, texts) if t is None])))
             # cells count from the chunk's first row; one bincount sums them
             cells: list[int] = []
             confs: list[int] = []
             top1[rows[own]] = [
-                _scan(record["raw_response"], labels, r * num_classes, cells, confs)
-                for r, record in zip(np.flatnonzero(own).tolist(), records)
+                _scan(next(sent) if text is None else text, labels, r * num_classes, cells, confs)
+                for r, text in zip(np.flatnonzero(own).tolist(), texts)
             ]
             mass[start:start + m] = np.bincount(
                 np.asarray(cells, dtype=np.intp), weights=confs, minlength=m * num_classes

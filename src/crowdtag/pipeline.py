@@ -662,7 +662,7 @@ def stage_annotate(
     policy = ann.TruncationPolicy(**cfg.annotator.truncation)
     try:
         cache = ann.ResponseCache(cache_path)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
         raise ann.CorruptCacheError(f"{cache_path}: a line before the last is not JSON ({exc})") from exc
     with cache:
         guesses = ann.annotate_graph(

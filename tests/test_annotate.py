@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from collections import Counter
@@ -15,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import crowdtag.annotate as annotate_module
 from crowdtag.annotate import (
@@ -842,6 +845,15 @@ def _count_json_decodes(monkeypatch) -> list:
     return decoded
 
 
+def _count_response_decodes(monkeypatch) -> list:
+    """The line of every response string that a cache lookup decodes alone,
+    from now to the end of the test."""
+    decoded, scan = [], annotate_module._scanstring
+    monkeypatch.setattr(annotate_module, "_scanstring",
+                        lambda s, end: decoded.append(s) or scan(s, end))
+    return decoded
+
+
 def test_cache_indexes_lines_without_the_put_prefix_by_decoding_them(tmp_path, monkeypatch):
     path = tmp_path / "cache.jsonl"
     ResponseCache.write_header(path, "h")
@@ -863,6 +875,148 @@ def test_cache_indexes_lines_without_the_put_prefix_by_decoding_them(tmp_path, m
     assert len(cache) == len(foreign) + 1
     assert [cache.get(r["hash"]) for r in [*foreign, put]] == [*foreign, put]
     cache.close()
+
+
+# any text, lone surrogates included, with JSON's special characters mixed in
+_texts = st.text(st.one_of(st.characters(exclude_categories=()), st.sampled_from('"\\\n\x00\x7f\ud800\u2028')))
+_hex_hashes = st.text("0123456789abcdef", min_size=64, max_size=64)
+# keys that are not 64 lowercase hex digits: the index keeps them in a dict
+_other_hashes = st.one_of(_texts, st.text("0123456789abcdefABCDEF", min_size=63, max_size=65)).filter(
+    lambda h: not re.fullmatch("[0-9a-f]{64}", h)
+)
+
+
+@st.composite
+def _cache_records(draw) -> dict:
+    fields = draw(st.fixed_dictionaries(
+        {"hash": st.one_of(_hex_hashes, _other_hashes), "raw_response": _texts},
+        optional={"model": _texts, "prompt": _texts, "tokens_in": st.integers(), "tokens_out": st.integers()},
+    ))
+    return {key: fields[key] for key in draw(st.permutations(list(fields)))}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_cache_records(), min_size=1, max_size=6, unique_by=lambda r: r["hash"]))
+def test_cache_lines_are_json_dumps_in_put_order_and_read_back(records):
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "cache.jsonl"
+        ResponseCache.write_header(path, "h")
+        with ResponseCache(path) as cache:
+            for record in records:
+                before = path.stat().st_size
+                cache.put(record)
+                ordered = {"hash": record["hash"], "raw_response": record["raw_response"], **record}
+                with open(path, "rb") as fh:
+                    fh.seek(before)
+                    assert fh.read() == (json.dumps(ordered) + "\n").encode("utf-8")
+        hashes = [r["hash"] for r in records]
+        with ResponseCache(path) as reopened:
+            assert reopened.responses(hashes) == [r["raw_response"] for r in records]
+            assert [reopened.get(h) for h in hashes] == records
+            assert len(reopened) == len(records)
+            # short, long, upper-case and other keys are held apart from the digests
+            assert set(reopened._foreign) == {h for h in hashes if not re.fullmatch("[0-9a-f]{64}", h)}
+            assert len(reopened._index) == len(records) - len(reopened._foreign)
+
+
+@pytest.mark.parametrize("block", [1, 7, 100, 1 << 18])
+def test_cache_indexes_the_same_whatever_its_read_block(tmp_path, monkeypatch, capsys, block):
+    monkeypatch.setattr(annotate_module, "_LOAD_BLOCK", block)
+    path = tmp_path / "cache.jsonl"
+    ResponseCache.write_header(path, "h")
+    records = [{"hash": f"{i:064x}", "raw_response": f"[{i}]" * i, "tokens_in": i} for i in range(12)]
+    with ResponseCache(path) as cache:
+        for record in records[:6]:
+            cache.put(record)
+    foreign = [{"raw_response": "[f]", "hash": "f" * 64}, {"hash": "short", "raw_response": "[s]"}]
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("\n" + "".join(json.dumps(r) + "\n" for r in foreign))
+    with ResponseCache(path) as cache:
+        for record in records[6:]:
+            cache.put(record)
+    complete = path.read_bytes()
+    everything = [*records, *foreign]
+    hashes = [r["hash"] for r in everything]
+
+    path.write_bytes(complete[:-1])  # the final record lost its newline
+    with ResponseCache(path) as cache:
+        assert len(cache) == len(everything) and cache.torn_tail_at is None
+        assert cache.responses(hashes) == [r["raw_response"] for r in everything]
+        assert [cache.get(h) for h in hashes] == everything
+    path.write_bytes(complete + b'{"hash": "' + b"e" * 64 + b'", "raw_')  # a torn tail
+    with ResponseCache(path) as cache:
+        assert len(cache) == len(everything) and cache.torn_tail_at == len(complete)
+        assert cache.get("e" * 64) is None
+    assert "torn final record" in capsys.readouterr().err
+    torn = complete.replace(b"\n", b"\n" + b'{"hash": "b", "raw_\n', 1)  # torn, then more records
+    path.write_bytes(torn)
+    with pytest.raises(json.JSONDecodeError):
+        ResponseCache(path)
+
+
+def test_digest_index_resolves_offsets_past_4_gib():
+    keys = [hashlib.sha256(bytes([i])).hexdigest() for i in range(4)]
+    offsets = [3 * 2**31, 5 * 2**32, 17, 2**31 - 1]
+    lengths = [93, 2**32 - 1, 1, 2**31]
+    digests = np.frombuffer(bytes.fromhex("".join(keys)), dtype=np.uint8).reshape(-1, 32)
+    index = annotate_module._DigestIndex(digests, np.array(offsets), np.array(lengths))
+    assert index.find(keys) == list(zip(offsets, lengths))
+    assert index.find(keys[::-1]) == list(zip(offsets, lengths))[::-1]
+    assert index.find(["0" * 64, "f" * 64]) == [None, None]
+    # a digest given twice resolves to its later line, past 2 GiB or not
+    again = annotate_module._DigestIndex(
+        np.concatenate([digests, digests[:1]]), np.array([*offsets, 7 * 2**32]), np.array([*lengths, 5])
+    )
+    assert len(again) == len(keys) and again.find(keys[:2]) == [(7 * 2**32, 5), (5 * 2**32, 2**32 - 1)]
+
+
+def test_resume_from_a_cache_in_the_earlier_key_order_sends_nothing(tmp_path):
+    # earlier versions wrote hash, model, prompt, raw_response, ...: a cache
+    # that holds such lines and then put's lines replays them all
+    g = labeled_graph(n=2 * CHUNK_NODES + 37, seed=4)
+    nodes = list(range(g.num_nodes))
+    path = tmp_path / "cache.jsonl"
+    ResponseCache.write_header(path, "h")
+    with ResponseCache(path) as cache:
+        first = annotate_graph(g, nodes, MeteredStub(g), cache, BudgetState(limit_usd=100.0), model="o")
+    header, *lines = path.read_bytes().splitlines(keepends=True)
+    earlier = ("hash", "model", "prompt", "raw_response", "tokens_in", "tokens_out")
+    rewritten = [
+        (json.dumps({key: record[key] for key in earlier}) + "\n").encode()
+        for record in map(json.loads, lines[: len(lines) // 2])
+    ]
+    assert rewritten[0].startswith(b'{"hash": ') and b'"model": ' in rewritten[0][:90]
+    data = header + b"".join(rewritten + lines[len(lines) // 2:])
+    path.write_bytes(data)
+
+    client = MeteredStub(g)
+    with ResponseCache(path) as cache:
+        again = annotate_graph(g, nodes, client, cache, BudgetState(limit_usd=0.0), model="o")
+    assert client.sent == [] and path.read_bytes() == data
+    np.testing.assert_array_equal(again.top1, first.top1)
+    np.testing.assert_array_equal(again.mass, first.mass)
+    assert again.prompt_hashes == first.prompt_hashes
+
+
+@pytest.mark.parametrize("damage", [
+    lambda line: line.replace(b'", "model": ', b', "model": ', 1),  # the closing quote
+    lambda line: line.replace(b'"raw_response": "', b'"raw_response": ', 1),  # the opening quote
+    lambda line: line.replace(b'\\"', b"\\", 1),  # an escaped quote
+    lambda line: line.replace(b'"raw_response": "', b'"raw_response": "\xff', 1),  # not UTF-8
+])
+def test_cache_lookup_of_a_damaged_response_string_raises(tmp_path, damage):
+    path = tmp_path / "cache.jsonl"
+    bad, good = ({"hash": c * 64, "raw_response": fixture_response(("Theory", 90)), "model": "m"} for c in "ab")
+    with ResponseCache(path) as cache:
+        cache.put(bad)
+        cache.put(good)
+    first, second = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(damage(first) + second)
+    assert path.read_bytes() != first + second
+    with ResponseCache(path) as cache:  # the prefix and the ending are intact
+        assert len(cache) == 2 and cache.responses([good["hash"]]) == [good["raw_response"]]
+        with pytest.raises(CacheIndexError, match=bad["hash"]):
+            cache.responses([good["hash"], bad["hash"]])
 
 
 def _descriptors_on(path: Path) -> int:
@@ -1437,11 +1591,13 @@ def test_fully_cached_annotate_graph_decodes_each_record_once(tmp_path, monkeypa
     records = path.read_text(encoding="utf-8").count("\n")
 
     decodes = _count_json_decodes(monkeypatch)
+    strings = _count_response_decodes(monkeypatch)
     client = MeteredStub(g)
     with ResponseCache(path) as cache:
         again = annotate_graph(g, nodes, client, cache, BudgetState(limit_usd=100.0), model="o")
     assert client.sent == []
-    assert 0 < len(decodes) <= records
+    # the records are in put's layout: each lookup decodes its response string alone
+    assert decodes == [] and 0 < len(strings) <= records
     for a, b in zip(vars(first).values(), vars(again).values()):
         if isinstance(a, np.ndarray):
             np.testing.assert_array_equal(a, b)

@@ -1317,6 +1317,12 @@ def test_cli_refuses_a_cache_another_run_appends_to(tmp_path, capsys):
     (lambda line: line.replace(b'"raw_response": ', b'"raw_response": not json '), "no longer holds"),
     # the line no longer ends its record: opening the cache fails
     (lambda line: line[: len(line) // 2] + b"\n", "not JSON"),
+    # nor begins it, with a byte that is not UTF-8
+    (lambda line: b"\xff" + line, "not JSON"),
+    # put's layout with its response string damaged: the lookup that decodes
+    # that string alone fails, for a quote removed and for a byte not UTF-8
+    (lambda line: line.replace(b'", "model": ', b', "model": ', 1), "no longer holds"),
+    (lambda line: line.replace(b'"raw_response": "', b'"raw_response": "\xff', 1), "no longer holds"),
 ])
 def test_cli_names_a_corrupt_cache_and_exits_1(tmp_path, capsys, corrupt, surfaces):
     cfg_path, out_dir = fixture_config(tmp_path)
@@ -1324,7 +1330,8 @@ def test_cli_names_a_corrupt_cache_and_exits_1(tmp_path, capsys, corrupt, surfac
     cache = out_dir / "annotations.jsonl"
     lines = cache.read_bytes().splitlines(keepends=True)
     assert len(lines) > 6
-    lines[5] = corrupt(lines[5])
+    lines[5], line = corrupt(lines[5]), lines[5]
+    assert lines[5] != line
     cache.write_bytes(b"".join(lines))
     (out_dir / "manifest_annotate.json").unlink()
     capsys.readouterr()
