@@ -104,7 +104,6 @@ class PromptSpec:
     center: int
     config_k: int
     body: str
-    category_list: tuple[str, ...]
     guess_count: int
     prompt_hash: str
 
@@ -281,7 +280,6 @@ def _render(
             center=center,
             config_k=config_k,
             body=head + rest,
-            category_list=categories,
             guess_count=len(categories),
             prompt_hash=digest.hexdigest(),
         ))

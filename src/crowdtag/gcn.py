@@ -2,8 +2,10 @@
 
 logits = A_hat @ (relu(A_hat @ X @ W1) @ W2), where A_hat is the symmetrically
 normalized adjacency with self-loops, held as a :class:`CSR` matrix whose
-product with a dense matrix is written in numpy alone. ``A_hat @ X`` is formed
-once per training run, and the second propagation runs at class width.
+product with a dense matrix is written in numpy alone. The model holds
+``A_hat`` and ``A_hat @ X`` (``GCNModel.ax``), which the caller forms once per
+graph and every model of that graph shares, uncopied; no function here takes
+a feature matrix. The second propagation runs at class width.
 Training minimizes mean cross-entropy over the training nodes plus L2 weight
 decay, using adaptive-moment gradient descent with bias correction. The loss
 reads only the training nodes' logits, which depend only on the rows within
@@ -140,6 +142,7 @@ class GCNModel:
     w1: np.ndarray
     w2: np.ndarray
     a_hat: CSR
+    ax: np.ndarray  # A_hat @ X, shared by every model of the graph
     config: GCNConfig
     _adam_state: dict = field(default_factory=dict, repr=False)
 
@@ -169,47 +172,25 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-def init_model(
-    graph_or_ahat: DirectedTAG | CSR,
-    feature_dim: int,
-    num_classes: int,
-    config: GCNConfig | None = None,
-) -> GCNModel:
+def init_model(a_hat: CSR, ax: np.ndarray, num_classes: int, config: GCNConfig | None = None) -> GCNModel:
+    """A model over ``a_hat`` holding ``ax`` (``a_hat @ X``) itself, not a
+    copy; the feature dimension is ``ax``'s column count."""
     config = config or GCNConfig()
-    if isinstance(graph_or_ahat, DirectedTAG):
-        a_hat = normalize_adjacency(graph_or_ahat)
-    else:
-        a_hat = graph_or_ahat
+    if ax.ndim != 2 or ax.shape[0] != a_hat.shape[0]:
+        raise ValueError(f"A_hat @ X has shape {ax.shape}, expected {a_hat.shape[0]} rows")
     rng = np.random.default_rng(config.seed)
     return GCNModel(
-        w1=_glorot(rng, feature_dim, config.hidden),
+        w1=_glorot(rng, ax.shape[1], config.hidden),
         w2=_glorot(rng, config.hidden, num_classes),
         a_hat=a_hat,
+        ax=ax,
         config=config,
     )
 
 
-def _features_product(model: GCNModel, x: np.ndarray, ax: np.ndarray | None) -> np.ndarray:
-    """``ax`` after checking its shape against ``x`` and ``A_hat``, or ``A_hat @ x``."""
-    if x.shape[1] != model.w1.shape[0]:
-        raise ValueError(
-            f"feature dim {x.shape[1]} does not match W1 rows {model.w1.shape[0]}"
-        )
-    if ax is None:
-        return model.a_hat @ x
-    if ax.shape != (model.a_hat.shape[0], x.shape[1]):
-        raise ValueError(f"A_hat @ X has shape {ax.shape}, expected {(model.a_hat.shape[0], x.shape[1])}")
-    return ax
-
-
-def forward(model: GCNModel, x: np.ndarray, ax: np.ndarray | None = None) -> np.ndarray:
-    """Eval-mode logits for every node.
-
-    ``ax`` is ``model.a_hat @ x`` when the caller already has it: the product
-    depends on neither weights nor epoch, so training forms it once.
-    """
-    ax = _features_product(model, x, ax)
-    h = np.maximum(ax @ model.w1, 0.0)
+def forward(model: GCNModel) -> np.ndarray:
+    """Eval-mode logits for every node."""
+    h = np.maximum(model.ax @ model.w1, 0.0)
     return model.a_hat @ (h @ model.w2)
 
 
@@ -225,20 +206,21 @@ class ReceptiveField:
     ax: np.ndarray
 
 
-def receptive_field(a_hat: CSR, ax: np.ndarray, train_nodes: np.ndarray) -> ReceptiveField:
-    """The training nodes' receptive field under ``a_hat``; ``ax`` is ``a_hat @ X``.
+def receptive_field(model: GCNModel, train_nodes: np.ndarray) -> ReceptiveField:
+    """The training nodes' receptive field under the model's ``A_hat``.
     Raises ValueError for a training node listed twice, which the loss would
     count twice and the gradient once."""
     seen, counts = np.unique(train_nodes, return_counts=True)
     if len(seen) < len(train_nodes):
         raise ValueError(f"training node {int(seen[counts > 1][0])} is listed more than once")
+    a_hat = model.a_hat
     at, _ = a_hat.entries(train_nodes)
     rows = np.unique(a_hat.indices[at])
     return ReceptiveField(
         rows=rows,
         to_train=a_hat.block(train_nodes, rows),
         from_train=a_hat.block(rows, train_nodes),
-        ax=ax[rows],
+        ax=model.ax[rows],
     )
 
 
@@ -308,16 +290,11 @@ def _adam_step(model: GCNModel, d_w1: np.ndarray, d_w2: np.ndarray) -> None:
         w -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
-def evaluate(
-    model: GCNModel,
-    x: np.ndarray,
-    nodes: np.ndarray,
-    labels: np.ndarray,
-) -> float:
+def evaluate(model: GCNModel, nodes: np.ndarray, labels: np.ndarray) -> float:
     """Argmax-logit accuracy; argmax ties resolve to the lowest class index."""
     if len(nodes) == 0:
         raise ValueError("evaluation node set is empty")
-    return _accuracy(forward(model, x), nodes, labels)
+    return _accuracy(forward(model), nodes, labels)
 
 
 def _accuracy(logits: np.ndarray, nodes: np.ndarray, labels: np.ndarray) -> float:
@@ -326,12 +303,10 @@ def _accuracy(logits: np.ndarray, nodes: np.ndarray, labels: np.ndarray) -> floa
 
 def train(
     model: GCNModel,
-    x: np.ndarray,
     train_nodes: np.ndarray,
     train_labels: np.ndarray,
     test_nodes: np.ndarray | None = None,
     test_labels: np.ndarray | None = None,
-    ax: np.ndarray | None = None,
     eval_each_epoch: bool = True,
 ) -> list[EpochRecord]:
     """Full training loop; one history row per epoch.
@@ -340,8 +315,7 @@ def train(
     accuracy against the supplied ground truth, when given. Both come from
     one eval-mode forward after each weight update; without
     ``eval_each_epoch`` that forward is skipped and both are NaN, for a
-    caller that reads only the final weights. Every forward shares one
-    ``A_hat @ x``: ``ax`` when given, else computed here once.
+    caller that reads only the final weights.
 
     The dropout mask is drawn over every node, as a full forward would draw
     it, and cut to the receptive field's rows, so the generator's stream
@@ -352,9 +326,8 @@ def train(
     train_nodes = np.asarray(train_nodes, dtype=np.intp)
     train_labels = np.asarray(train_labels, dtype=np.intp)
     dropout_rng = np.random.default_rng(model.config.seed + 1)
-    ax = _features_product(model, x, ax)
-    reach = receptive_field(model.a_hat, ax, train_nodes)
-    mask_shape = (ax.shape[0], model.w1.shape[1])
+    reach = receptive_field(model, train_nodes)
+    mask_shape = (model.ax.shape[0], model.w1.shape[1])
     keep = 1.0 - model.config.dropout
 
     history: list[EpochRecord] = []
@@ -371,7 +344,7 @@ def train(
 
         train_acc = test_acc = float("nan")
         if eval_each_epoch:
-            logits = forward(model, x, ax=ax)
+            logits = forward(model)
             train_acc = _accuracy(logits, train_nodes, train_labels)
             if test_nodes is not None and len(test_nodes) > 0:
                 test_acc = _accuracy(logits, np.asarray(test_nodes), np.asarray(test_labels))
@@ -381,7 +354,6 @@ def train(
 
 def gradient_check(
     model: GCNModel,
-    x: np.ndarray,
     train_nodes: np.ndarray,
     train_labels: np.ndarray,
     epsilon: float = 1e-5,
@@ -394,7 +366,7 @@ def gradient_check(
         raise ValueError("gradient check requires dropout = 0")
     train_nodes = np.asarray(train_nodes, dtype=np.intp)
     train_labels = np.asarray(train_labels, dtype=np.intp)
-    reach = receptive_field(model.a_hat, _features_product(model, x, None), train_nodes)
+    reach = receptive_field(model, train_nodes)
     _, d_w1, d_w2 = loss_and_grads(model, reach, train_labels)
 
     def loss_only() -> float:

@@ -90,12 +90,10 @@ class DirectedTAG:
     features: np.ndarray
     labels: list[int | None]
     class_names: list[str]
-    key_to_id: dict[str, int] = field(init=False, repr=False)
     successors: list[list[int]] = field(init=False, repr=False)
     predecessors: list[list[int]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.key_to_id = {k: i for i, k in enumerate(self.original_keys)}
         self._validate()
         n = self.num_nodes
         src, dst = self.edge_array.T

@@ -430,6 +430,9 @@ def _write_json(path: Path, doc: dict, **dumps_kwargs) -> None:
         fh.write(json.dumps(doc, **dumps_kwargs) + "\n")
 
 
+_PSEUDO_LABEL_HEADER = ["node_key", "label", "confidence", "unparseable_count"]
+
+
 def _write_csv(path: Path, cfg_hash: str, header: list[str], rows: list[list]) -> None:
     with dataio.atomic_write(path, encoding="utf-8", newline="") as fh:
         fh.write(f"# schema_version={ARTIFACT_SCHEMA_VERSION} config_hash={cfg_hash}\n")
@@ -445,7 +448,7 @@ def read_csv_rows(path: Path) -> tuple[list[str], list[list[str]]]:
     with open(path, encoding="utf-8", newline="") as fh:
         lines = [ln for ln in fh if not ln.startswith("#")]
     reader = csv.reader(lines)
-    header = next(reader)
+    header = next(reader, [])
     return header, [row for row in reader]
 
 
@@ -499,6 +502,20 @@ def _require(paths: StagePaths, artifact: str) -> Path:
     if not path.exists():
         raise MissingArtifactError(f"{path} not found; run the {_PRODUCER[artifact]!r} stage first")
     return path
+
+
+def _read_input(paths: StagePaths, artifact: str, parse: Callable[[Path], object]):
+    """``parse(paths.<artifact>)``, the file being required (:func:`_require`).
+    Content that does not parse (a torn write, an edited row) raises
+    MissingArtifactError naming the stage that writes the file."""
+    path = _require(paths, artifact)
+    try:
+        return parse(path)
+    except (OSError, ValueError, KeyError, IndexError, TypeError, zipfile.BadZipFile) as exc:
+        raise MissingArtifactError(
+            f"{path}: unreadable or malformed ({type(exc).__name__}: {exc}); "
+            f"re-run the {_PRODUCER[artifact]!r} stage"
+        ) from exc
 
 
 def _stamps(outputs: list[Path]) -> dict[str, list[int]]:
@@ -582,22 +599,13 @@ class _LoadedGraph:
         return self._structure[key]
 
 
-def _read_graph(path: Path) -> _LoadedGraph:
-    """``dataio.load_graph``; an unreadable or malformed artifact (a torn
-    write, say) raises MissingArtifactError naming the ingest stage."""
-    try:
-        return _LoadedGraph(dataio.load_graph(path))
-    except (OSError, ValueError, KeyError, zipfile.BadZipFile) as exc:
-        raise MissingArtifactError(
-            f"{path}: graph artifact unreadable or malformed ({exc}); "
-            f"re-run the {_PRODUCER['graph']!r} stage"
-        ) from exc
-
-
 def _load_graph(paths: StagePaths) -> _LoadedGraph:
-    """The graph artifact, which must exist; within one :func:`run_pipeline`
-    call it is loaded, and each of its structural scores computed, once."""
-    return _memoised(paths.graphs, _require(paths, "graph"), _read_graph)
+    """The graph artifact, read by :func:`_read_input`; within one
+    :func:`run_pipeline` call it is loaded, and each of its structural scores
+    computed, once."""
+    return _read_input(
+        paths, "graph", lambda path: _memoised(paths.graphs, path, lambda p: _LoadedGraph(dataio.load_graph(p)))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -693,13 +701,9 @@ def stage_annotate(
 def stage_aggregate(cfg: PipelineConfig, paths: StagePaths, cfg_hash: str) -> None:
     """Fuse the worker guesses that annotate recorded into pseudo-labels."""
     graph = _load_graph(paths).graph
-    try:
-        nodes, top1, mass = dataio.load_guesses(paths.guesses, graph.num_nodes, graph.num_classes)
-    except (OSError, ValueError, zipfile.BadZipFile) as exc:
-        raise MissingArtifactError(
-            f"{paths.guesses}: recorded guesses unreadable or malformed ({exc}); "
-            f"re-run the {_PRODUCER['guesses']!r} stage"
-        ) from exc
+    nodes, top1, mass = _read_input(
+        paths, "guesses", lambda path: dataio.load_guesses(path, graph.num_nodes, graph.num_classes)
+    )
     node_list = nodes.tolist()
     truth = np.array([-1 if graph.labels[v] is None else graph.labels[v] for v in node_list])
     fused = agg.fuse(top1, mass, truth)
@@ -718,9 +722,7 @@ def stage_aggregate(cfg: PipelineConfig, paths: StagePaths, cfg_hash: str) -> No
         )
         if label >= 0
     ]
-    _write_csv(
-        paths.pseudo_labels, cfg_hash, ["node_key", "label", "confidence", "unparseable_count"], rows
-    )
+    _write_csv(paths.pseudo_labels, cfg_hash, _PSEUDO_LABEL_HEADER, rows)
     acc_rows = []
     if (truth >= 0).any():
         acc_rows = [[k, f"{accuracy:.6f}", n] for k, accuracy, n in fused.accuracy]
@@ -730,23 +732,32 @@ def stage_aggregate(cfg: PipelineConfig, paths: StagePaths, cfg_hash: str) -> No
         print(f"aggregate: dropped {dropped} node(s) with no parseable worker")
 
 
-def load_pseudo_labels(paths: StagePaths, graph: DirectedTAG) -> tuple[dict[int, int], dict[int, float]]:
-    """Pseudo-label table -> (label by node id, confidence by node id). A
-    table without rows raises NoPseudoLabelsError: there is nothing to
-    filter or train on."""
-    path = _require(paths, "pseudo_labels")
-    _, rows = read_csv_rows(path)
-    if not rows:
-        raise NoPseudoLabelsError(
-            f"{path} holds no pseudo-labeled node: no annotated node had a parseable worker response"
-        )
+def _parse_pseudo_labels(path: Path, graph: DirectedTAG) -> tuple[dict[int, int], dict[int, float]]:
+    """(label, confidence) by node id of each row of a pseudo-label table."""
+    header, rows = read_csv_rows(path)
+    if header != _PSEUDO_LABEL_HEADER:
+        raise ValueError(f"header {header}, expected {_PSEUDO_LABEL_HEADER}")
+    node_of = {key: v for v, key in enumerate(graph.original_keys)}
     class_index = {c: i for i, c in enumerate(graph.class_names)}
     labels: dict[int, int] = {}
     confidence: dict[int, float] = {}
     for key, label, conf, _unparseable in rows:
-        v = graph.key_to_id[key]
+        v = node_of[key]
         labels[v] = class_index[label]
         confidence[v] = float(conf)
+    return labels, confidence
+
+
+def load_pseudo_labels(paths: StagePaths, graph: DirectedTAG) -> tuple[dict[int, int], dict[int, float]]:
+    """Pseudo-label table -> (label by node id, confidence by node id), read
+    by :func:`_read_input`. A table without rows raises NoPseudoLabelsError:
+    there is nothing to filter or train on."""
+    labels, confidence = _read_input(paths, "pseudo_labels", lambda path: _parse_pseudo_labels(path, graph))
+    if not labels:
+        raise NoPseudoLabelsError(
+            f"{paths.pseudo_labels} holds no pseudo-labeled node: "
+            "no annotated node had a parseable worker response"
+        )
     return labels, confidence
 
 
@@ -821,6 +832,14 @@ def stage_filter(cfg: PipelineConfig, paths: StagePaths, cfg_hash: str) -> None:
     _write_json(paths.selected, doc, indent=1)
 
 
+def _final_nodes(path: Path, labels: dict[int, int]) -> list[int]:
+    """A selection file's ``final_nodes``: distinct node ids, each with a pseudo-label."""
+    final = json.loads(path.read_text(encoding="utf-8"))["final_nodes"]
+    if not final or len(set(final)) < len(final) or not all(type(v) is int and v in labels for v in final):
+        raise ValueError("final_nodes must list distinct pseudo-labeled node ids")
+    return final
+
+
 def train_once(
     graph: DirectedTAG,
     train_nodes: list[int],
@@ -835,8 +854,8 @@ def train_once(
     Returns (history, test accuracy, model, validation accuracy). The seeded
     validation sample is held out of the test set and used only for the
     report. ``a_hat`` and ``ax`` (``a_hat @ graph.features``) are computed
-    when not given; every forward shares that one ``ax``. Without
-    ``eval_each_epoch`` the history holds losses only (see ``gcn.train``).
+    when not given; the model holds that ``ax``. Without ``eval_each_epoch``
+    the history holds losses only (see ``gcn.train``).
     """
     if a_hat is None:
         a_hat = gcn.normalize_adjacency(graph)
@@ -845,15 +864,11 @@ def train_once(
     train_ids, val_ids, test_ids = gcn.split_nodes(
         graph, train_nodes, val_size=gcn_cfg.val_size, seed=gcn_cfg.seed
     )
-    model = gcn.init_model(a_hat, graph.feature_dim, graph.num_classes, gcn_cfg)
+    model = gcn.init_model(a_hat, ax, graph.num_classes, gcn_cfg)
     y_train = np.array([pseudo_labels[v] for v in train_ids], dtype=np.intp)
     y_test = np.array([graph.labels[v] for v in test_ids], dtype=np.intp)
-    history = gcn.train(
-        model, graph.features, train_ids, y_train, test_ids, y_test, ax=ax, eval_each_epoch=eval_each_epoch
-    )
-    if len(test_ids) == 0:
-        raise ValueError("evaluation node set is empty")
-    logits = gcn.forward(model, graph.features, ax=ax)  # one eval-mode forward for both accuracies
+    history = gcn.train(model, train_ids, y_train, test_ids, y_test, eval_each_epoch=eval_each_epoch)
+    logits = gcn.forward(model)  # one eval-mode forward for both accuracies
     test_acc = gcn._accuracy(logits, test_ids, y_test)
     val_acc = None
     if len(val_ids):
@@ -867,7 +882,7 @@ def stage_train(cfg: PipelineConfig, paths: StagePaths, cfg_hash: str) -> None:
     """Train the GCN on the selected pseudo-labeled nodes; write the report."""
     graph = _load_graph(paths).graph
     labels, _conf = load_pseudo_labels(paths, graph)
-    selected = json.loads(paths.selected.read_text())["final_nodes"]
+    selected = _read_input(paths, "selected", lambda path: _final_nodes(path, labels))
     history, test_acc, model, val_acc = train_once(graph, selected, labels, cfg.gcn)
 
     _write_csv(
@@ -937,8 +952,9 @@ def hyperparameter_sweep(
 
     Requires cached annotations (the pseudo-label artifact); never queries
     the LLM. The graph is loaded, its structural scores computed and
-    ``A_hat @ X`` formed once, for every cell and seed. Each run reads only
-    its final test accuracy, so it trains without the per-epoch eval.
+    ``A_hat @ X`` formed once: every cell's and seed's model holds that one
+    product. Each run reads only its final test accuracy, so it trains
+    without the per-epoch eval.
     """
     if not gamma_values or len(gamma_values) != len(lambda_values):
         raise ConfigError("sweep.gamma_values and sweep.lambda_values must be set, of equal length")

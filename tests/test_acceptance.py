@@ -33,7 +33,7 @@ from crowdtag.filtering import (
     stage2_select,
 )
 from crowdtag.fixtures import load_fixture_graph
-from crowdtag.gcn import GCNConfig, gradient_check, init_model, train
+from crowdtag.gcn import GCNConfig, gradient_check, init_model, normalize_adjacency, train
 from crowdtag.homophily import (
     HomophilyParams,
     boundary_sweep,
@@ -248,27 +248,30 @@ def test_criterion_7_gcn_numerics():
         d = int(rng.integers(2, 8))
         g = synthetic_citation_graph(n=n, num_classes=3, feature_dim=d, seed=trial)
         cfg = GCNConfig(hidden=int(rng.integers(2, 7)), dropout=0.0, seed=trial)
-        model = init_model(g, d, 3, cfg)
+        a_hat = normalize_adjacency(g)
+        model = init_model(a_hat, a_hat @ g.features, 3, cfg)
         nodes = np.arange(max(2, n // 2))
         labels = np.array([g.labels[v] for v in nodes])
-        worst = max(worst, gradient_check(model, g.features, nodes, labels))
+        worst = max(worst, gradient_check(model, nodes, labels))
     assert worst < 1e-4
 
     def fixed_seed_history():
         g = synthetic_citation_graph(n=25, num_classes=3, seed=3)
         cfg = GCNConfig(epochs=40, seed=12)
-        model = init_model(g, g.feature_dim, 3, cfg)
+        a_hat = normalize_adjacency(g)
+        model = init_model(a_hat, a_hat @ g.features, 3, cfg)
         nodes = np.arange(12)
         labels = np.array([g.labels[v] for v in nodes])
-        hist = train(model, g.features, nodes, labels)
+        hist = train(model, nodes, labels)
         return [(r.loss, r.train_acc) for r in hist]
 
     assert fixed_seed_history() == fixed_seed_history()
 
     toy = separable_toy()
     cfg = GCNConfig(hidden=8, dropout=0.0, epochs=200, seed=0)
-    model = init_model(toy, 2, 2, cfg)
-    hist = train(model, toy.features, np.arange(8), np.array(toy.labels))
+    a_hat = normalize_adjacency(toy)
+    model = init_model(a_hat, a_hat @ toy.features, 2, cfg)
+    hist = train(model, np.arange(8), np.array(toy.labels))
     assert max(r.train_acc for r in hist) == 1.0
     report(
         7,

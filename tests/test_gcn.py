@@ -70,7 +70,8 @@ def dense_loss_and_grads(a_hat, x, w1, w2, nodes, labels, weight_decay, mask=Non
 def small_model(n=6, d=4, h=5, c=3, seed=0, dropout=0.0, **kw):
     g = synthetic_citation_graph(n=n, num_classes=c, feature_dim=d, seed=seed)
     cfg = GCNConfig(hidden=h, dropout=dropout, seed=seed, **kw)
-    model = init_model(g, d, c, cfg)
+    a = normalize_adjacency(g)
+    model = init_model(a, a @ g.features, c, cfg)
     return g, model
 
 
@@ -172,16 +173,16 @@ def test_forward_zero_weights_zero_logits():
     g, model = small_model()
     model.w1[:] = 0.0
     model.w2[:] = 0.0
-    logits = forward(model, g.features)
+    logits = forward(model)
     np.testing.assert_array_equal(logits, np.zeros_like(logits))
 
 
 def test_forward_single_node_is_mlp():
     g = tiny_graph([], n=1)
     cfg = GCNConfig(hidden=4, dropout=0.0, seed=1)
-    model = init_model(g, g.feature_dim, 2, cfg)
+    model = init_model(a := normalize_adjacency(g), a @ g.features, 2, cfg)
     x = g.features
-    logits = forward(model, x)
+    logits = forward(model)
     mlp = np.maximum(x @ model.w1, 0.0) @ model.w2
     np.testing.assert_allclose(logits, mlp, atol=1e-12)
 
@@ -190,42 +191,20 @@ def test_forward_matches_duplicate_implementation():
     rng = np.random.default_rng(3)
     for _ in range(10):
         g, model = small_model(n=int(rng.integers(3, 15)), seed=int(rng.integers(1e6)))
-        logits = forward(model, g.features)
+        logits = forward(model)
         oracle = forward_oracle(dense(model.a_hat), g.features, model.w1, model.w2)
         assert np.max(np.abs(logits - oracle)) < 1e-12
 
 
-def test_forward_dimension_mismatch():
-    g, model = small_model(d=4)
+def test_init_model_refuses_a_product_with_the_wrong_row_count():
+    g = synthetic_citation_graph(n=6, num_classes=3, feature_dim=4, seed=0)
+    a = normalize_adjacency(g)
     with pytest.raises(ValueError):
-        forward(model, np.zeros((g.num_nodes, 7)))
-    with pytest.raises(ValueError):  # a product of another shape than A_hat @ x
-        forward(model, g.features, ax=np.zeros((g.num_nodes + 1, 4)))
-
-
-def test_training_with_a_given_product_matches_training_without():
-    def run(with_ax: bool):
-        g, model = small_model(n=20, seed=9, dropout=0.5, epochs=30)
-        nodes = np.arange(10)
-        labels = np.array([g.labels[v] for v in nodes])
-        ax = model.a_hat @ g.features if with_ax else None
-        history = train(model, g.features, nodes, labels, ax=ax)
-        return [(r.loss, r.train_acc) for r in history], model.w1.copy(), forward(model, g.features, ax=ax)
-
-    (h1, w1a, logits_a), (h2, w1b, logits_b) = run(False), run(True)
-    assert h1 == h2
-    np.testing.assert_array_equal(w1a, w1b)
-    np.testing.assert_array_equal(logits_a, logits_b)
-
-
-def test_forward_on_another_feature_matrix_uses_its_own_product():
-    g, model = small_model(n=12, d=4, seed=5, epochs=5)
-    nodes = np.arange(6)
-    train(model, g.features, nodes, np.array([g.labels[v] for v in nodes]))
-    other = np.random.default_rng(6).normal(size=g.features.shape)
-    for x in (other, g.features, other):
-        oracle = forward_oracle(dense(model.a_hat), x, model.w1, model.w2)
-        assert np.max(np.abs(forward(model, x) - oracle)) < 1e-12
+        init_model(a, np.zeros((g.num_nodes + 1, 4)), 3)
+    ax = np.zeros((g.num_nodes, 7))
+    model = init_model(a, ax, 3)
+    assert model.ax is ax  # held, not copied
+    assert model.w1.shape[0] == 7  # the feature dimension is the product's
 
 
 @pytest.mark.parametrize("dropout", [0.0, 0.5])
@@ -235,16 +214,17 @@ def test_csr_propagation_matches_a_dense_reference(dropout):
     # draws each epoch's dropout mask over every node from the same generator.
     g = synthetic_citation_graph(n=40, num_classes=3, seed=19)
     cfg = GCNConfig(hidden=6, dropout=dropout, seed=2, epochs=15)
-    model = init_model(g, g.feature_dim, 3, cfg)
+    a_hat = normalize_adjacency(g)
+    model = init_model(a_hat, a_hat @ g.features, 3, cfg)
     assert isinstance(model.a_hat, CSR)
-    ref = init_model(g, g.feature_dim, 3, cfg)
+    ref = init_model(a_hat, a_hat @ g.features, 3, cfg)
     a = dense(model.a_hat)
     np.testing.assert_allclose(
-        forward_oracle(a, g.features, ref.w1, ref.w2), forward(model, g.features), atol=1e-12
+        forward_oracle(a, g.features, ref.w1, ref.w2), forward(model), atol=1e-12
     )
     nodes = np.arange(15)
     labels = np.array([g.labels[v] for v in nodes])
-    hist = train(model, g.features, nodes, labels)
+    hist = train(model, nodes, labels)
     rng = np.random.default_rng(cfg.seed + 1)
     ref_losses, ref_accs = [], []
     for _ in range(cfg.epochs):
@@ -268,12 +248,13 @@ def test_receptive_field_gradients_match_the_full_row_reference(seed):
     g = random_graph(rng, max_nodes=120)
     g.features = rng.normal(size=(g.num_nodes, 9))
     cfg = GCNConfig(hidden=5, dropout=0.5, seed=seed)
-    model = init_model(g, 9, 4, cfg)
+    a_hat = normalize_adjacency(g)
+    model = init_model(a_hat, a_hat @ g.features, 4, cfg)
     nodes = rng.choice(g.num_nodes, size=max(1, g.num_nodes // 6), replace=False)
     labels = rng.integers(0, 4, size=len(nodes))
     mask = (rng.random((g.num_nodes, 5)) < 0.5) / 0.5
     a = dense(model.a_hat)
-    reach = receptive_field(model.a_hat, model.a_hat @ g.features, nodes)
+    reach = receptive_field(model, nodes)
     assert reach.rows.tolist() == np.flatnonzero(a[nodes].any(axis=0)).tolist()
     for m in (None, mask):
         loss, d_w1, d_w2 = loss_and_grads(model, reach, labels, None if m is None else m[reach.rows])
@@ -304,7 +285,7 @@ def test_training_without_the_per_epoch_eval_fits_the_same_weights():
         g, model = small_model(n=20, seed=9, dropout=0.5, epochs=30)
         nodes = np.arange(10)
         labels = np.array([g.labels[v] for v in nodes])
-        history = train(model, g.features, nodes, labels, nodes, labels, eval_each_epoch=eval_each_epoch)
+        history = train(model, nodes, labels, nodes, labels, eval_each_epoch=eval_each_epoch)
         return history, model
 
     (h1, m1), (h2, m2) = run(True), run(False)
@@ -332,7 +313,7 @@ def test_gradient_check_random_instances():
         )
         nodes = np.arange(g.num_nodes // 2)
         labels = np.array([g.labels[v] for v in nodes])
-        err = gradient_check(model, g.features, nodes, labels)
+        err = gradient_check(model, nodes, labels)
         assert err < 1e-4
 
 
@@ -342,14 +323,14 @@ def test_gradient_check_zero_weights():
     model.w2[:] = 0.0
     nodes = np.arange(3)
     labels = np.array([g.labels[v] for v in nodes])
-    err = gradient_check(model, g.features, nodes, labels, epsilon=1e-6)
+    err = gradient_check(model, nodes, labels, epsilon=1e-6)
     assert err < 1e-4
 
 
 def test_gradient_check_requires_dropout_off():
     g, model = small_model(dropout=0.5)
     with pytest.raises(ValueError):
-        gradient_check(model, g.features, np.arange(2), np.zeros(2, dtype=int))
+        gradient_check(model, np.arange(2), np.zeros(2, dtype=int))
 
 
 def test_a_training_node_listed_twice_is_refused():
@@ -360,17 +341,17 @@ def test_a_training_node_listed_twice_is_refused():
     nodes = np.array([0, 1, 1, 2])
     labels = np.array([g.labels[v] for v in nodes])
     with pytest.raises(ValueError, match="training node 1 "):
-        gradient_check(model, g.features, nodes, labels)
+        gradient_check(model, nodes, labels)
     with pytest.raises(ValueError, match="training node 1 "):
-        train(model, g.features, nodes, labels)
-    assert gradient_check(model, g.features, nodes[[0, 1, 3]], labels[[0, 1, 3]]) < 1e-4
+        train(model, nodes, labels)
+    assert gradient_check(model, nodes[[0, 1, 3]], labels[[0, 1, 3]]) < 1e-4
 
 
 def test_loss_nonnegative_and_decreasing_on_toy():
     g, model = small_model(n=12, dropout=0.0, learning_rate=0.05, epochs=50)
     nodes = np.arange(12)
     labels = np.array([g.labels[v] for v in nodes])
-    history = train(model, g.features, nodes, labels)
+    history = train(model, nodes, labels)
     losses = [r.loss for r in history]
     assert all(l >= 0 for l in losses)
     assert losses[-1] < losses[0]
@@ -382,7 +363,7 @@ def test_history_row_per_epoch():
     g, model = small_model(epochs=20, dropout=0.0)
     nodes = np.arange(4)
     labels = np.array([g.labels[v] for v in nodes])
-    history = train(model, g.features, nodes, labels)
+    history = train(model, nodes, labels)
     assert [r.epoch for r in history] == list(range(1, 21))
 
 
@@ -399,10 +380,10 @@ def separable_toy():
 def test_separable_toy_reaches_full_train_accuracy():
     g = separable_toy()
     cfg = GCNConfig(hidden=8, dropout=0.0, epochs=200, seed=0)
-    model = init_model(g, 2, 2, cfg)
+    model = init_model(a := normalize_adjacency(g), a @ g.features, 2, cfg)
     nodes = np.arange(8)
     labels = np.array(g.labels)
-    history = train(model, g.features, nodes, labels)
+    history = train(model, nodes, labels)
     assert max(r.train_acc for r in history) == 1.0
 
 
@@ -411,7 +392,7 @@ def test_training_bit_reproducible():
         g, model = small_model(n=20, seed=9, dropout=0.5, epochs=30)
         nodes = np.arange(10)
         labels = np.array([g.labels[v] for v in nodes])
-        history = train(model, g.features, nodes, labels)
+        history = train(model, nodes, labels)
         return [(r.loss, r.train_acc) for r in history], model.w1.copy()
 
     (h1, w1a), (h2, w1b) = run(), run()
@@ -425,9 +406,9 @@ def test_last_history_row_matches_evaluate_on_final_weights():
     test_ids = np.arange(10, 30)
     y_train = np.array([g.labels[v] for v in train_ids])
     y_test = np.array([g.labels[v] for v in test_ids])
-    last = train(model, g.features, train_ids, y_train, test_ids, y_test)[-1]
-    assert last.train_acc == evaluate(model, g.features, train_ids, y_train)
-    assert last.test_acc == evaluate(model, g.features, test_ids, y_test)
+    last = train(model, train_ids, y_train, test_ids, y_test)[-1]
+    assert last.train_acc == evaluate(model, train_ids, y_train)
+    assert last.test_acc == evaluate(model, test_ids, y_test)
 
 
 def test_zero_learning_rate_freezes_weights():
@@ -435,7 +416,7 @@ def test_zero_learning_rate_freezes_weights():
     w1_before = model.w1.copy()
     nodes = np.arange(3)
     labels = np.array([g.labels[v] for v in nodes])
-    train(model, g.features, nodes, labels)
+    train(model, nodes, labels)
     np.testing.assert_array_equal(model.w1, w1_before)
 
 
@@ -445,7 +426,7 @@ def test_divergence_detected():
     nodes = np.arange(2)
     labels = np.zeros(2, dtype=int)
     with pytest.raises(TrainingDivergedError), np.errstate(invalid="ignore", over="ignore"):
-        train(model, g.features, nodes, labels)
+        train(model, nodes, labels)
 
 
 # --- evaluation ---------------------------------------------------------------------
@@ -458,49 +439,53 @@ def test_evaluate_perfect_logits():
     labels = np.array([0, 1, 2, 0, 1, 2, 0, 1, 2, 0])
     onehot = np.eye(3)[labels]
     model = GCNModel(
-        w1=np.eye(3), w2=np.eye(3), a_hat=csr_from_dense(np.eye(10)), config=GCNConfig(hidden=3, dropout=0.0)
+        w1=np.eye(3),
+        w2=np.eye(3),
+        a_hat=csr_from_dense(np.eye(10)),
+        ax=onehot,
+        config=GCNConfig(hidden=3, dropout=0.0),
     )
-    acc = evaluate(model, onehot, np.arange(10), labels)
+    acc = evaluate(model, np.arange(10), labels)
     assert acc == 1.0
 
 
 def test_evaluate_zero_logits_tie_rule():
     g = tiny_graph([], n=10, num_classes=2)
     cfg = GCNConfig(hidden=4, dropout=0.0)
-    model = init_model(g, g.feature_dim, 2, cfg)
+    model = init_model(a := normalize_adjacency(g), a @ g.features, 2, cfg)
     model.w1[:] = 0.0
     model.w2[:] = 0.0
     labels = np.array([i % 2 for i in range(10)])  # class 0 holds half
-    acc = evaluate(model, g.features, np.arange(10), labels)
+    acc = evaluate(model, np.arange(10), labels)
     assert acc == 0.5
 
 
 def test_evaluate_random_model_near_chance():
     g = synthetic_citation_graph(n=1000, num_classes=7, feature_dim=12, seed=12)
     cfg = GCNConfig(hidden=16, dropout=0.0, seed=100)
-    model = init_model(g, 12, 7, cfg)
+    model = init_model(a := normalize_adjacency(g), a @ g.features, 7, cfg)
     rng = np.random.default_rng(0)
     labels = rng.integers(0, 7, size=1000)
-    acc = evaluate(model, g.features, np.arange(1000), labels)
+    acc = evaluate(model, np.arange(1000), labels)
     assert acc == pytest.approx(1 / 7, abs=0.05)
 
 
 def test_permutation_consistency_of_forward_and_eval():
     g, model = small_model(n=15, dropout=0.0)
     x = g.features
-    logits = forward(model, x)
+    logits = forward(model)
     rng = np.random.default_rng(6)
     perm = rng.permutation(15)
     a_perm = csr_from_dense(dense(model.a_hat)[np.ix_(perm, perm)])
-    model_p = init_model(a_perm, g.feature_dim, g.num_classes, model.config)
+    model_p = init_model(a_perm, a_perm @ x[perm], g.num_classes, model.config)
     model_p.w1 = model.w1.copy()
     model_p.w2 = model.w2.copy()
-    logits_p = forward(model_p, x[perm])
+    logits_p = forward(model_p)
     np.testing.assert_allclose(logits_p, logits[perm], atol=1e-10)
 
     labels = np.array([g.labels[v] for v in range(15)])
-    acc = evaluate(model, x, np.arange(15), labels)
-    acc_p = evaluate(model_p, x[perm], np.arange(15), labels[perm])
+    acc = evaluate(model, np.arange(15), labels)
+    acc_p = evaluate(model_p, np.arange(15), labels[perm])
     assert acc == pytest.approx(acc_p, abs=1e-12)
 
 

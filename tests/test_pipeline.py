@@ -1356,6 +1356,48 @@ def test_cli_torn_graph_artifact_exits_missing_naming_ingest(tmp_path, capsys):
     assert "'ingest'" in capsys.readouterr().err
 
 
+def _edit_first_row(edit):
+    """A damage to ``pseudo_labels.csv``: ``edit`` applied to its first row's fields."""
+    def damage(text: str) -> str:
+        lines = text.splitlines(keepends=True)  # the "#" line, the header, then the rows
+        lines[2] = ",".join(edit(lines[2].rstrip("\n").split(","))) + "\n"
+        return "".join(lines)
+
+    return damage
+
+
+def _final_node_9999(text: str) -> str:
+    doc = json.loads(text)
+    doc["final_nodes"][0] = 9999
+    return json.dumps(doc)
+
+
+SWEEP = ["sweep", "--gamma-values", "0.1", "--lambda-values", "0.6"]
+
+
+@pytest.mark.parametrize("command, file, damage, stage", [
+    (["train"], "selected.json", lambda text: '{"k": 3', "filter"),
+    (["train"], "selected.json", _final_node_9999, "filter"),
+    (["filter"], "pseudo_labels.csv", _edit_first_row(lambda row: row[:2]), "aggregate"),
+    (["filter"], "pseudo_labels.csv", _edit_first_row(lambda row: ["no-such-key", *row[1:]]), "aggregate"),
+    (["filter"], "pseudo_labels.csv", _edit_first_row(lambda row: [row[0], "NoSuchClass", *row[2:]]), "aggregate"),
+    (SWEEP, "pseudo_labels.csv", _edit_first_row(lambda row: ["no-such-key", *row[1:]]), "aggregate"),
+    (SWEEP, "pseudo_labels.csv", _edit_first_row(lambda row: [row[0], "NoSuchClass", *row[2:]]), "aggregate"),
+], ids=["train-cut-selection", "train-unknown-node", "filter-short-row", "filter-unknown-key",
+        "filter-unknown-class", "sweep-unknown-key", "sweep-unknown-class"])
+def test_cli_damaged_stage_input_exits_missing_naming_its_stage(tmp_path, capsys, command, file, damage, stage):
+    cfg_path, out_dir = fixture_config(tmp_path)
+    assert cli.main(["pipeline", "--config", str(cfg_path)]) == 0
+    path = out_dir / file
+    path.write_text(damage(path.read_text(encoding="utf-8")), encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main([*command, "--config", str(cfg_path)]) == pipeline.EXIT_MISSING_ARTIFACT
+    err = capsys.readouterr().err
+    assert err.startswith(f"missing artifact: {path}: "), err
+    assert f"re-run the '{stage}' stage" in err
+    assert "Traceback" not in err
+
+
 def test_out_dir_from_previous_schema_reruns_every_stage_once(tmp_path):
     cfg_path, out_dir = fixture_config(tmp_path)
     cfg = load_config(cfg_path)
